@@ -3,7 +3,7 @@
 Given n functions on m grid points, find the partition of the grid into k
 contiguous intervals minimizing the total squared error of the induced
 piecewise approximation, exactly, by dynamic programming over an
-incrementally built interval-cost table.  Includes leave-one-out model
+interval-cost table built from prefix sums.  Includes leave-one-out model
 selection of k, uniform and greedy baselines, a deterministic synthetic data
 generator, and a CLI (``segbasis``).
 """

@@ -298,6 +298,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+# Seconds of back-to-back build-then-solve steps averaged into one repeat: a
+# single step of a few milliseconds is shorter than a shared host's swings.
+_BENCH_SAMPLE_S = 0.1
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         m_list = [int(part) for part in args.m_list.split(",") if part.strip()]
@@ -317,13 +322,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         build_times = []
         dp_times = []
         for rep in range(1, args.repeats + 1):
-            t0 = time.perf_counter()
-            table = build_sse_table(dataset)
-            t1 = time.perf_counter()
-            solve(table, args.k)
-            t2 = time.perf_counter()
-            build_times.append((t1 - t0) * 1e3)
-            dp_times.append((t2 - t1) * 1e3)
+            build_s = dp_s = calls = 0
+            while build_s + dp_s < _BENCH_SAMPLE_S:
+                t0 = time.perf_counter()
+                table = build_sse_table(dataset)
+                t1 = time.perf_counter()
+                solve(table, args.k)
+                build_s += t1 - t0
+                dp_s += time.perf_counter() - t1
+                calls += 1
+            build_times.append(build_s * 1e3 / calls)
+            dp_times.append(dp_s * 1e3 / calls)
             rows.append([m, args.n, args.k, str(rep),
                          build_times[-1], dp_times[-1]])
         rows.append([m, args.n, args.k, "median",

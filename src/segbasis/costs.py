@@ -5,27 +5,36 @@ covering grid indices ``j..l`` (1-based, inclusive) with a single segment,
 summed over all functions.  Three kinds are supported:
 
 * ``SSE`` -- within-segment sum of squared deviations from the segment mean,
-  built by a forward running-mean update along the first row and a
-  left-endpoint downdate for the remaining rows, in O(n m^2) total.
+  ``S2 - sum_i S1_i^2 / len`` from prefix sums of each function's values
+  (S1_i) and of all squared values (S2), centred on each function's mean so
+  that value offsets stay out of the arithmetic.
 * ``LOO`` -- the leave-one-out transform of an SSE table: each point of a
   segment is predicted by the mean of the remaining points, which scales the
   SSE by (len/(len-1))^2 and makes singleton segments infinitely expensive.
 * ``LINEAR`` -- residual sum of squares of the per-segment least-squares line
-  against the grid, computed in O(1) per pair from prefix sums.
+  against the grid, from prefix sums of t, t^2, y, t*y and y^2 alike.
 
-``prefix_oracle_cost`` is an independent check on the SSE recursion: the same
-quantity from plain prefix sums of values and squared values.
+Both builds are O(n m^2) arithmetic done a block of start rows at a time:
+one ``einsum`` sums an n x b x m tensor of interval sums over functions.
+
+``prefix_oracle_cost`` is one SSE entry from plain uncentred prefix sums: the
+builds' formula but none of their code.  The independent oracle is the
+two-pass definition (deviations from the segment mean) used in the tests.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import CostKind, FunctionalDataset, Segmentation, _readonly
+
+# Byte budget of one n x b x m block tensor, which fixes the b start rows of
+# a build step; the step count then grows with n, like the work.
+_BLOCK_BYTES = 256 * 1024
+_LOO_ROWS = 128  # start rows per step of the leave-one-out transform
 
 
 @dataclass(frozen=True)
@@ -66,81 +75,69 @@ def partition_cost(table: CostTable, seg: Segmentation) -> float:
     return total
 
 
-def _sse_rows_for_function(s: np.ndarray, agg: np.ndarray) -> None:
-    """Accumulate one function's per-interval SSE into ``agg``.
+def _prefix(a: np.ndarray) -> np.ndarray:
+    """Prefix sums along the last axis, with a leading zero."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    np.cumsum(a, axis=-1, out=out[..., 1:])
+    return out
 
-    Row 1 is grown forward one point at a time with the running-mean update
 
-        M(1,l) = ((l-1) M(1,l-1) + s_l) / l
-        Q(1,l) = Q(1,l-1) + l/(l-1) (s_l - M(1,l))^2
+def _interval_sums(p: np.ndarray, s: int, e: int, out: np.ndarray) -> np.ndarray:
+    """``out[..., r, c]`` = sum of points s+r .. s+c (0-based) from prefix
+    sums ``p`` over the last axis."""
+    return np.subtract(p[..., None, s + 1:], p[..., s:e, None], out=out)
 
-    and each later row j is derived from row j-1 by removing the left
-    endpoint:
 
-        M(j,l) = ((l-j+2) M(j-1,l) - s_{j-1}) / (l-j+1)
-        Q(j,l) = Q(j-1,l) - (l-j+1)/(l-j+2) (s_{j-1} - M(j,l))^2
+def _blocked_table(n: int, m: int, n_tensors: int, pinned: int, fill) -> np.ndarray:
+    """Fill an m x m table a block of start rows s..e-1 at a time.
 
-    Rows are visited in increasing j so every downdate reads finished values.
-    Only two rolling rows are kept per function.  Diagonals are pinned to
-    M(j,j) = s_j, Q(j,j) = 0 exactly, and cancellation noise is clamped at 0.
+    ``fill(s, e, lens, tensors, scratch, q)`` writes the costs of intervals
+    ending at columns s..m-1 into the view ``q``, given the interval lengths
+    (1 where empty) and preallocated buffers: ``n_tensors`` of n x b x w and
+    one of b x w, w = m - s.  Then noise below 0 is clamped, lengths
+    1..``pinned`` are set to exactly 0 and the lower triangle to +inf.
     """
-    m = s.size
-    M = np.empty(m, dtype=np.float64)
-    Q = np.empty(m, dtype=np.float64)
-    M[0] = s[0]
-    Q[0] = 0.0
-    for l in range(1, m):
-        M[l] = ((l * M[l - 1]) + s[l]) / (l + 1)
-        Q[l] = Q[l - 1] + ((l + 1) / l) * (s[l] - M[l]) ** 2
-    agg[0, :] += Q
-
-    for r in range(1, m):  # 0-based row; covers intervals starting at point r+1
-        nl = np.arange(1.0, m - r + 1.0)  # new lengths l-j+1, old are nl+1
-        Mj = ((nl + 1.0) * M[r:] - s[r - 1]) / nl
-        Qj = Q[r:] - (nl / (nl + 1.0)) * (s[r - 1] - Mj) ** 2
-        np.maximum(Qj, 0.0, out=Qj)
-        Mj[0] = s[r]
-        Qj[0] = 0.0
-        M[r:] = Mj
-        Q[r:] = Qj
-        agg[r, r:] += Qj
-
-
-def _blank_table(m: int) -> np.ndarray:
-    t = np.full((m, m), np.inf, dtype=np.float64)
-    iu = np.triu_indices(m)
-    t[iu] = 0.0
-    return t
+    b = max(1, min(m, _BLOCK_BYTES // (8 * max(n, 1) * m)))
+    rel = np.arange(m)[None, :] - np.arange(b)[:, None] + 1  # interval length
+    lens = np.maximum(rel, 1).astype(np.float64)
+    empty, short = rel < 1, (rel >= 1) & (rel <= pinned)
+    tensors = [np.empty(n * b * m) for _ in range(n_tensors)]
+    scratch = np.empty(b * m)
+    out = np.empty((m, m))
+    for s in range(0, m, b):
+        e = min(s + b, m)
+        bb, w = e - s, m - s
+        q = out[s:e, s:]
+        fill(s, e, lens[:bb, :w],
+             [t[:n * bb * w].reshape(n, bb, w) for t in tensors],
+             scratch[:bb * w].reshape(bb, w), q)
+        np.maximum(q, 0.0, out=q)
+        c = min(w, bb + pinned)  # no later column is empty or short
+        np.copyto(q[:, :c], np.inf, where=empty[:bb, :c])
+        np.copyto(q[:, :c], 0.0, where=short[:bb, :c])
+        out[s:e, :s] = np.inf
+    return out
 
 
-def build_sse_table(dataset: FunctionalDataset, threads: int | None = None) -> CostTable:
+def _sse_block(p1, p2, s, e, lens, tensors, sq, q) -> None:
+    """Block fill of S2 - sum_i S1_i^2 / len from the prefix sums ``p1`` of
+    each function and ``p2`` of the squares; ``tensors[0]`` keeps S1."""
+    d = _interval_sums(p1, s, e, tensors[0])
+    np.einsum("ibl,ibl->bl", d, d, out=sq)
+    _interval_sums(p2, s, e, q)
+    sq /= lens
+    q -= sq
+
+
+def build_sse_table(dataset: FunctionalDataset) -> CostTable:
     """Build the aggregated SSE table for all functions of ``dataset``.
 
-    Each function contributes an independent addend, so with ``threads`` > 1
-    the function rows are split into contiguous chunks built concurrently and
-    merged in chunk order (deterministic for a fixed thread count).  Defaults
-    to the THREADS environment variable, else single-threaded.
+    The diagonal is exactly 0, cancellation noise is clamped at 0 and the
+    lower triangle is +inf.
     """
-    if threads is None:
-        threads = int(os.environ.get("THREADS", "1") or "1")
-    threads = max(1, min(threads, dataset.n))
-
-    def build_chunk(rows: np.ndarray) -> np.ndarray:
-        agg = _blank_table(dataset.m)
-        for i in range(rows.shape[0]):
-            _sse_rows_for_function(rows[i], agg)
-        return agg
-
-    if threads == 1:
-        table = build_chunk(dataset.values)
-    else:
-        chunks = np.array_split(dataset.values, threads, axis=0)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(build_chunk, chunks))
-        table = parts[0]
-        for part in parts[1:]:
-            iu = np.triu_indices(dataset.m)
-            table[iu] += part[iu]
+    y = dataset.values - dataset.values.mean(axis=1, keepdims=True)
+    p1, p2 = _prefix(y), _prefix((y * y).sum(axis=0))
+    table = _blocked_table(dataset.n, dataset.m, 1, 1, partial(_sse_block, p1, p2))
     return CostTable(m=dataset.m, kind=CostKind.SSE, values=_readonly(table))
 
 
@@ -148,26 +145,31 @@ def loo_table(sse: CostTable) -> CostTable:
     """Leave-one-out transform of an SSE table.
 
     Q_loo(j..l) = (len/(len-1))^2 Q_sse(j..l) with len = l-j+1; singletons
-    get +inf (there is nothing left to predict a lone point from).
+    get +inf (there is nothing left to predict a lone point from).  Rows are
+    transformed in blocks straight into the one output table.
     """
     if sse.kind is not CostKind.SSE:
         raise ValueError(f"expected an SSE table, got {sse.kind.value}")
     m = sse.m
-    lens = np.abs(np.arange(m)[None, :] - np.arange(m)[:, None]) + 1.0
+    out = np.empty((m, m))
+    col = np.arange(m, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        factor = (lens / (lens - 1.0)) ** 2
-        out = factor * sse.values  # diagonal becomes inf*0; overwritten below
-    np.fill_diagonal(out, np.inf)
-    out[np.tril_indices(m, -1)] = np.inf
+        for s in range(0, m, _LOO_ROWS):
+            e = min(s + _LOO_ROWS, m)
+            lens = col[s:] - (col[s:e, None] - 1.0)  # l-j+1; < 1 below the diagonal
+            q = np.multiply((lens / (lens - 1.0)) ** 2, sse.values[s:e, s:],
+                            out=out[s:e, s:])
+            q[lens < 2.0] = np.inf
+            out[s:e, :s] = np.inf
     return CostTable(m=m, kind=CostKind.LOO, values=_readonly(out))
 
 
 def prefix_oracle_cost(dataset: FunctionalDataset, j: int, l: int) -> float:
-    """SSE of interval j..l from prefix sums alone; the independent oracle.
+    """SSE of interval j..l from plain prefix sums, one function at a time.
 
-    Uses sum(y^2) - sum(y)^2/len per function, which equals the
-    deviation-from-mean form algebraically but shares no code with the
-    recursive builder.
+    Uses sum(y^2) - sum(y)^2/len per function on the raw (uncentred) values.
+    This is the builds' formula but none of their code; the two-pass
+    deviation-from-mean definition in the tests is the independent oracle.
     """
     if not (1 <= j <= l <= dataset.m):
         raise ValueError(f"segment ({j},{l}) out of range for m={dataset.m}")
@@ -187,39 +189,27 @@ def build_linear_table(dataset: FunctionalDataset) -> CostTable:
     """Residual SSE of the best per-segment line fit of each function against
     the grid, for every interval.
 
-    Built from prefix sums of (t, t^2, y, y^2, t*y) in O(1) per pair.  The
-    grid and each function are centred first, which changes no residual but
-    avoids cancellation on offset-heavy grids.  Intervals of length 1 or 2
-    are exactly interpolated, so their cost is pinned to 0.
+    The residual is the SSE term minus sum_i Cty_i^2 / Ctt, with
+    Ctt = Stt - St^2/len and Cty_i = Sty_i - St Sy_i / len from interval sums
+    of the centred grid t and functions y_i.  Intervals of length 1 or 2 are
+    exactly interpolated, so their cost is pinned to 0.
     """
-    m = dataset.m
     t = dataset.grid - dataset.grid.mean()
-    pt = np.concatenate(([0.0], np.cumsum(t)))
-    ptt = np.concatenate(([0.0], np.cumsum(t * t)))
-    table = np.full((m, m), np.inf, dtype=np.float64)
-    idx = np.arange(m)
+    y = dataset.values - dataset.values.mean(axis=1, keepdims=True)
+    pt, ptt, pty = _prefix(t), _prefix(t * t), _prefix(y * t)
+    py, pyy = _prefix(y), _prefix((y * y).sum(axis=0))
 
-    acc = np.zeros((m, m), dtype=np.float64)
-    for i in range(dataset.n):
-        y = dataset.values[i] - dataset.values[i].mean()
-        py = np.concatenate(([0.0], np.cumsum(y)))
-        pyy = np.concatenate(([0.0], np.cumsum(y * y)))
-        pty = np.concatenate(([0.0], np.cumsum(t * y)))
-        for j in range(m):
-            ln = (idx[j:] - j + 1).astype(np.float64)
-            st = pt[j + 1:] - pt[j]
-            stt = ptt[j + 1:] - ptt[j]
-            sy = py[j + 1:] - py[j]
-            syy = pyy[j + 1:] - pyy[j]
-            sty = pty[j + 1:] - pty[j]
-            ctt = stt - st * st / ln
-            cty = sty - st * sy / ln
-            cyy = syy - sy * sy / ln
-            slope_part = np.where(ctt > 0.0, cty * cty, 0.0) / np.where(ctt > 0.0, ctt, 1.0)
-            acc[j, j:] += np.maximum(cyy - slope_part, 0.0)
+    def fill(s, e, lens, tensors, sq, q):
+        _sse_block(py, pyy, s, e, lens, tensors, sq, q)
+        dy, dty = tensors
+        st = _interval_sums(pt, s, e, np.empty(sq.shape))
+        ctt = _interval_sums(ptt, s, e, np.empty(sq.shape)) - st * st / lens
+        np.copyto(ctt, np.inf, where=ctt <= 0.0)  # no slope to fit
+        dy *= st / lens
+        _interval_sums(pty, s, e, dty)
+        dty -= dy
+        np.einsum("ibl,ibl->bl", dty, dty, out=sq)
+        q -= sq / ctt
 
-    iu = np.triu_indices(m)
-    table[iu] = acc[iu]
-    np.fill_diagonal(table, 0.0)
-    table[idx[:-1], idx[:-1] + 1] = 0.0
-    return CostTable(m=m, kind=CostKind.LINEAR, values=_readonly(table))
+    table = _blocked_table(dataset.n, dataset.m, 2, 2, fill)
+    return CostTable(m=dataset.m, kind=CostKind.LINEAR, values=_readonly(table))

@@ -47,7 +47,8 @@ def test_fit_step(tmp_path, step_csv):
     assert doc["command"] == "fit" and doc["cost"] == "sse" and doc["k"] == 2
     (row,) = doc["records"]
     assert row["ends"] == [2, 4]
-    # downdated rows leave ~1e-16 of cancellation noise on exact-fit segments
+    # prefix-sum differences leave ~1e-16 of cancellation noise on exact-fit
+    # segments
     assert abs(row["sse_total"]) < 1e-12 and abs(row["loo_total"]) < 1e-12
     assert doc["source"]["kind"] == "csv"
 

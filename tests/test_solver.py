@@ -36,20 +36,21 @@ def test_solve_all_costs_on_saw():
 
 
 def test_saw_k2_tie_resolution():
-    # in exact arithmetic the three 2-partitions of the saw tie at 2/3; the
-    # built table carries last-bit noise that makes (3, 4) the unique float
-    # minimum, and enumeration agrees with the dynamic program on it
+    # the 2-partitions (1, 4) and (3, 4) of the saw both cost exactly 2/3 in
+    # the built table; the dynamic program and enumeration both keep the
+    # leftmost optimum
     table = build_sse_table(SAW)
     seg, cost, _ = solve(table, 2)
     bseg, bcost = brute_force(table, 2)
-    assert seg.ends == bseg.ends == (3, 4)
+    assert seg.ends == bseg.ends == (1, 4)
     assert cost == bcost
 
 
 def test_saw_k3():
+    # all three 3-partitions cost exactly 0.5; the leftmost one is kept
     table = build_sse_table(SAW)
     seg, cost, _ = solve(table, 3)
-    assert seg.ends == brute_force(table, 3)[0].ends == (1, 3, 4)
+    assert seg.ends == brute_force(table, 3)[0].ends == (1, 2, 4)
     assert abs(cost - 0.5) < 1e-12
 
 
