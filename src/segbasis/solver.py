@@ -19,12 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, isfinite
+from math import comb, isfinite, isqrt
 
 import numpy as np
 
 from .core import Segmentation, _readonly, segmentation_from_ends
 from .costs import CostTable, partition_cost
+
+# Byte budget of one row slab of the table (and of its candidate buffer): the
+# slab is reused for every segment count while it stays in cache.
+_SLAB_BYTES = 256 * 1024
 
 
 class InfeasiblePartitionError(ValueError):
@@ -61,8 +65,32 @@ class SolveResult:
         return isfinite(self.cost)
 
 
+def _slabs(m: int) -> list[tuple[int, int]]:
+    """Row slabs ``(s, e)`` of the m x m table, bottom first, each holding at
+    most ``_SLAB_BYTES`` of the columns ``s..m-1`` it scans."""
+    cells = _SLAB_BYTES // 8
+    slabs = []
+    e = m
+    while e > 0:
+        d = m - e  # rows b solve b * (d + b) <= cells: slab width is d + b
+        b = max(1, (isqrt(d * d + 4 * cells) - d) // 2)
+        slabs.append((max(0, e - b), e))
+        e -= b
+    return slabs
+
+
 def fill_dp(table: CostTable, k_max: int) -> DPTable:
-    """Fill F and the split records for all segment counts up to ``k_max``."""
+    """Fill F and the split records for all segment counts up to ``k_max``.
+
+    The table is swept in row slabs from the bottom up, and each slab runs
+    every p = 2..k_max before the next one starts.  Row j's candidates read
+    F(p-1, l+1) only for l >= j: rows below the slab, done for every p, or
+    the slab itself at p-1.  So the slab's table columns stay in cache for
+    all k_max passes instead of the whole table streaming k_max times.
+
+    Raises ValueError when a NaN in the table reaches F (for example an SSE
+    table whose sums overflowed): such a table has no meaningful optimum.
+    """
     m = table.m
     if not (1 <= k_max <= m):
         raise ValueError(f"k out of range: {k_max} not in 1..{m}")
@@ -71,26 +99,27 @@ def fill_dp(table: CostTable, k_max: int) -> DPTable:
     L = np.zeros((k_max, m), dtype=np.int64)
     F[0, :] = C[:, m - 1]
     L[0, :] = m
-    # candidate[j, l] = Q(j..l) + F(p-1, l+1), evaluated in row blocks small
-    # enough that the add and the argmin run against cache-resident data
-    chunk = 128
-    buf = np.empty((min(chunk, m), m), dtype=np.float64) if k_max > 1 else None
-    for p in range(2, k_max + 1):
-        tail = np.full(m, np.inf, dtype=np.float64)
-        tail[: m - 1] = F[p - 2, 1:]
-        valid = m - p + 1  # rows j <= m-p+1 (1-based) admit a p-partition
-        for s in range(0, valid, chunk):
-            e = min(s + chunk, valid)
-            block = buf[: e - s]
-            np.add(C[s:e], tail[None, :], out=block)
-            block[:, valid:] = np.inf  # keep p-1 nonempty segments on the right
-            arg = np.argmin(block, axis=1)  # first minimum: leftmost split
-            F[p - 1, s:e] = block[np.arange(e - s), arg]
-            L[p - 1, s:e] = arg + 1
-        # all-inf rows: argmin is meaningless, pin split to the leftmost slot
-        dead = ~np.isfinite(F[p - 1, :valid])
-        if dead.any():
-            L[p - 1, :valid][dead] = np.arange(1, valid + 1)[dead]
+    slabs = _slabs(m)
+    buf = np.empty(max((e - s) * (m - s) for s, e in slabs))
+    arg = np.empty(m, dtype=np.intp)
+    for s, e in slabs:
+        for p in range(2, min(k_max, m - s) + 1):
+            # candidate[j, l] = Q(j..l) + F(p-1, l+1) over the columns s..m-p:
+            # later ones leave fewer than p-1 points on the right, and the
+            # table is +inf for l < j
+            valid = m - p + 1
+            r, w = min(e, valid) - s, valid - s
+            block = np.add(C[s:s + r, s:valid], F[p - 2, s + 1:valid + 1],
+                           out=buf[:r * w].reshape(r, w))
+            a = np.argmin(block, axis=1, out=arg[:r])  # first minimum: leftmost
+            F[p - 1, s:s + r] = block[np.arange(r), a]
+            np.add(a, s + 1, out=L[p - 1, s:s + r])
+    if np.isnan(F).any():
+        raise ValueError("cost table contains NaN (input values too large "
+                         "for double-precision sums?)")
+    # all-inf rows: argmin is meaningless, pin split to the leftmost slot;
+    # rows with no p-partition keep split 0
+    np.copyto(L[1:], np.arange(1, m + 1), where=~np.isfinite(F[1:]) & (L[1:] > 0))
     return DPTable(k_max=k_max, m=m, costs=_readonly(F), splits=_readonly(L))
 
 

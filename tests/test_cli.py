@@ -1,9 +1,15 @@
 """Command line behavior: exit codes, document shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import segbasis
 from segbasis import main
 from segbasis.cli import _parse_bumps, parse_synth_config
 
@@ -115,6 +121,24 @@ def test_fit_missing_input_file(tmp_path, capsys):
                  "--segments", "2"])
     assert code == 1
     assert "segbasis: error:" in capsys.readouterr().err
+
+
+def test_overflowing_values_are_an_input_error(tmp_path, capsys):
+    # finite values whose squares overflow give NaN costs, not "infeasible"
+    rng = np.random.default_rng(0)
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, rng.choice([-1e300, 1e300], size=(3, 20)), delimiter=",")
+    out = tmp_path / "result.json"
+    with np.errstate(invalid="ignore", over="ignore"):
+        fit = main(["fit", "--input", str(path), "--segments", "3",
+                    "--output", str(out)])
+        fit_err = capsys.readouterr().err
+        select = main(["select", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert fit == select == 1
+    assert "segbasis: error:" in fit_err and "NaN" in fit_err
+    assert "segbasis: error:" in captured.err
+    assert not out.exists() and captured.out == ""
 
 
 def test_fit_synth_default(tmp_path):
@@ -327,6 +351,20 @@ def test_bench_input_errors(argv, message, capsys):
 
 
 # ---------------------------------------------------------------- determinism
+
+
+def test_python_m_segbasis_matches_main(capsys):
+    argv = ["fit", "--synth", "default", "--segments", "4"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    src = str(Path(segbasis.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "segbasis", *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 def _bytes_for(tmp_path, argv, name):

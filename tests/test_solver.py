@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from segbasis import (
+    CostKind,
+    CostTable,
     InfeasiblePartitionError,
     brute_force,
     build_linear_table,
@@ -15,6 +17,7 @@ from segbasis import (
     solve,
     solve_all,
 )
+from segbasis.solver import _slabs
 
 
 def _dataset(rows):
@@ -162,3 +165,75 @@ def test_solve_results_immutable_tables():
         dp.costs[0, 0] = 1.0
     with pytest.raises(ValueError):
         dp.splits[0, 0] = 1
+
+
+def _full_scan_fill(C, m, k_max):
+    """The dynamic program as a full scan of every column in 128-row blocks,
+    one segment count at a time: the reference the slab order must equal."""
+    F = np.full((k_max, m), np.inf, dtype=np.float64)
+    L = np.zeros((k_max, m), dtype=np.int64)
+    F[0, :] = C[:, m - 1]
+    L[0, :] = m
+    chunk = 128
+    buf = np.empty((min(chunk, m), m), dtype=np.float64) if k_max > 1 else None
+    for p in range(2, k_max + 1):
+        tail = np.full(m, np.inf, dtype=np.float64)
+        tail[: m - 1] = F[p - 2, 1:]
+        valid = m - p + 1  # rows j <= m-p+1 (1-based) admit a p-partition
+        for s in range(0, valid, chunk):
+            e = min(s + chunk, valid)
+            block = buf[: e - s]
+            np.add(C[s:e], tail[None, :], out=block)
+            block[:, valid:] = np.inf  # keep p-1 nonempty segments on the right
+            arg = np.argmin(block, axis=1)  # first minimum: leftmost split
+            F[p - 1, s:e] = block[np.arange(e - s), arg]
+            L[p - 1, s:e] = arg + 1
+        # all-inf rows: argmin is meaningless, pin split to the leftmost slot
+        dead = ~np.isfinite(F[p - 1, :valid])
+        if dead.any():
+            L[p - 1, :valid][dead] = np.arange(1, valid + 1)[dead]
+    return F, L
+
+
+def _slab_case(name, m, rng):
+    if name == "uniform":
+        return rng.uniform(-1, 1, size=(3, m))
+    if name == "rounded":  # many exact ties
+        return np.round(rng.uniform(-1, 1, size=(3, m)), 1)
+    if name == "zeros":
+        return np.zeros((3, m))
+    tiled = np.tile([0.0, 10.0, 10.0, 0.0], m // 4 + 1)[:m]
+    return np.stack([tiled, tiled[::-1], tiled + rng.integers(0, 2, m)])
+
+
+@pytest.mark.parametrize("m, name", [
+    (300, "uniform"), (300, "rounded"), (300, "zeros"), (300, "tiled"),
+    (700, "tiled"),
+])
+def test_fill_dp_equals_full_scan_across_slabs(m, name):
+    # rows for p <= k do not depend on k_max, so one reference fill at k = m
+    # covers every k
+    assert len(_slabs(m)) >= 3
+    rng = np.random.default_rng(m)
+    ds = _dataset(_slab_case(name, m, rng))
+    sse = build_sse_table(ds)
+    for table in (sse, loo_table(sse), build_linear_table(ds)):
+        ref_costs, ref_splits = _full_scan_fill(table.values, m, m)
+        if name == "tiled" and table is sse:
+            # leftmost optimal splits are not monotone in j here
+            assert (np.diff(ref_splits[2, :m - 2]) < 0).any()
+        for k in (1, 2, int(rng.integers(3, m)), m):
+            dp = fill_dp(table, k)
+            assert np.array_equal(dp.costs, ref_costs[:k]), (table.kind, k)
+            assert np.array_equal(dp.splits, ref_splits[:k]), (table.kind, k)
+
+
+def test_fill_dp_rejects_nan_table():
+    values = np.triu(np.ones((5, 5)))
+    values[np.tril_indices(5, -1)] = np.inf
+    values[1, 3] = np.nan
+    table = CostTable(m=5, kind=CostKind.SSE, values=values)
+    with pytest.raises(ValueError, match="NaN"):
+        fill_dp(table, 3)
+    with pytest.raises(ValueError, match="NaN"):
+        solve(table, 3)
