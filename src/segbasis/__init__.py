@@ -35,6 +35,7 @@ from .selection import (
     SelectionReport,
     SelectionStrategy,
     default_k_max,
+    select_k,
     select_k_full_loo,
     select_k_standard,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "render_result",
     "segment_cost",
     "segmentation_from_ends",
+    "select_k",
     "select_k_full_loo",
     "select_k_standard",
     "solve",

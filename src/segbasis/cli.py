@@ -30,8 +30,7 @@ from .selection import (
     SelectionReport,
     SelectionStrategy,
     default_k_max,
-    select_k_full_loo,
-    select_k_standard,
+    select_k,
 )
 from .solver import InfeasiblePartitionError, solve
 from .synth import SynthSpec, add_noise, generate
@@ -225,10 +224,8 @@ def cmd_select(args: argparse.Namespace) -> int:
         )
     strategy = SelectionStrategy(args.strategy)
     t0 = time.perf_counter()
-    if strategy is SelectionStrategy.STANDARD_THEN_LOO:
-        report = select_k_standard(dataset, k_max)
-    else:
-        report = select_k_full_loo(dataset, k_max)
+    sse = build_sse_table(dataset)
+    report = select_k(sse, loo_table(sse), strategy, k_max)
     t1 = time.perf_counter()
     timing = {"total_ms": (t1 - t0) * 1e3} if args.timing else None
     doc = ResultDocument(
@@ -273,9 +270,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         }
 
     sse = build_sse_table(noisy)
-    seg_fixed, _, _ = solve(sse, k_max)
-    standard = select_k_standard(noisy, k_max)
-    full_loo = select_k_full_loo(noisy, k_max)
+    loo = loo_table(sse)
+    standard = select_k(sse, loo, SelectionStrategy.STANDARD_THEN_LOO, k_max)
+    full_loo = select_k(sse, loo, SelectionStrategy.FULL_LOO, k_max)
+    # the fixed basis is the k_max optimum of the standard sweep's SSE fill
+    seg_fixed = standard.records[-1].segmentation
+    if seg_fixed is None:
+        raise InfeasiblePartitionError(
+            f"no finite-cost partition into {k_max} segments"
+        )
     rows = [
         basis_row("fixed", seg_fixed),
         basis_row("standard-then-loo", standard.selected.segmentation),

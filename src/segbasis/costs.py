@@ -49,9 +49,6 @@ class CostTable:
     kind: CostKind
     values: np.ndarray  # (m, m), upper triangle meaningful
 
-    def cost(self, j: int, l: int) -> float:
-        return segment_cost(self, j, l)
-
 
 def segment_cost(table: CostTable, j: int, l: int) -> float:
     """Look up Q(j..l).  Pure O(1); raises for indices outside 1 <= j <= l <= m."""

@@ -10,6 +10,13 @@ Two strategies:
 * ``FULL_LOO`` -- run the dynamic program directly on the leave-one-out cost
   table (it is additive too).  Singletons are then never selected, and the
   per-k scores are the best achievable.
+
+Both are one routine, :func:`select_k`, over prebuilt SSE and leave-one-out
+tables of the dataset: the strategy only decides which table the dynamic
+program minimizes and which one scores its partitions.  A caller that needs
+both strategies builds each table once and passes it to both sweeps.
+``select_k_standard`` and ``select_k_full_loo`` build the tables from a
+dataset and call it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from math import isfinite
 import numpy as np
 
 from .core import FunctionalDataset, Segmentation
-from .costs import build_sse_table, loo_table, partition_cost
+from .costs import CostTable, build_sse_table, loo_table, partition_cost
 from .solver import solve_all
 
 
@@ -69,59 +76,47 @@ def _pick(records: list[SelectionRecord]) -> tuple[int, bool]:
     return best_k, False
 
 
+def select_k(
+    sse: CostTable, loo: CostTable, strategy: SelectionStrategy, k_max: int
+) -> SelectionReport:
+    """Sweep k = 1..k_max on prebuilt SSE and leave-one-out tables of one
+    dataset and pick the k with the smallest leave-one-out total.
+
+    The strategy names the table the dynamic program optimizes; the other one
+    only scores the optimal partitions.
+    """
+    standard = strategy is SelectionStrategy.STANDARD_THEN_LOO
+    objective, companion = (sse, loo) if standard else (loo, sse)
+    records = []
+    for res in solve_all(objective, k_max):
+        other = (np.inf if res.segmentation is None
+                 else partition_cost(companion, res.segmentation))
+        sse_total, loo_total = (res.cost, other) if standard else (other, res.cost)
+        records.append(SelectionRecord(k=res.k, segmentation=res.segmentation,
+                                       sse_total=sse_total, loo_total=loo_total))
+    selected, degenerate = _pick(records)
+    return SelectionReport(strategy=strategy, records=tuple(records),
+                           selected_k=selected, degenerate=degenerate)
+
+
+def _select(
+    dataset: FunctionalDataset, strategy: SelectionStrategy, k_max: int | None
+) -> SelectionReport:
+    if k_max is None:
+        k_max = default_k_max(dataset.m)
+    sse = build_sse_table(dataset)
+    return select_k(sse, loo_table(sse), strategy, k_max)
+
+
 def select_k_standard(
     dataset: FunctionalDataset, k_max: int | None = None
 ) -> SelectionReport:
     """Score the SSE-optimal partitions with the leave-one-out estimate."""
-    if k_max is None:
-        k_max = default_k_max(dataset.m)
-    sse = build_sse_table(dataset)
-    loo = loo_table(sse)
-    records = []
-    for res in solve_all(sse, k_max):
-        records.append(
-            SelectionRecord(
-                k=res.k,
-                segmentation=res.segmentation,
-                sse_total=res.cost,
-                loo_total=partition_cost(loo, res.segmentation),
-            )
-        )
-    selected, degenerate = _pick(records)
-    return SelectionReport(
-        strategy=SelectionStrategy.STANDARD_THEN_LOO,
-        records=tuple(records),
-        selected_k=selected,
-        degenerate=degenerate,
-    )
+    return _select(dataset, SelectionStrategy.STANDARD_THEN_LOO, k_max)
 
 
 def select_k_full_loo(
     dataset: FunctionalDataset, k_max: int | None = None
 ) -> SelectionReport:
     """Optimize the leave-one-out estimate inside the dynamic program."""
-    if k_max is None:
-        k_max = default_k_max(dataset.m)
-    sse = build_sse_table(dataset)
-    loo = loo_table(sse)
-    records = []
-    for res in solve_all(loo, k_max):
-        if res.segmentation is None:
-            sse_total = np.inf
-        else:
-            sse_total = partition_cost(sse, res.segmentation)
-        records.append(
-            SelectionRecord(
-                k=res.k,
-                segmentation=res.segmentation,
-                sse_total=sse_total,
-                loo_total=res.cost,
-            )
-        )
-    selected, degenerate = _pick(records)
-    return SelectionReport(
-        strategy=SelectionStrategy.FULL_LOO,
-        records=tuple(records),
-        selected_k=selected,
-        degenerate=degenerate,
-    )
+    return _select(dataset, SelectionStrategy.FULL_LOO, k_max)

@@ -8,7 +8,17 @@ Randomness is pinned down to the bit: splitmix64 streams produce 53-bit
 uniforms, and normals come from the Box-Muller transform on consecutive
 uniform pairs.  Each function draws from its own stream, seeded from one
 master stream, so generation is reproducible and order-independent across
-functions.
+functions.  :class:`SplitMix64` is the scalar definition.
+
+splitmix64 is counter-based: output t of a stream is a fixed mix of the state
+``seed + t * gamma`` (mod 2^64), so all outputs of all streams are computed at
+once as one uint64 array.  The bulk path leaves to numpy only operations that
+IEEE 754 rounds exactly (integer mixing, the shift and scale to a uniform,
+products, negation and sqrt) and keeps their association, so it gives the
+scalar path's bits.  log1p, cos and sin are mapped from :mod:`math`, because
+numpy's versions may round differently: with numpy 2.4 on x86-64,
+``np.log1p`` differs from ``math.log1p`` on 147,387 of the first 2,000,000
+uniforms of seed 0.
 """
 
 from __future__ import annotations
@@ -52,29 +62,44 @@ class SplitMix64:
         return r * math.cos(theta), r * math.sin(theta)
 
 
-class _NormalStream:
-    """Caches the second Box-Muller draw so normals come out one at a time."""
-
-    def __init__(self, seed: int) -> None:
-        self._rng = SplitMix64(seed)
-        self._spare: float | None = None
-
-    def next(self) -> float:
-        if self._spare is not None:
-            z, self._spare = self._spare, None
-            return z
-        z0, z1 = self._rng.normal_pair()
-        self._spare = z1
-        return z0
-
-    def take(self, count: int) -> np.ndarray:
-        return np.array([self.next() for _ in range(count)])
+# splitmix64 constants as np.uint64, so that mixing never promotes to float
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _function_seeds(seed: int, n: int) -> list[int]:
-    """One derived seed per function, mixed from the master seed."""
-    master = SplitMix64(seed)
-    return [master.next_uint64() for _ in range(n)]
+def _splitmix64(seeds: np.ndarray, count: int) -> np.ndarray:
+    """Outputs 1..count of the splitmix64 stream of each seed, as a
+    (seeds, count) uint64 array: output t mixes the state seed + t * gamma."""
+    z = seeds[:, None] + _GAMMA * np.arange(1, count + 1, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def _normals(seed: int, n: int, count: int) -> np.ndarray:
+    """The first ``count`` normals of each of n function streams, (n, count).
+
+    Function i's stream is seeded with output i+1 of the master stream of
+    ``seed``; its normals are the Box-Muller pairs of
+    :meth:`SplitMix64.normal_pair`, interleaved z0, z1.
+    """
+    seeds = _splitmix64(np.array([seed & _MASK64], dtype=np.uint64), n)[0]
+    pairs = (count + 1) // 2
+    u = (_splitmix64(seeds, 2 * pairs) >> np.uint64(11)) * 2.0**-53
+    u1, u2 = u[:, 0::2].ravel(), u[:, 1::2].ravel()
+    size = u1.size
+
+    def mapped(fn, x: np.ndarray) -> np.ndarray:
+        # a memoryview yields Python floats one at a time, without a list
+        return np.fromiter(map(fn, memoryview(x)), np.float64, size)
+
+    r = np.sqrt(-2.0 * mapped(math.log1p, -u1))
+    theta = (2.0 * math.pi) * u2
+    z = np.empty((n, 2 * pairs))
+    z[:, 0::2] = (r * mapped(math.cos, theta)).reshape(n, pairs)
+    z[:, 1::2] = (r * mapped(math.sin, theta)).reshape(n, pairs)
+    return z[:, :count]
 
 
 Bump = tuple[float, float, float]  # (center in [0,1], width > 0, amplitude)
@@ -137,11 +162,10 @@ def generate(spec: SynthSpec, seed: int) -> FunctionalDataset:
     else:
         shapes = np.zeros((0, spec.m))
         base_amps = np.zeros(0)
+    amps = base_amps * (1.0 + spec.jitter * _normals(seed, spec.n, base_amps.size))
     raw = np.empty((spec.n, spec.m), dtype=np.float64)
-    for i, sub_seed in enumerate(_function_seeds(seed, spec.n)):
-        normals = _NormalStream(sub_seed)
-        amps = base_amps * (1.0 + spec.jitter * normals.take(base_amps.size))
-        raw[i] = amps @ shapes
+    for i in range(spec.n):
+        raw[i] = amps[i] @ shapes  # one product per row: a GEMM may sum otherwise
     mn = raw.min()
     mx = raw.max()
     if mx == mn:
@@ -163,7 +187,5 @@ def add_noise(dataset: FunctionalDataset, sigma: float, seed: int) -> Functional
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
         return dataset
-    noisy = dataset.values.copy()
-    for i, sub_seed in enumerate(_function_seeds(seed, dataset.n)):
-        noisy[i] += sigma * _NormalStream(sub_seed).take(dataset.m)
-    return new_dataset(dataset.grid, noisy)
+    noise = _normals(seed, dataset.n, dataset.m)
+    return new_dataset(dataset.grid, dataset.values + sigma * noise)

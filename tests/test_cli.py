@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,41 @@ def test_experiment_noisy_clean_errors_differ(tmp_path, small_cfg):
     )
     for row in doc["records"]:
         assert row["clean_error"] != row["noisy_error"]
+
+
+def test_experiment_infeasible_fixed_basis_is_an_input_error(tmp_path, capsys):
+    # two points of +-1.2e154: each square is finite, their sum is not, so
+    # the one-segment cost is +inf without any NaN in the table
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("n = 1\nm = 2\nlo = -1.2e154\nhi = 1.2e154\n")
+    out = tmp_path / "result.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["experiment", "--synth", str(cfg), "--max-segments", "1",
+                     "--output", str(out)])
+    assert code == 1 and not out.exists()
+    assert "no finite-cost partition into 1 segments" in capsys.readouterr().err
+
+
+def test_experiment_builds_each_table_once(tmp_path, small_cfg, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every binding the experiment path can reach: cli and selection import
+    # the builds by name, and solve/solve_all call fill_dp in solver
+    for module in (segbasis.cli, segbasis.selection):
+        for name in ("build_sse_table", "loo_table"):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, counted(name, fn))
+    solver = segbasis.solver
+    monkeypatch.setattr(solver, "fill_dp", counted("fill_dp", solver.fill_dp))
+    _run_json(tmp_path, ["experiment", "--synth", small_cfg, "--sigma", "0.1",
+                         "--max-segments", "5"])
+    assert calls == {"build_sse_table": 1, "loo_table": 1, "fill_dp": 2}
 
 
 # ---------------------------------------------------------------- synth config

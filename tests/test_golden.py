@@ -1,0 +1,81 @@
+"""Byte identity of CLI documents against committed golden outputs.
+
+Each case's canonical JSON was written by the program before a change that
+must not alter results; a byte mismatch means the output moved.  To pin a new
+reference on purpose, run ``PYTHONPATH=src python tests/test_golden.py`` and
+commit the rewritten files under ``tests/golden/``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from segbasis import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# an odd grid size, two bumps and a wider jitter than the default
+ODD_M_CFG = (
+    "n = 5\n"
+    "m = 37\n"
+    "jitter = 0.35\n"
+    "bumps = 0.25:0.04:1.0, 0.7:0.12:-0.6\n"
+)
+
+# the instance of acceptance 9, which runs every command on it
+ACC9_CFG = "n = 4\nm = 32\n"
+
+CASES = {
+    "acc9-fit-sse": ["fit", "--synth", "ACC9", "--seed", "5", "--segments", "6"],
+    "acc9-fit-loo": ["fit", "--synth", "ACC9", "--seed", "5", "--segments", "6",
+                     "--cost", "loo"],
+    "acc9-fit-linear": ["fit", "--synth", "ACC9", "--seed", "5",
+                        "--segments", "6", "--cost", "linear",
+                        "--emit-coefficients"],
+    "acc9-select-standard": ["select", "--synth", "ACC9", "--seed", "5",
+                             "--strategy", "standard"],
+    "acc9-select-full-loo": ["select", "--synth", "ACC9", "--seed", "5",
+                             "--strategy", "full-loo"],
+    "acc9-experiment": ["experiment", "--synth", "ACC9", "--sigma", "0.03",
+                        "--seed", "11", "--max-segments", "8"],
+    "experiment-default-sigma0": ["experiment"],
+    "experiment-default-sigma0.04": ["experiment", "--sigma", "0.04"],
+    "experiment-seed-2p63": ["experiment", "--sigma", "0.04",
+                             "--seed", str(2**63 + 12345)],
+    "experiment-seed-2p64m1": ["experiment", "--sigma", "0.5",
+                               "--seed", str(2**64 - 1)],
+    "experiment-seed-neg2": ["experiment", "--sigma", "0.04", "--seed", "-2"],
+    "experiment-odd-m": ["experiment", "--synth", "CFG", "--sigma", "0.1",
+                         "--seed", "3", "--max-segments", "9"],
+    "select-default-standard": ["select", "--synth", "default",
+                                "--strategy", "standard"],
+    "select-default-full-loo": ["select", "--synth", "default",
+                                "--strategy", "full-loo"],
+}
+
+
+def _render(argv: list[str], workdir: Path) -> bytes:
+    configs = {"CFG": ODD_M_CFG, "ACC9": ACC9_CFG}
+    for name, text in configs.items():
+        (workdir / f"{name}.cfg").write_text(text)
+    out = workdir / "out.json"
+    argv = [str(workdir / f"{a}.cfg") if a in configs else a for a in argv]
+    code = main([*argv, "--output", str(out)])
+    assert code == 0, f"{argv} exited {code}"
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(tmp_path, name):
+    expected = (GOLDEN / f"{name}.json").read_bytes()
+    assert _render(CASES[name], tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in sorted(CASES.items()):
+            (GOLDEN / f"{name}.json").write_bytes(_render(argv, Path(tmp)))
+            print(f"wrote {name}.json")

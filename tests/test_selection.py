@@ -10,6 +10,7 @@ from segbasis import (
     loo_table,
     new_dataset,
     partition_cost,
+    select_k,
     select_k_full_loo,
     select_k_standard,
     solve_all,
@@ -153,3 +154,15 @@ def test_standard_scores_match_manual_factor_application():
     report = select_k_standard(ds, 4)
     for rec in report.records:
         assert rec.loo_total == partition_cost(loo, rec.segmentation)
+
+
+def test_select_k_shares_prebuilt_tables():
+    rng = np.random.default_rng(101)
+    ds = _dataset(rng.uniform(-1, 1, size=(3, 11)))
+    sse = build_sse_table(ds)
+    loo = loo_table(sse)
+    std = select_k(sse, loo, SelectionStrategy.STANDARD_THEN_LOO, 5)
+    floo = select_k(sse, loo, SelectionStrategy.FULL_LOO, 5)
+    assert std == select_k_standard(ds, 5)
+    assert floo == select_k_full_loo(ds, 5)
+    assert floo.strategy is SelectionStrategy.FULL_LOO

@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from segbasis import DEFAULT_BUMPS, SplitMix64, SynthSpec, add_noise, generate
-from segbasis.synth import _function_seeds, _NormalStream
+from segbasis import (
+    DEFAULT_BUMPS,
+    SplitMix64,
+    SynthSpec,
+    add_noise,
+    generate,
+    new_dataset,
+)
+from segbasis.synth import _normals, _splitmix64
 
 # Reference outputs of splitmix64 for seeds 0 and 1234567.  These pin the
 # constants and the mixing order; everything downstream inherits them.
 SEED0_OUTPUTS = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 SEED1234567_OUTPUTS = (0x599ED017FB08FC85, 0x2C73F08458540FA5)
+MASK64 = (1 << 64) - 1
 
 
 def test_splitmix64_reference_vectors():
@@ -32,15 +40,18 @@ def test_uniform_range():
     assert all(0.0 <= u < 1.0 for u in draws)
 
 
+def _function_seeds(seed, n):
+    return _splitmix64(np.array([seed & MASK64], dtype=np.uint64), n)[0].tolist()
+
+
 def test_normal_stream_interleaves_pairs():
-    pairs = SplitMix64(5)
+    pairs = SplitMix64(_function_seeds(5, 1)[0])
     expected = list(pairs.normal_pair()) + list(pairs.normal_pair())
-    stream = _NormalStream(5)
-    assert stream.take(4).tolist() == expected
+    assert _normals(5, 1, 4)[0].tolist() == expected
 
 
 def test_normal_moments():
-    z = _NormalStream(42).take(10_000)
+    z = _normals(42, 1, 10_000)[0]
     assert abs(z.mean()) < 0.05
     assert abs(z.std() - 1.0) < 0.05
 
@@ -124,3 +135,89 @@ def test_add_noise_empirical_scale():
     tol = 4.0 / np.sqrt(ds.n * ds.m)
     assert abs(noise.std() / sigma - 1.0) < tol
     assert abs(noise.mean()) < 4.0 * sigma / np.sqrt(ds.n * ds.m)
+
+
+# ------------------------------------------- bulk streams vs the scalar form
+
+
+class _ScalarNormals:
+    """Reference: normals one at a time from :class:`SplitMix64`, the second
+    Box-Muller draw of each pair cached for the next call."""
+
+    def __init__(self, seed):
+        self._rng = SplitMix64(seed)
+        self._spare = None
+
+    def take(self, count):
+        out = []
+        for _ in range(count):
+            if self._spare is None:
+                z, self._spare = self._rng.normal_pair()
+            else:
+                z, self._spare = self._spare, None
+            out.append(z)
+        return np.array(out)
+
+
+def _scalar_seeds(seed, n):
+    master = SplitMix64(seed)
+    return [master.next_uint64() for _ in range(n)]
+
+
+def _scalar_noise(values, sigma, seed):
+    noisy = values.copy()
+    for i, sub_seed in enumerate(_scalar_seeds(seed, values.shape[0])):
+        noisy[i] += sigma * _ScalarNormals(sub_seed).take(values.shape[1])
+    return noisy
+
+
+def _scalar_raw(spec, seed):
+    """generate's values before the rescale, one function at a time."""
+    grid = np.linspace(0.0, 1.0, spec.m)
+    shapes = np.stack(
+        [np.exp(-0.5 * ((grid - c) / w) ** 2) for c, w, _ in spec.bumps]
+    )
+    base_amps = np.array([a for _, _, a in spec.bumps])
+    raw = np.empty((spec.n, spec.m))
+    for i, sub_seed in enumerate(_scalar_seeds(seed, spec.n)):
+        normals = _ScalarNormals(sub_seed).take(base_amps.size)
+        raw[i] = (base_amps * (1.0 + spec.jitter * normals)) @ shapes
+    return raw
+
+
+BULK_SEEDS = [0, -1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", BULK_SEEDS)
+def test_bulk_streams_equal_scalar_streams(seed):
+    assert _function_seeds(seed, 124) == _scalar_seeds(seed, 124)
+    for n in (1, 5, 124):
+        for m in (2, 3, 7, 256):
+            expected = np.stack([_ScalarNormals(s).take(m)
+                                 for s in _scalar_seeds(seed, n)])
+            assert np.array_equal(_normals(seed, n, m), expected)
+            values = np.arange(n * m, dtype=float).reshape(n, m) / (n * m)
+            ds = new_dataset(np.linspace(0.0, 1.0, m), values)
+            noisy = add_noise(ds, 0.3, seed)
+            assert np.array_equal(noisy.values, _scalar_noise(values, 0.3, seed))
+            assert add_noise(ds, 0.0, seed) is ds
+
+
+@pytest.mark.parametrize("seed", BULK_SEEDS)
+def test_bulk_generate_equals_scalar_generate(seed):
+    for n in (1, 5, 124):
+        for m in (2, 3, 7, 256):
+            spec = SynthSpec(n=n, m=m)
+            raw = _scalar_raw(spec, seed)
+            mn, mx = raw.min(), raw.max()
+            expected = spec.lo + (raw - mn) / (mx - mn) * (spec.hi - spec.lo)
+            np.clip(expected, spec.lo, spec.hi, out=expected)
+            expected[raw == mn] = spec.lo
+            expected[raw == mx] = spec.hi
+            assert np.array_equal(generate(spec, seed).values, expected)
+
+
+def test_empty_bump_list_draws_nothing():
+    assert _normals(3, 4, 0).shape == (4, 0)
+    with pytest.raises(ValueError, match="flat range"):
+        generate(SynthSpec(n=4, m=8, bumps=()), seed=3)
