@@ -24,6 +24,7 @@ from .costs import (
     CostTable,
     build_linear_table,
     build_sse_table,
+    loo_partition_cost,
     loo_table,
     partition_cost,
     prefix_oracle_cost,
@@ -75,6 +76,7 @@ __all__ = [
     "fit_model",
     "generate",
     "greedy_agglomerative",
+    "loo_partition_cost",
     "loo_table",
     "main",
     "new_dataset",

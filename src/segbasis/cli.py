@@ -22,6 +22,7 @@ from .costs import (
     CostTable,
     build_linear_table,
     build_sse_table,
+    loo_partition_cost,
     loo_table,
     partition_cost,
 )
@@ -135,7 +136,7 @@ def _totals(sse: CostTable, seg: Segmentation,
     row: dict[str, Any] = {"ends": list(seg.ends)}
     if kind is CostKind.SSE:
         row["sse_total"] = objective
-        row["loo_total"] = partition_cost(loo_table(sse), seg)
+        row["loo_total"] = loo_partition_cost(sse, seg)
     elif kind is CostKind.LOO:
         row["loo_total"] = objective
         row["sse_total"] = partition_cost(sse, seg)
@@ -224,8 +225,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         )
     strategy = SelectionStrategy(args.strategy)
     t0 = time.perf_counter()
-    sse = build_sse_table(dataset)
-    report = select_k(sse, loo_table(sse), strategy, k_max)
+    report = select_k(build_sse_table(dataset), strategy, k_max)
     t1 = time.perf_counter()
     timing = {"total_ms": (t1 - t0) * 1e3} if args.timing else None
     doc = ResultDocument(
@@ -270,9 +270,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         }
 
     sse = build_sse_table(noisy)
-    loo = loo_table(sse)
-    standard = select_k(sse, loo, SelectionStrategy.STANDARD_THEN_LOO, k_max)
-    full_loo = select_k(sse, loo, SelectionStrategy.FULL_LOO, k_max)
+    standard = select_k(sse, SelectionStrategy.STANDARD_THEN_LOO, k_max)
+    full_loo = select_k(sse, SelectionStrategy.FULL_LOO, k_max)
     # the fixed basis is the k_max optimum of the standard sweep's SSE fill
     seg_fixed = standard.records[-1].segmentation
     if seg_fixed is None:
@@ -306,6 +305,21 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 _BENCH_SAMPLE_S = 0.1
 
 
+def _bench_sample(dataset: FunctionalDataset, k: int) -> tuple[float, float]:
+    """Mean build and solve milliseconds of one repeat: build-then-solve
+    steps back to back for at least ``_BENCH_SAMPLE_S``."""
+    build_s = dp_s = calls = 0
+    while build_s + dp_s < _BENCH_SAMPLE_S:
+        t0 = time.perf_counter()
+        table = build_sse_table(dataset)
+        t1 = time.perf_counter()
+        solve(table, k)
+        build_s += t1 - t0
+        dp_s += time.perf_counter() - t1
+        calls += 1
+    return build_s * 1e3 / calls, dp_s * 1e3 / calls
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         m_list = [int(part) for part in args.m_list.split(",") if part.strip()]
@@ -315,29 +329,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("empty --m-list")
     if args.repeats < 1:
         raise ValueError("repeats must be at least 1")
-    rows: list[list[Any]] = []
     for m in m_list:
         if not 1 <= args.k <= m:
             raise ValueError(f"k out of range: need 1 <= k <= {m}, got {args.k}")
-        spec = SynthSpec(n=args.n, m=m)
-        dataset = generate(spec, args.seed)
+    datasets = [generate(SynthSpec(n=args.n, m=m), args.seed) for m in m_list]
+    for dataset in datasets:
         solve(build_sse_table(dataset), args.k)  # warm-up, not reported
-        build_times = []
-        dp_times = []
-        for rep in range(1, args.repeats + 1):
-            build_s = dp_s = calls = 0
-            while build_s + dp_s < _BENCH_SAMPLE_S:
-                t0 = time.perf_counter()
-                table = build_sse_table(dataset)
-                t1 = time.perf_counter()
-                solve(table, args.k)
-                build_s += t1 - t0
-                dp_s += time.perf_counter() - t1
-                calls += 1
-            build_times.append(build_s * 1e3 / calls)
-            dp_times.append(dp_s * 1e3 / calls)
-            rows.append([m, args.n, args.k, str(rep),
-                         build_times[-1], dp_times[-1]])
+    samples: list[list[tuple[float, float]]] = [[] for _ in m_list]
+    for _ in range(args.repeats):
+        # one repeat of every m per round: the host's speed drifts over
+        # seconds, and this way the drift lands on every m alike
+        for dataset, sample in zip(datasets, samples):
+            sample.append(_bench_sample(dataset, args.k))
+    rows: list[list[Any]] = []
+    for m, sample in zip(m_list, samples):
+        for rep, (build_ms, dp_ms) in enumerate(sample, start=1):
+            rows.append([m, args.n, args.k, str(rep), build_ms, dp_ms])
+        build_times, dp_times = zip(*sample)
         rows.append([m, args.n, args.k, "median",
                      statistics.median(build_times),
                      statistics.median(dp_times)])

@@ -72,6 +72,30 @@ def partition_cost(table: CostTable, seg: Segmentation) -> float:
     return total
 
 
+def loo_partition_cost(sse: CostTable, seg: Segmentation) -> float:
+    """Leave-one-out total of a segmentation, priced from its SSE entries.
+
+    Equal bit for bit to ``partition_cost(loo_table(sse), seg)`` without the
+    m x m table: each segment's SSE is scaled by the same factor, squared as
+    ``f * f`` like numpy's ``** 2``, singletons cost +inf, and the segments
+    are summed from the last to the first.
+    """
+    if sse.kind is not CostKind.SSE:
+        raise ValueError(f"expected an SSE table, got {sse.kind.value}")
+    if seg.m != sse.m:
+        raise ValueError(f"segmentation covers {seg.m} points, table {sse.m}")
+    total = 0.0
+    for s, e in reversed(seg.intervals()):
+        length = e - s + 1
+        if length < 2:
+            cost = np.inf
+        else:
+            f = length / (length - 1.0)
+            cost = f * f * float(sse.values[s - 1, e - 1])
+        total = cost + total
+    return total
+
+
 def _prefix(a: np.ndarray) -> np.ndarray:
     """Prefix sums along the last axis, with a leading zero."""
     out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))

@@ -35,16 +35,21 @@ def read_csv(path: str, has_grid_row: bool = False) -> FunctionalDataset:
     for lineno, row in enumerate(rows, start=1):
         if len(row) != width:
             raise ValueError(f"ragged row {lineno}")
-        out = np.empty(width, dtype=np.float64)
-        for col, cell in enumerate(row, start=1):
-            try:
-                out[col - 1] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"non-numeric value {cell.strip()!r} at row {lineno}, "
-                    f"column {col}"
-                ) from None
-        parsed.append(out)
+        try:
+            # a row array at a time: a list of lists of Python floats would
+            # hold 4x the bytes of the table until the stack
+            parsed.append(np.array(list(map(float, row))))
+        except ValueError:
+            # walk the row again only to name the first bad cell
+            for col, cell in enumerate(row, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"non-numeric value {cell.strip()!r} at row {lineno}, "
+                        f"column {col}"
+                    ) from None
+            raise
     if has_grid_row:
         if len(parsed) < 2:
             raise ValueError("no data rows after the grid row")
@@ -109,12 +114,25 @@ class ResultDocument:
         return doc
 
 
+def _real(value: float) -> float | str:
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
 def _jsonable(value: Any) -> Any:
     """Recursively convert to plain JSON types; non-finite reals to strings."""
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+    # exact builtin types first: they are nearly every value, and the
+    # abstract Mapping check is slow
+    kind = type(value)
+    if kind is float:
+        return _real(value)
+    if kind is int or kind is str or value is None:
+        return value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if kind is dict or isinstance(value, Mapping):
+        return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (bool, np.bool_)):
@@ -122,10 +140,7 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
+        return _real(float(value))
     return value
 
 

@@ -11,12 +11,14 @@ Two strategies:
   table (it is additive too).  Singletons are then never selected, and the
   per-k scores are the best achievable.
 
-Both are one routine, :func:`select_k`, over prebuilt SSE and leave-one-out
-tables of the dataset: the strategy only decides which table the dynamic
-program minimizes and which one scores its partitions.  A caller that needs
-both strategies builds each table once and passes it to both sweeps.
-``select_k_standard`` and ``select_k_full_loo`` build the tables from a
-dataset and call it.
+Both are one routine, :func:`select_k`, over a prebuilt SSE table of the
+dataset: the strategy only decides which cost the dynamic program minimizes
+and which one scores its partitions.  The leave-one-out table is built only
+for ``FULL_LOO``, whose dynamic program needs every entry; the standard
+sweep prices its partitions' leave-one-out totals from the SSE entries.  A
+caller that needs both strategies builds the SSE table once and passes it to
+both sweeps.  ``select_k_standard`` and ``select_k_full_loo`` build the
+table from a dataset and call it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from math import isfinite
 import numpy as np
 
 from .core import FunctionalDataset, Segmentation
-from .costs import CostTable, build_sse_table, loo_table, partition_cost
+from .costs import (CostTable, build_sse_table, loo_partition_cost,
+                    loo_table, partition_cost)
 from .solver import solve_all
 
 
@@ -77,20 +80,21 @@ def _pick(records: list[SelectionRecord]) -> tuple[int, bool]:
 
 
 def select_k(
-    sse: CostTable, loo: CostTable, strategy: SelectionStrategy, k_max: int
+    sse: CostTable, strategy: SelectionStrategy, k_max: int
 ) -> SelectionReport:
-    """Sweep k = 1..k_max on prebuilt SSE and leave-one-out tables of one
-    dataset and pick the k with the smallest leave-one-out total.
+    """Sweep k = 1..k_max on a prebuilt SSE table of one dataset and pick the
+    k with the smallest leave-one-out total.
 
-    The strategy names the table the dynamic program optimizes; the other one
+    The strategy names the cost the dynamic program optimizes; the other one
     only scores the optimal partitions.
     """
     standard = strategy is SelectionStrategy.STANDARD_THEN_LOO
-    objective, companion = (sse, loo) if standard else (loo, sse)
+    objective = sse if standard else loo_table(sse)
+    price = loo_partition_cost if standard else partition_cost
     records = []
     for res in solve_all(objective, k_max):
         other = (np.inf if res.segmentation is None
-                 else partition_cost(companion, res.segmentation))
+                 else price(sse, res.segmentation))
         sse_total, loo_total = (res.cost, other) if standard else (other, res.cost)
         records.append(SelectionRecord(k=res.k, segmentation=res.segmentation,
                                        sse_total=sse_total, loo_total=loo_total))
@@ -104,8 +108,7 @@ def _select(
 ) -> SelectionReport:
     if k_max is None:
         k_max = default_k_max(dataset.m)
-    sse = build_sse_table(dataset)
-    return select_k(sse, loo_table(sse), strategy, k_max)
+    return select_k(build_sse_table(dataset), strategy, k_max)
 
 
 def select_k_standard(

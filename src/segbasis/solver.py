@@ -88,6 +88,13 @@ def fill_dp(table: CostTable, k_max: int) -> DPTable:
     the slab itself at p-1.  So the slab's table columns stay in cache for
     all k_max passes instead of the whole table streaming k_max times.
 
+    Each (slab, p) pass copies the candidate block out of the strided table
+    view into one contiguous buffer and then adds F(p-1) in place.  The sums
+    are the same as one broadcast ``np.add`` reading the strided view, but
+    with numpy 2.4 on x86-64 that add is the slower path: a fill at n=4,
+    m=2048, k=64 takes 20-35% longer with it (``BENCH_5.json``).  Row
+    minima are gathered from the flat buffer at the argmin offsets.
+
     Raises ValueError when a NaN in the table reaches F (for example an SSE
     table whose sums overflowed): such a table has no meaningful optimum.
     """
@@ -102,6 +109,7 @@ def fill_dp(table: CostTable, k_max: int) -> DPTable:
     slabs = _slabs(m)
     buf = np.empty(max((e - s) * (m - s) for s, e in slabs))
     arg = np.empty(m, dtype=np.intp)
+    rows = np.arange(m)
     for s, e in slabs:
         for p in range(2, min(k_max, m - s) + 1):
             # candidate[j, l] = Q(j..l) + F(p-1, l+1) over the columns s..m-p:
@@ -109,10 +117,11 @@ def fill_dp(table: CostTable, k_max: int) -> DPTable:
             # table is +inf for l < j
             valid = m - p + 1
             r, w = min(e, valid) - s, valid - s
-            block = np.add(C[s:s + r, s:valid], F[p - 2, s + 1:valid + 1],
-                           out=buf[:r * w].reshape(r, w))
+            block = buf[:r * w].reshape(r, w)
+            np.copyto(block, C[s:s + r, s:valid])
+            block += F[p - 2, s + 1:valid + 1]
             a = np.argmin(block, axis=1, out=arg[:r])  # first minimum: leftmost
-            F[p - 1, s:s + r] = block[np.arange(r), a]
+            F[p - 1, s:s + r] = buf[rows[:r] * w + a]
             np.add(a, s + 1, out=L[p - 1, s:s + r])
     if np.isnan(F).any():
         raise ValueError("cost table contains NaN (input values too large "

@@ -280,7 +280,8 @@ def test_experiment_infeasible_fixed_basis_is_an_input_error(tmp_path, capsys):
     assert "no finite-cost partition into 1 segments" in capsys.readouterr().err
 
 
-def test_experiment_builds_each_table_once(tmp_path, small_cfg, monkeypatch):
+def _count_calls(monkeypatch) -> Counter:
+    """Count the table builds and DP fills of the commands run afterwards."""
     calls = Counter()
 
     def counted(name, fn):
@@ -289,17 +290,37 @@ def test_experiment_builds_each_table_once(tmp_path, small_cfg, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # every binding the experiment path can reach: cli and selection import
-    # the builds by name, and solve/solve_all call fill_dp in solver
+    # every binding a command can reach: cli and selection import the builds
+    # by name, and solve/solve_all call fill_dp in solver
     for module in (segbasis.cli, segbasis.selection):
         for name in ("build_sse_table", "loo_table"):
             fn = getattr(module, name)
             monkeypatch.setattr(module, name, counted(name, fn))
     solver = segbasis.solver
     monkeypatch.setattr(solver, "fill_dp", counted("fill_dp", solver.fill_dp))
+    return calls
+
+
+def test_experiment_builds_each_table_once(tmp_path, small_cfg, monkeypatch):
+    calls = _count_calls(monkeypatch)
     _run_json(tmp_path, ["experiment", "--synth", small_cfg, "--sigma", "0.1",
                          "--max-segments", "5"])
     assert calls == {"build_sse_table": 1, "loo_table": 1, "fill_dp": 2}
+
+
+@pytest.mark.parametrize("argv, loo_builds", [
+    (["select", "--strategy", "standard", "--max-segments", "5"], 0),
+    (["select", "--strategy", "full-loo", "--max-segments", "5"], 1),
+    (["fit", "--segments", "4", "--cost", "sse"], 0),
+    (["fit", "--segments", "4", "--cost", "loo"], 1),
+])
+def test_loo_table_built_only_where_minimized(tmp_path, small_cfg, monkeypatch,
+                                              argv, loo_builds):
+    calls = _count_calls(monkeypatch)
+    doc = _run_json(tmp_path, [*argv, "--synth", small_cfg])
+    assert calls == Counter(build_sse_table=1, loo_table=loo_builds,
+                            fill_dp=1)
+    assert all(np.isfinite(row["loo_total"]) for row in doc["records"][:2])
 
 
 # ---------------------------------------------------------------- synth config

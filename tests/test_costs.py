@@ -7,6 +7,7 @@ from segbasis import (
     CostKind,
     build_linear_table,
     build_sse_table,
+    loo_partition_cost,
     loo_table,
     new_dataset,
     partition_cost,
@@ -127,6 +128,40 @@ def test_loo_requires_sse_input():
     loo = loo_table(build_sse_table(SAW))
     with pytest.raises(ValueError, match="expected an SSE table"):
         loo_table(loo)
+
+
+def _random_ends(rng, m):
+    """Ends of a random partition of 1..m, with some forced singletons."""
+    cuts = set(rng.choice(np.arange(1, m), size=int(rng.integers(0, m)),
+                          replace=False).tolist())
+    for c in rng.integers(1, m, size=min(3, m - 1)).tolist():
+        cuts.update((c, c + 1))  # a singleton at c + 1
+    return sorted(c for c in cuts if c < m) + [m]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("n", [1, 4, 124])
+def test_loo_partition_cost_equals_loo_table_pricing(n, offset):
+    rng = np.random.default_rng(n)
+    for m in (2, 3, 5, 17, 256, 2048):
+        sse = build_sse_table(_dataset(rng.normal(size=(n, m)) + offset))
+        loo = loo_table(sse)
+        segs = [segmentation_from_ends([m], m),
+                segmentation_from_ends(list(range(1, m + 1)), m)]
+        segs += [segmentation_from_ends(_random_ends(rng, m), m)
+                 for _ in range(20)]
+        # singletons next to longer segments (m=2 has only all-singletons)
+        assert m < 3 or any(1 in seg.lengths and seg.k < m for seg in segs)
+        for seg in segs:
+            assert loo_partition_cost(sse, seg) == partition_cost(loo, seg)
+
+
+def test_loo_partition_cost_requires_sse_input():
+    loo = loo_table(build_sse_table(SAW))
+    with pytest.raises(ValueError, match="expected an SSE table"):
+        loo_partition_cost(loo, segmentation_from_ends([3], 3))
+    with pytest.raises(ValueError, match="covers 2 points"):
+        loo_partition_cost(build_sse_table(SAW), segmentation_from_ends([2], 2))
 
 
 def test_partition_cost_right_association():

@@ -160,9 +160,8 @@ def test_select_k_shares_prebuilt_tables():
     rng = np.random.default_rng(101)
     ds = _dataset(rng.uniform(-1, 1, size=(3, 11)))
     sse = build_sse_table(ds)
-    loo = loo_table(sse)
-    std = select_k(sse, loo, SelectionStrategy.STANDARD_THEN_LOO, 5)
-    floo = select_k(sse, loo, SelectionStrategy.FULL_LOO, 5)
+    std = select_k(sse, SelectionStrategy.STANDARD_THEN_LOO, 5)
+    floo = select_k(sse, SelectionStrategy.FULL_LOO, 5)
     assert std == select_k_standard(ds, 5)
     assert floo == select_k_full_loo(ds, 5)
     assert floo.strategy is SelectionStrategy.FULL_LOO
