@@ -6,6 +6,7 @@ reference on purpose, run ``PYTHONPATH=src python tests/test_golden.py`` and
 commit the rewritten files under ``tests/golden/``.
 """
 
+import os
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,10 @@ ODD_M_CFG = (
 
 # the instance of acceptance 9, which runs every command on it
 ACC9_CFG = "n = 4\nm = 32\n"
+
+# three functions on a one-point grid: every score is infinite.  It is read by
+# a path relative to the work directory, so the document's source is stable.
+ONE_COLUMN_CSV = "1.5\n-0.25\n2.0\n"
 
 CASES = {
     "acc9-fit-sse": ["fit", "--synth", "ACC9", "--seed", "5", "--segments", "6"],
@@ -51,24 +56,44 @@ CASES = {
                                 "--strategy", "standard"],
     "select-default-full-loo": ["select", "--synth", "default",
                                 "--strategy", "full-loo"],
+    # flagged documents: no finite-cost partition, a feasible basis whose
+    # leave-one-out total is infinite, infeasible sweep rows, no finite score
+    "acc9-fit-loo-infeasible": ["fit", "--synth", "ACC9", "--seed", "5",
+                                "--segments", "17", "--cost", "loo"],
+    "acc9-fit-sse-singletons": ["fit", "--synth", "ACC9", "--seed", "5",
+                                "--segments", "32"],
+    "acc9-select-full-loo-infeasible": ["select", "--synth", "ACC9",
+                                        "--seed", "5", "--strategy",
+                                        "full-loo", "--max-segments", "20"],
+    "select-one-column-degenerate": ["select", "--input", "one-column.csv",
+                                     "--strategy", "standard"],
 }
 
+# cases whose document is written with exit 2; every other case exits 0
+EXIT_CODES = {"acc9-fit-loo-infeasible": 2, "select-one-column-degenerate": 2}
 
-def _render(argv: list[str], workdir: Path) -> bytes:
+
+def _render(argv: list[str], workdir: Path, expected_code: int = 0) -> bytes:
     configs = {"CFG": ODD_M_CFG, "ACC9": ACC9_CFG}
     for name, text in configs.items():
         (workdir / f"{name}.cfg").write_text(text)
+    (workdir / "one-column.csv").write_text(ONE_COLUMN_CSV)
     out = workdir / "out.json"
     argv = [str(workdir / f"{a}.cfg") if a in configs else a for a in argv]
-    code = main([*argv, "--output", str(out)])
-    assert code == 0, f"{argv} exited {code}"
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        code = main([*argv, "--output", str(out)])
+    finally:
+        os.chdir(cwd)
+    assert code == expected_code, f"{argv} exited {code}"
     return out.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(tmp_path, name):
     expected = (GOLDEN / f"{name}.json").read_bytes()
-    assert _render(CASES[name], tmp_path) == expected
+    assert _render(CASES[name], tmp_path, EXIT_CODES.get(name, 0)) == expected
 
 
 if __name__ == "__main__":
@@ -77,5 +102,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in sorted(CASES.items()):
-            (GOLDEN / f"{name}.json").write_bytes(_render(argv, Path(tmp)))
+            doc = _render(argv, Path(tmp), EXIT_CODES.get(name, 0))
+            (GOLDEN / f"{name}.json").write_bytes(doc)
             print(f"wrote {name}.json")
