@@ -37,8 +37,6 @@ from .selection import (
     SelectionStrategy,
     default_k_max,
     select_k,
-    select_k_full_loo,
-    select_k_standard,
 )
 from .solver import (
     DPTable,
@@ -88,8 +86,6 @@ __all__ = [
     "segment_cost",
     "segmentation_from_ends",
     "select_k",
-    "select_k_full_loo",
-    "select_k_standard",
     "solve",
     "solve_all",
     "uniform_partition",

@@ -13,26 +13,15 @@ import csv
 import statistics
 import sys
 import time
-from typing import Any, Sequence
+from math import isfinite
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .core import CostKind, FunctionalDataset, Segmentation, fit_model, reconstruct
-from .costs import (
-    CostTable,
-    build_linear_table,
-    build_sse_table,
-    loo_partition_cost,
-    loo_table,
-    partition_cost,
-)
+from .costs import CostTable, build_linear_table, build_sse_table, loo_table
 from .io import ResultDocument, read_csv, write_result
-from .selection import (
-    SelectionReport,
-    SelectionStrategy,
-    default_k_max,
-    select_k,
-)
+from .selection import SelectionStrategy, default_k_max, price_basis, select_k
 from .solver import InfeasiblePartitionError, solve
 from .synth import SynthSpec, add_noise, generate
 
@@ -126,24 +115,23 @@ def _load_dataset(args: argparse.Namespace) -> tuple[FunctionalDataset, dict[str
     return generate(spec, args.seed), _spec_source(spec, args.seed)
 
 
-def _totals(sse: CostTable, seg: Segmentation,
-            kind: CostKind, objective: float) -> dict[str, Any]:
-    """Reported totals for one segmentation row, keyed by cost kind.
-
-    The leave-one-out total is omitted for the linear kind, where the
-    per-segment inflation factor does not apply.
-    """
-    row: dict[str, Any] = {"ends": list(seg.ends)}
-    if kind is CostKind.SSE:
-        row["sse_total"] = objective
-        row["loo_total"] = loo_partition_cost(sse, seg)
-    elif kind is CostKind.LOO:
-        row["loo_total"] = objective
-        row["sse_total"] = partition_cost(sse, seg)
-    else:
-        row["objective_total"] = objective
-        row["sse_total"] = partition_cost(sse, seg)
+def _row(k: int, seg: Segmentation | None, totals: Mapping[str, float],
+         scored: bool) -> dict[str, Any]:
+    """One fit or select record.  ``infeasible`` flags a k without a
+    finite-cost basis and, in a ``scored`` row (one a selection ranks by its
+    leave-one-out total), a basis whose total is infinite."""
+    row: dict[str, Any] = {"k": k, "ends": None if seg is None else list(seg.ends),
+                           **totals}
+    if seg is None or (scored and not isfinite(row["loo_total"])):
+        row["infeasible"] = True
     return row
+
+
+def _k_max(requested: int | None, m: int) -> int:
+    k_max = default_k_max(m) if requested is None else requested
+    if not 1 <= k_max <= m:
+        raise ValueError(f"k_max out of range: need 1 <= k_max <= {m}, got {k_max}")
+    return k_max
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -164,65 +152,28 @@ def cmd_fit(args: argparse.Namespace) -> int:
     try:
         seg, total, _ = solve(table, k)
     except InfeasiblePartitionError:
-        doc = ResultDocument(
-            command="fit", source=source, cost=kind.value, k=k,
-            records=(
-                {"k": k, "ends": None, "sse_total": float("inf"),
-                 "loo_total": float("inf"), "infeasible": True},
-            ),
-            infeasible=True,
-        )
-        write_result(doc, args.output)
-        return 2
+        seg, total = None, np.inf
     t2 = time.perf_counter()
-    record = {"k": k, **_totals(sse, seg, kind, total)}
-    coefficients = None
-    if args.emit_coefficients:
+    # a fit reports its basis whatever its leave-one-out total: not scored
+    record = _row(k, seg, price_basis(sse, kind, seg, total), scored=False)
+    coefficients = timing = None
+    if seg is not None and args.emit_coefficients:
         model = fit_model(dataset, seg)
         coefficients = tuple(tuple(r) for r in model.coefficients.tolist())
-    timing = None
-    if args.timing:
+    if seg is not None and args.timing:
         timing = {"build_ms": (t1 - t0) * 1e3, "dp_ms": (t2 - t1) * 1e3}
     doc = ResultDocument(
         command="fit", source=source, cost=kind.value, k=k,
         records=(record,), coefficients=coefficients, timing=timing,
+        infeasible=seg is None,
     )
     write_result(doc, args.output)
-    return 0
-
-
-def _report_records(dataset: FunctionalDataset,
-                    report: SelectionReport) -> list[dict[str, Any]]:
-    rows = []
-    for rec in report.records:
-        if rec.segmentation is None:
-            rows.append({
-                "k": rec.k, "ends": None, "sse_total": float("inf"),
-                "loo_total": float("inf"), "infeasible": True,
-            })
-            continue
-        row: dict[str, Any] = {
-            "k": rec.k,
-            "ends": list(rec.segmentation.ends),
-            "sse_total": rec.sse_total,
-            "loo_total": rec.loo_total,
-        }
-        if not np.isfinite(rec.loo_total):
-            # basis exists but is not selectable: its estimate is infinite
-            row["infeasible"] = True
-        rows.append(row)
-    return rows
+    return 2 if seg is None else 0
 
 
 def cmd_select(args: argparse.Namespace) -> int:
     dataset, source = _load_dataset(args)
-    k_max = args.max_segments
-    if k_max is None:
-        k_max = default_k_max(dataset.m)
-    if not 1 <= k_max <= dataset.m:
-        raise ValueError(
-            f"k_max out of range: need 1 <= k_max <= {dataset.m}, got {k_max}"
-        )
+    k_max = _k_max(args.max_segments, dataset.m)
     strategy = SelectionStrategy(args.strategy)
     t0 = time.perf_counter()
     report = select_k(build_sse_table(dataset), strategy, k_max)
@@ -231,7 +182,12 @@ def cmd_select(args: argparse.Namespace) -> int:
     doc = ResultDocument(
         command="select", source=source, k_max=k_max,
         strategy=strategy.value, selected_k=report.selected_k,
-        records=tuple(_report_records(dataset, report)),
+        records=tuple(
+            _row(rec.k, rec.segmentation,
+                 {"sse_total": rec.sse_total, "loo_total": rec.loo_total},
+                 scored=True)
+            for rec in report.records
+        ),
         degenerate=report.degenerate, timing=timing,
     )
     write_result(doc, args.output)
@@ -244,18 +200,10 @@ def _squared_error(values: np.ndarray, approx: np.ndarray) -> float:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     spec = parse_synth_config(args.synth)
-    if args.sigma < 0:
-        raise ValueError("sigma must be nonnegative")
     clean = generate(spec, args.seed)
     noise_seed = args.seed + 1
     noisy = add_noise(clean, args.sigma, noise_seed)
-    k_max = args.max_segments
-    if k_max is None:
-        k_max = default_k_max(clean.m)
-    if not 1 <= k_max <= clean.m:
-        raise ValueError(
-            f"k_max out of range: need 1 <= k_max <= {clean.m}, got {k_max}"
-        )
+    k_max = _k_max(args.max_segments, clean.m)
 
     def basis_row(name: str, seg: Segmentation) -> dict[str, Any]:
         # coefficients are fitted on the noisy data; the clean error measures

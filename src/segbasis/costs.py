@@ -72,26 +72,30 @@ def partition_cost(table: CostTable, seg: Segmentation) -> float:
     return total
 
 
+def _loo_scale(lens: np.ndarray, sse: np.ndarray, out=None) -> np.ndarray:
+    """Leave-one-out costs of intervals from their lengths and SSE entries:
+    the SSE scaled by (len/(len-1))^2, and +inf where len < 2 (there is
+    nothing left to predict a lone point from)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.multiply((lens / (lens - 1.0)) ** 2, sse, out=out)
+    q[lens < 2.0] = np.inf
+    return q
+
+
 def loo_partition_cost(sse: CostTable, seg: Segmentation) -> float:
     """Leave-one-out total of a segmentation, priced from its SSE entries.
 
     Equal bit for bit to ``partition_cost(loo_table(sse), seg)`` without the
-    m x m table: each segment's SSE is scaled by the same factor, squared as
-    ``f * f`` like numpy's ``** 2``, singletons cost +inf, and the segments
-    are summed from the last to the first.
+    m x m table: each segment is priced by the same :func:`_loo_scale` as
+    the table, and the segments are summed from the last to the first.
     """
     if sse.kind is not CostKind.SSE:
         raise ValueError(f"expected an SSE table, got {sse.kind.value}")
     if seg.m != sse.m:
         raise ValueError(f"segmentation covers {seg.m} points, table {sse.m}")
+    s, e = np.array(seg.intervals()).T
     total = 0.0
-    for s, e in reversed(seg.intervals()):
-        length = e - s + 1
-        if length < 2:
-            cost = np.inf
-        else:
-            f = length / (length - 1.0)
-            cost = f * f * float(sse.values[s - 1, e - 1])
+    for cost in reversed(_loo_scale(e - s + 1.0, sse.values[s - 1, e - 1]).tolist()):
         total = cost + total
     return total
 
@@ -166,22 +170,19 @@ def loo_table(sse: CostTable) -> CostTable:
     """Leave-one-out transform of an SSE table.
 
     Q_loo(j..l) = (len/(len-1))^2 Q_sse(j..l) with len = l-j+1; singletons
-    get +inf (there is nothing left to predict a lone point from).  Rows are
-    transformed in blocks straight into the one output table.
+    get +inf.  Rows are transformed in blocks straight into the one output
+    table.
     """
     if sse.kind is not CostKind.SSE:
         raise ValueError(f"expected an SSE table, got {sse.kind.value}")
     m = sse.m
     out = np.empty((m, m))
     col = np.arange(m, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s in range(0, m, _LOO_ROWS):
-            e = min(s + _LOO_ROWS, m)
-            lens = col[s:] - (col[s:e, None] - 1.0)  # l-j+1; < 1 below the diagonal
-            q = np.multiply((lens / (lens - 1.0)) ** 2, sse.values[s:e, s:],
-                            out=out[s:e, s:])
-            q[lens < 2.0] = np.inf
-            out[s:e, :s] = np.inf
+    for s in range(0, m, _LOO_ROWS):
+        e = min(s + _LOO_ROWS, m)
+        lens = col[s:] - (col[s:e, None] - 1.0)  # l-j+1; < 1 below the diagonal
+        _loo_scale(lens, sse.values[s:e, s:], out=out[s:e, s:])
+        out[s:e, :s] = np.inf
     return CostTable(m=m, kind=CostKind.LOO, values=_readonly(out))
 
 

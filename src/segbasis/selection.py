@@ -17,8 +17,8 @@ and which one scores its partitions.  The leave-one-out table is built only
 for ``FULL_LOO``, whose dynamic program needs every entry; the standard
 sweep prices its partitions' leave-one-out totals from the SSE entries.  A
 caller that needs both strategies builds the SSE table once and passes it to
-both sweeps.  ``select_k_standard`` and ``select_k_full_loo`` build the
-table from a dataset and call it.
+both sweeps.  :func:`price_basis` is the one rule for the totals a basis
+reports given the cost its dynamic program minimized, shared with ``fit``.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from math import isfinite
 
 import numpy as np
 
-from .core import FunctionalDataset, Segmentation
-from .costs import (CostTable, build_sse_table, loo_partition_cost,
-                    loo_table, partition_cost)
+from .core import CostKind, Segmentation
+from .costs import CostTable, loo_partition_cost, loo_table, partition_cost
 from .solver import solve_all
 
 
@@ -79,6 +78,24 @@ def _pick(records: list[SelectionRecord]) -> tuple[int, bool]:
     return best_k, False
 
 
+def price_basis(sse: CostTable, kind: CostKind, seg: Segmentation | None,
+                objective: float) -> dict[str, float]:
+    """Totals one basis reports, given the ``objective`` its dynamic program
+    minimized over a table of ``kind`` and the SSE table of the same data.
+
+    The minimized cost is reported as is; the SSE kind adds the basis's
+    leave-one-out total and the others its SSE total.  The linear kind
+    reports no leave-one-out total: the per-segment inflation factor does
+    not apply to it.  No basis (an infeasible k) costs +inf either way.
+    """
+    if seg is None:
+        return {"sse_total": np.inf, "loo_total": np.inf}
+    if kind is CostKind.SSE:
+        return {"sse_total": objective, "loo_total": loo_partition_cost(sse, seg)}
+    name = "loo_total" if kind is CostKind.LOO else "objective_total"
+    return {name: objective, "sse_total": partition_cost(sse, seg)}
+
+
 def select_k(
     sse: CostTable, strategy: SelectionStrategy, k_max: int
 ) -> SelectionReport:
@@ -90,36 +107,12 @@ def select_k(
     """
     standard = strategy is SelectionStrategy.STANDARD_THEN_LOO
     objective = sse if standard else loo_table(sse)
-    price = loo_partition_cost if standard else partition_cost
-    records = []
-    for res in solve_all(objective, k_max):
-        other = (np.inf if res.segmentation is None
-                 else price(sse, res.segmentation))
-        sse_total, loo_total = (res.cost, other) if standard else (other, res.cost)
-        records.append(SelectionRecord(k=res.k, segmentation=res.segmentation,
-                                       sse_total=sse_total, loo_total=loo_total))
+    records = [
+        SelectionRecord(k=res.k, segmentation=res.segmentation,
+                        **price_basis(sse, objective.kind, res.segmentation,
+                                      res.cost))
+        for res in solve_all(objective, k_max)
+    ]
     selected, degenerate = _pick(records)
     return SelectionReport(strategy=strategy, records=tuple(records),
                            selected_k=selected, degenerate=degenerate)
-
-
-def _select(
-    dataset: FunctionalDataset, strategy: SelectionStrategy, k_max: int | None
-) -> SelectionReport:
-    if k_max is None:
-        k_max = default_k_max(dataset.m)
-    return select_k(build_sse_table(dataset), strategy, k_max)
-
-
-def select_k_standard(
-    dataset: FunctionalDataset, k_max: int | None = None
-) -> SelectionReport:
-    """Score the SSE-optimal partitions with the leave-one-out estimate."""
-    return _select(dataset, SelectionStrategy.STANDARD_THEN_LOO, k_max)
-
-
-def select_k_full_loo(
-    dataset: FunctionalDataset, k_max: int | None = None
-) -> SelectionReport:
-    """Optimize the leave-one-out estimate inside the dynamic program."""
-    return _select(dataset, SelectionStrategy.FULL_LOO, k_max)

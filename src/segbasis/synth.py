@@ -137,6 +137,12 @@ class SynthSpec:
             raise ValueError("n must be at least 1")
         if self.m < 2:
             raise ValueError("m must be at least 2")
+        fields = [("jitter", self.jitter), ("lo", self.lo), ("hi", self.hi)]
+        for bump in self.bumps:
+            fields += zip(("bump center", "bump width", "bump amplitude"), bump)
+        for name, value in fields:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if any(w <= 0 for _, w, _ in self.bumps):
             raise ValueError("bump widths must be positive")
         if not self.lo < self.hi:
@@ -183,8 +189,8 @@ def add_noise(dataset: FunctionalDataset, sigma: float, seed: int) -> Functional
     Each function gets its own derived noise stream, applied left to right.
     sigma = 0 returns the dataset unchanged.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (sigma >= 0 and math.isfinite(sigma)):
+        raise ValueError("sigma must be nonnegative and finite")
     if sigma == 0:
         return dataset
     noise = _normals(seed, dataset.n, dataset.m)

@@ -257,6 +257,29 @@ def test_experiment_negative_sigma(capsys):
     assert "sigma must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_experiment_nonfinite_sigma(tmp_path, small_cfg, capsys, sigma):
+    out = tmp_path / "result.json"
+    code = main(["experiment", "--synth", small_cfg, "--sigma", sigma,
+                 "--output", str(out)])
+    assert code == 1 and not out.exists()
+    assert "sigma must be nonnegative and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("jitter = nan", "jitter must be finite, got nan"),
+    ("bumps = 0.5:nan:1.0", "bump width must be finite, got nan"),
+])
+def test_experiment_nonfinite_synth_config(tmp_path, capsys, line, message):
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(f"n = 3\nm = 16\n{line}\n")
+    code = main(["experiment", "--synth", str(cfg), "--sigma", "0.1",
+                 "--output", str(tmp_path / "result.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "non-finite entry" not in err
+
+
 def test_experiment_noisy_clean_errors_differ(tmp_path, small_cfg):
     doc = _run_json(
         tmp_path,
@@ -290,10 +313,12 @@ def _count_calls(monkeypatch) -> Counter:
             return fn(*args, **kwargs)
         return wrapper
 
-    # every binding a command can reach: cli and selection import the builds
-    # by name, and solve/solve_all call fill_dp in solver
-    for module in (segbasis.cli, segbasis.selection):
-        for name in ("build_sse_table", "loo_table"):
+    # every binding a command can reach: cli imports both builds by name,
+    # selection only loo_table, and solve/solve_all call fill_dp in solver
+    bindings = {segbasis.cli: ("build_sse_table", "loo_table"),
+                segbasis.selection: ("loo_table",)}
+    for module, names in bindings.items():
+        for name in names:
             fn = getattr(module, name)
             monkeypatch.setattr(module, name, counted(name, fn))
     solver = segbasis.solver

@@ -11,10 +11,11 @@ from segbasis import (
     new_dataset,
     partition_cost,
     select_k,
-    select_k_full_loo,
-    select_k_standard,
     solve_all,
 )
+
+STANDARD = SelectionStrategy.STANDARD_THEN_LOO
+FULL_LOO = SelectionStrategy.FULL_LOO
 
 
 def _dataset(rows):
@@ -28,7 +29,7 @@ CONST = _dataset([[2.5, 2.5, 2.5, 2.5]])
 
 
 def test_standard_on_step():
-    report = select_k_standard(STEP, 2)
+    report = select_k(build_sse_table(STEP), STANDARD, 2)
     assert report.strategy is SelectionStrategy.STANDARD_THEN_LOO
     assert [r.k for r in report.records] == [1, 2]
     assert abs(report.records[0].loo_total - 16.0 / 9.0) < 1e-12
@@ -38,18 +39,18 @@ def test_standard_on_step():
 
 
 def test_standard_step_larger_k_max_hits_singletons():
-    report = select_k_standard(STEP, 4)
+    report = select_k(build_sse_table(STEP), STANDARD, 4)
     assert report.selected_k == 2
     assert np.isinf(report.records[2].loo_total)
     assert np.isinf(report.records[3].loo_total)
 
 
 def test_standard_constant_selects_one():
-    assert select_k_standard(CONST, 4).selected_k == 1
+    assert select_k(build_sse_table(CONST), STANDARD, 4).selected_k == 1
 
 
 def test_full_loo_on_step():
-    report = select_k_full_loo(STEP, 3)
+    report = select_k(build_sse_table(STEP), FULL_LOO, 3)
     assert report.strategy is SelectionStrategy.FULL_LOO
     assert report.selected_k == 2
     assert abs(report.records[1].loo_total) < 1e-12
@@ -58,7 +59,7 @@ def test_full_loo_on_step():
 
 
 def test_full_loo_on_saw_prefers_one_segment():
-    report = select_k_full_loo(SAW, 2)
+    report = select_k(build_sse_table(SAW), FULL_LOO, 2)
     assert abs(report.records[0].loo_total - 16.0 / 9.0) < 1e-12
     assert abs(report.records[1].loo_total - 4.0) < 1e-12
     assert report.records[1].segmentation.ends == (2, 4)
@@ -66,17 +67,17 @@ def test_full_loo_on_saw_prefers_one_segment():
 
 
 def test_full_loo_constant_selects_one():
-    assert select_k_full_loo(CONST, 2).selected_k == 1
+    assert select_k(build_sse_table(CONST), FULL_LOO, 2).selected_k == 1
 
 
 def test_selected_property():
-    report = select_k_full_loo(STEP, 3)
+    report = select_k(build_sse_table(STEP), FULL_LOO, 3)
     assert report.selected is report.records[report.selected_k - 1]
 
 
 def test_degenerate_single_point():
     ds = new_dataset([0.0], [[5.0]])
-    report = select_k_full_loo(ds, 1)
+    report = select_k(build_sse_table(ds), FULL_LOO, 1)
     assert report.degenerate and report.selected_k == 1
 
 
@@ -90,15 +91,16 @@ def test_default_k_max():
 
 def test_k_max_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        select_k_standard(STEP, 5)
+        select_k(build_sse_table(STEP), STANDARD, 5)
     with pytest.raises(ValueError, match="out of range"):
-        select_k_full_loo(STEP, 0)
+        select_k(build_sse_table(STEP), FULL_LOO, 0)
 
 
 def test_records_cover_all_k_without_gaps():
     rng = np.random.default_rng(71)
     ds = _dataset(rng.normal(size=(3, 12)))
-    for report in (select_k_standard(ds, 6), select_k_full_loo(ds, 6)):
+    for report in (select_k(build_sse_table(ds), STANDARD, 6),
+                   select_k(build_sse_table(ds), FULL_LOO, 6)):
         assert [r.k for r in report.records] == list(range(1, 7))
 
 
@@ -107,7 +109,7 @@ def test_full_loo_never_selects_singletons():
     for _ in range(15):
         n, m = int(rng.integers(1, 4)), int(rng.integers(4, 14))
         ds = _dataset(rng.uniform(-1, 1, size=(n, m)))
-        for rec in select_k_full_loo(ds, m // 2).records:
+        for rec in select_k(build_sse_table(ds), FULL_LOO, m // 2).records:
             if rec.segmentation is not None:
                 assert min(rec.segmentation.lengths) >= 2
 
@@ -118,8 +120,8 @@ def test_full_loo_estimate_never_above_standard():
         n, m = int(rng.integers(1, 4)), int(rng.integers(3, 14))
         ds = _dataset(rng.uniform(-1, 1, size=(n, m)))
         k_max = max(1, m // 2)
-        std = select_k_standard(ds, k_max)
-        floo = select_k_full_loo(ds, k_max)
+        std = select_k(build_sse_table(ds), STANDARD, k_max)
+        floo = select_k(build_sse_table(ds), FULL_LOO, k_max)
         for a, b in zip(floo.records, std.records):
             # the full-l.o.o. DP minimizes this very score, so it cannot lose
             assert a.loo_total <= b.loo_total + 1e-9 or (
@@ -131,8 +133,8 @@ def test_sse_totals_dominated_by_sse_optimum():
     rng = np.random.default_rng(83)
     ds = _dataset(rng.uniform(-1, 1, size=(2, 10)))
     sse_opt = [r.cost for r in solve_all(build_sse_table(ds), 5)]
-    std = select_k_standard(ds, 5)
-    floo = select_k_full_loo(ds, 5)
+    std = select_k(build_sse_table(ds), STANDARD, 5)
+    floo = select_k(build_sse_table(ds), FULL_LOO, 5)
     for rec, best in zip(std.records, sse_opt):
         assert rec.sse_total == best  # variant 1 is the SSE optimum
     for rec, best in zip(floo.records, sse_opt):
@@ -142,8 +144,10 @@ def test_sse_totals_dominated_by_sse_optimum():
 def test_reports_are_deterministic():
     rng = np.random.default_rng(89)
     ds = _dataset(rng.normal(size=(2, 10)))
-    assert select_k_standard(ds, 5) == select_k_standard(ds, 5)
-    assert select_k_full_loo(ds, 5) == select_k_full_loo(ds, 5)
+    assert (select_k(build_sse_table(ds), STANDARD, 5)
+            == select_k(build_sse_table(ds), STANDARD, 5))
+    assert (select_k(build_sse_table(ds), FULL_LOO, 5)
+            == select_k(build_sse_table(ds), FULL_LOO, 5))
 
 
 def test_standard_scores_match_manual_factor_application():
@@ -151,7 +155,7 @@ def test_standard_scores_match_manual_factor_application():
     ds = _dataset(rng.uniform(-1, 1, size=(2, 9)))
     sse = build_sse_table(ds)
     loo = loo_table(sse)
-    report = select_k_standard(ds, 4)
+    report = select_k(build_sse_table(ds), STANDARD, 4)
     for rec in report.records:
         assert rec.loo_total == partition_cost(loo, rec.segmentation)
 
@@ -162,6 +166,6 @@ def test_select_k_shares_prebuilt_tables():
     sse = build_sse_table(ds)
     std = select_k(sse, SelectionStrategy.STANDARD_THEN_LOO, 5)
     floo = select_k(sse, SelectionStrategy.FULL_LOO, 5)
-    assert std == select_k_standard(ds, 5)
-    assert floo == select_k_full_loo(ds, 5)
+    assert std == select_k(build_sse_table(ds), STANDARD, 5)
+    assert floo == select_k(build_sse_table(ds), FULL_LOO, 5)
     assert floo.strategy is SelectionStrategy.FULL_LOO

@@ -71,6 +71,14 @@ def test_function_seeds_deterministic_and_distinct():
         ({"bumps": ((0.5, 0.0, 1.0),)}, "bump widths must be positive"),
         ({"lo": 1.0, "hi": 1.0}, "value range is empty"),
         ({"lo": 2.0, "hi": -2.0}, "value range is empty"),
+        ({"jitter": float("nan")}, "jitter must be finite"),
+        ({"lo": float("-inf")}, "lo must be finite"),
+        ({"hi": float("inf")}, "hi must be finite"),
+        ({"lo": float("nan")}, "lo must be finite"),
+        ({"bumps": ((float("nan"), 0.1, 1.0),)}, "bump center must be finite"),
+        ({"bumps": ((0.5, float("inf"), 1.0),)}, "bump width must be finite"),
+        ({"bumps": ((0.5, 0.1, float("nan")),)},
+         "bump amplitude must be finite"),
     ],
 )
 def test_spec_validation(kwargs, message):
@@ -116,6 +124,13 @@ def test_add_noise_negative_sigma_rejected():
     ds = generate(SynthSpec(n=2, m=8), seed=1)
     with pytest.raises(ValueError, match="sigma must be nonnegative"):
         add_noise(ds, -0.1, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_add_noise_nonfinite_sigma_rejected(sigma):
+    ds = generate(SynthSpec(n=2, m=8), seed=1)
+    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+        add_noise(ds, sigma, seed=0)
 
 
 def test_add_noise_deterministic_and_grid_preserving():
