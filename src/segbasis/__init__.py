@@ -27,8 +27,6 @@ from .costs import (
     loo_partition_cost,
     loo_table,
     partition_cost,
-    prefix_oracle_cost,
-    segment_cost,
 )
 from .io import ResultDocument, read_csv, render_result, write_csv, write_result
 from .selection import (
@@ -42,12 +40,11 @@ from .solver import (
     DPTable,
     InfeasiblePartitionError,
     SolveResult,
-    brute_force,
     fill_dp,
     solve,
     solve_all,
 )
-from .synth import DEFAULT_BUMPS, SplitMix64, SynthSpec, add_noise, generate
+from .synth import DEFAULT_BUMPS, SynthSpec, add_noise, generate
 
 __all__ = [
     "CostKind",
@@ -63,10 +60,8 @@ __all__ = [
     "SelectionReport",
     "SelectionStrategy",
     "SolveResult",
-    "SplitMix64",
     "SynthSpec",
     "add_noise",
-    "brute_force",
     "build_linear_table",
     "build_sse_table",
     "default_k_max",
@@ -79,11 +74,9 @@ __all__ = [
     "main",
     "new_dataset",
     "partition_cost",
-    "prefix_oracle_cost",
     "read_csv",
     "reconstruct",
     "render_result",
-    "segment_cost",
     "segmentation_from_ends",
     "select_k",
     "solve",

@@ -16,10 +16,6 @@ summed over all functions.  Three kinds are supported:
 
 Both builds are O(n m^2) arithmetic done a block of start rows at a time:
 one ``einsum`` sums an n x b x m tensor of interval sums over functions.
-
-``prefix_oracle_cost`` is one SSE entry from plain uncentred prefix sums: the
-builds' formula but none of their code.  The independent oracle is the
-two-pass definition (deviations from the segment mean) used in the tests.
 """
 
 from __future__ import annotations
@@ -48,13 +44,6 @@ class CostTable:
     m: int
     kind: CostKind
     values: np.ndarray  # (m, m), upper triangle meaningful
-
-
-def segment_cost(table: CostTable, j: int, l: int) -> float:
-    """Look up Q(j..l).  Pure O(1); raises for indices outside 1 <= j <= l <= m."""
-    if not (1 <= j <= l <= table.m):
-        raise ValueError(f"segment ({j},{l}) out of range for m={table.m}")
-    return float(table.values[j - 1, l - 1])
 
 
 def partition_cost(table: CostTable, seg: Segmentation) -> float:
@@ -93,9 +82,10 @@ def loo_partition_cost(sse: CostTable, seg: Segmentation) -> float:
         raise ValueError(f"expected an SSE table, got {sse.kind.value}")
     if seg.m != sse.m:
         raise ValueError(f"segmentation covers {seg.m} points, table {sse.m}")
-    s, e = np.array(seg.intervals()).T
+    s, e = np.array(seg.starts), np.array(seg.ends)
+    costs = _loo_scale(e - s + 1.0, sse.values[s - 1, e - 1])
     total = 0.0
-    for cost in reversed(_loo_scale(e - s + 1.0, sse.values[s - 1, e - 1]).tolist()):
+    for cost in reversed(costs.tolist()):
         total = cost + total
     return total
 
@@ -184,27 +174,6 @@ def loo_table(sse: CostTable) -> CostTable:
         _loo_scale(lens, sse.values[s:e, s:], out=out[s:e, s:])
         out[s:e, :s] = np.inf
     return CostTable(m=m, kind=CostKind.LOO, values=_readonly(out))
-
-
-def prefix_oracle_cost(dataset: FunctionalDataset, j: int, l: int) -> float:
-    """SSE of interval j..l from plain prefix sums, one function at a time.
-
-    Uses sum(y^2) - sum(y)^2/len per function on the raw (uncentred) values.
-    This is the builds' formula but none of their code; the two-pass
-    deviation-from-mean definition in the tests is the independent oracle.
-    """
-    if not (1 <= j <= l <= dataset.m):
-        raise ValueError(f"segment ({j},{l}) out of range for m={dataset.m}")
-    total = 0.0
-    length = l - j + 1
-    for i in range(dataset.n):
-        row = dataset.values[i]
-        py = np.concatenate(([0.0], np.cumsum(row)))
-        pyy = np.concatenate(([0.0], np.cumsum(row * row)))
-        sy = py[l] - py[j - 1]
-        syy = pyy[l] - pyy[j - 1]
-        total += max(syy - sy * sy / length, 0.0)
-    return total
 
 
 def build_linear_table(dataset: FunctionalDataset) -> CostTable:

@@ -18,13 +18,12 @@ partition is feasible iff its total is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb, isfinite, isqrt
+from math import isfinite, isqrt
 
 import numpy as np
 
 from .core import Segmentation, _readonly, segmentation_from_ends
-from .costs import CostTable, partition_cost
+from .costs import CostTable
 
 # Byte budget of one row slab of the table (and of its candidate buffer): the
 # slab is reused for every segment count while it stays in cache.
@@ -184,25 +183,3 @@ def solve_all(table: CostTable, k_max: int) -> list[SolveResult]:
     return out
 
 
-def brute_force(table: CostTable, k: int) -> tuple[Segmentation | None, float]:
-    """Enumerate every contiguous k-partition and return the cheapest.
-
-    Testing oracle with the same tie-break as :func:`solve`: partitions are
-    visited in lexicographic end order and replaced only on strict
-    improvement.  Guarded to at most 10^6 partitions.
-    """
-    m = table.m
-    if not (1 <= k <= m):
-        raise ValueError(f"k out of range: {k} not in 1..{m}")
-    n_parts = comb(m - 1, k - 1)
-    if n_parts > 10**6:
-        raise ValueError(f"{n_parts} partitions exceed the enumeration guard")
-    best_cost = np.inf
-    best: Segmentation | None = None
-    for cuts in combinations(range(1, m), k - 1):
-        seg = Segmentation(ends=cuts + (m,), m=m)
-        total = partition_cost(table, seg)
-        if total < best_cost:
-            best_cost = total
-            best = seg
-    return best, float(best_cost)

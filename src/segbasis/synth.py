@@ -8,17 +8,17 @@ Randomness is pinned down to the bit: splitmix64 streams produce 53-bit
 uniforms, and normals come from the Box-Muller transform on consecutive
 uniform pairs.  Each function draws from its own stream, seeded from one
 master stream, so generation is reproducible and order-independent across
-functions.  :class:`SplitMix64` is the scalar definition.
+functions.
 
 splitmix64 is counter-based: output t of a stream is a fixed mix of the state
 ``seed + t * gamma`` (mod 2^64), so all outputs of all streams are computed at
 once as one uint64 array.  The bulk path leaves to numpy only operations that
 IEEE 754 rounds exactly (integer mixing, the shift and scale to a uniform,
 products, negation and sqrt) and keeps their association, so it gives the
-scalar path's bits.  log1p, cos and sin are mapped from :mod:`math`, because
-numpy's versions may round differently: with numpy 2.4 on x86-64,
-``np.log1p`` differs from ``math.log1p`` on 147,387 of the first 2,000,000
-uniforms of seed 0.
+bits of the generator stepped one output at a time in Python.  log1p, cos
+and sin are mapped from :mod:`math`, because numpy's versions may round
+differently: with numpy 2.4 on x86-64, ``np.log1p`` differs from
+``math.log1p`` on 147,387 of the first 2,000,000 uniforms of seed 0.
 """
 
 from __future__ import annotations
@@ -31,35 +31,6 @@ import numpy as np
 from .core import FunctionalDataset, new_dataset
 
 _MASK64 = (1 << 64) - 1
-
-
-class SplitMix64:
-    """The splitmix64 generator: 64-bit state, one mix per output."""
-
-    def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK64
-
-    def next_uint64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * (2.0**-53)
-
-    def normal_pair(self) -> tuple[float, float]:
-        """Two independent standard normals via Box-Muller.
-
-        Uses log1p(-u1) so the argument to log never hits zero.
-        """
-        u1 = self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log1p(-u1))
-        theta = 2.0 * math.pi * u2
-        return r * math.cos(theta), r * math.sin(theta)
 
 
 # splitmix64 constants as np.uint64, so that mixing never promotes to float
@@ -81,8 +52,8 @@ def _normals(seed: int, n: int, count: int) -> np.ndarray:
     """The first ``count`` normals of each of n function streams, (n, count).
 
     Function i's stream is seeded with output i+1 of the master stream of
-    ``seed``; its normals are the Box-Muller pairs of
-    :meth:`SplitMix64.normal_pair`, interleaved z0, z1.
+    ``seed``; its normals are Box-Muller pairs of consecutive uniforms u1, u2,
+    sqrt(-2 log1p(-u1)) times cos and sin of 2 pi u2, interleaved z0, z1.
     """
     seeds = _splitmix64(np.array([seed & _MASK64], dtype=np.uint64), n)[0]
     pairs = (count + 1) // 2

@@ -1,0 +1,100 @@
+"""Test oracles: slow, direct definitions that the library is checked against.
+
+``brute_force`` enumerates every partition, ``prefix_oracle_cost`` prices one
+SSE entry from plain uncentred prefix sums, ``segment_cost`` reads one table
+entry with a range check, and ``SplitMix64`` is the scalar splitmix64
+generator whose bits the bulk streams of :mod:`segbasis.synth` reproduce.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations
+from math import comb
+
+import numpy as np
+
+from segbasis import CostTable, FunctionalDataset, Segmentation, partition_cost
+
+_MASK64 = (1 << 64) - 1
+
+
+def segment_cost(table: CostTable, j: int, l: int) -> float:
+    """Look up Q(j..l).  Pure O(1); raises for indices outside 1 <= j <= l <= m."""
+    if not (1 <= j <= l <= table.m):
+        raise ValueError(f"segment ({j},{l}) out of range for m={table.m}")
+    return float(table.values[j - 1, l - 1])
+
+
+def prefix_oracle_cost(dataset: FunctionalDataset, j: int, l: int) -> float:
+    """SSE of interval j..l from plain prefix sums, one function at a time.
+
+    Uses sum(y^2) - sum(y)^2/len per function on the raw (uncentred) values.
+    This is the builds' formula but none of their code; the two-pass
+    deviation-from-mean definition in the tests is the independent oracle.
+    """
+    if not (1 <= j <= l <= dataset.m):
+        raise ValueError(f"segment ({j},{l}) out of range for m={dataset.m}")
+    total = 0.0
+    length = l - j + 1
+    for i in range(dataset.n):
+        row = dataset.values[i]
+        py = np.concatenate(([0.0], np.cumsum(row)))
+        pyy = np.concatenate(([0.0], np.cumsum(row * row)))
+        sy = py[l] - py[j - 1]
+        syy = pyy[l] - pyy[j - 1]
+        total += max(syy - sy * sy / length, 0.0)
+    return total
+
+
+def brute_force(table: CostTable, k: int) -> tuple[Segmentation | None, float]:
+    """Enumerate every contiguous k-partition and return the cheapest.
+
+    Testing oracle with the same tie-break as :func:`solve`: partitions are
+    visited in lexicographic end order and replaced only on strict
+    improvement.  Guarded to at most 10^6 partitions.
+    """
+    m = table.m
+    if not (1 <= k <= m):
+        raise ValueError(f"k out of range: {k} not in 1..{m}")
+    n_parts = comb(m - 1, k - 1)
+    if n_parts > 10**6:
+        raise ValueError(f"{n_parts} partitions exceed the enumeration guard")
+    best_cost = np.inf
+    best: Segmentation | None = None
+    for cuts in combinations(range(1, m), k - 1):
+        seg = Segmentation(ends=cuts + (m,), m=m)
+        total = partition_cost(table, seg)
+        if total < best_cost:
+            best_cost = total
+            best = seg
+    return best, float(best_cost)
+
+
+class SplitMix64:
+    """The splitmix64 generator: 64-bit state, one mix per output."""
+
+    def __init__(self, seed: int) -> None:
+        self.state = seed & _MASK64
+
+    def next_uint64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        """Uniform in [0, 1) with 53 random bits."""
+        return (self.next_uint64() >> 11) * (2.0**-53)
+
+    def normal_pair(self) -> tuple[float, float]:
+        """Two independent standard normals via Box-Muller.
+
+        Uses log1p(-u1) so the argument to log never hits zero.
+        """
+        u1 = self.uniform()
+        u2 = self.uniform()
+        r = math.sqrt(-2.0 * math.log1p(-u1))
+        theta = 2.0 * math.pi * u2
+        return r * math.cos(theta), r * math.sin(theta)

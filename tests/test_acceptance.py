@@ -17,10 +17,10 @@ from collections import defaultdict
 import numpy as np
 import pytest
 from conftest import record_acceptance
+from oracles import brute_force, prefix_oracle_cost
 
 from segbasis import (
     InfeasiblePartitionError,
-    brute_force,
     build_linear_table,
     build_sse_table,
     greedy_agglomerative,
@@ -28,7 +28,6 @@ from segbasis import (
     main,
     new_dataset,
     partition_cost,
-    prefix_oracle_cost,
     solve,
     solve_all,
     uniform_partition,

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import segment_cost
 
 from segbasis import (
     build_sse_table,
     greedy_agglomerative,
     loo_table,
     new_dataset,
-    segment_cost,
     solve,
     uniform_partition,
 )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import prefix_oracle_cost, segment_cost
 
 from segbasis import (
     CostKind,
@@ -11,8 +12,6 @@ from segbasis import (
     loo_table,
     new_dataset,
     partition_cost,
-    prefix_oracle_cost,
-    segment_cost,
     segmentation_from_ends,
 )
 

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from oracles import brute_force
 
 from segbasis import (
     CostKind,
     CostTable,
     InfeasiblePartitionError,
-    brute_force,
     build_linear_table,
     build_sse_table,
     fill_dp,

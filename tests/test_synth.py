@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from oracles import SplitMix64
 
 from segbasis import (
     DEFAULT_BUMPS,
-    SplitMix64,
     SynthSpec,
     add_noise,
     generate,
