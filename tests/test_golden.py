@@ -30,6 +30,16 @@ ACC9_CFG = "n = 4\nm = 32\n"
 # a path relative to the work directory, so the document's source is stable.
 ONE_COLUMN_CSV = "1.5\n-0.25\n2.0\n"
 
+# a grid row and three functions on an uneven 12-point grid, with padded,
+# signed, exponent and quoted cells and a CRLF line; also read by a relative
+# path
+MULTI_COLUMN_CSV = (
+    "0,0.5,1.25,2,3,3.5,4.75,6,7,7.5,9,10\n"
+    "0.1,0.35,0.72,1.05,1.48,1.2,0.61,0.05,-0.4,-0.62,-1.3,-1.71\n"
+    " 2.5 ,2.45,+2.6,2.38,\"2.52\",2.49,3.9,4.12,4.05,3.97,4.2,4.01\r\n"
+    "-1e-1,1.5e-2,2.1E-1,0.33,0.5,0.61,0.8,1.02,1.1,1.3,1.41,1.62\n"
+)
+
 CASES = {
     "acc9-fit-sse": ["fit", "--synth", "ACC9", "--seed", "5", "--segments", "6"],
     "acc9-fit-loo": ["fit", "--synth", "ACC9", "--seed", "5", "--segments", "6",
@@ -67,6 +77,9 @@ CASES = {
                                         "full-loo", "--max-segments", "20"],
     "select-one-column-degenerate": ["select", "--input", "one-column.csv",
                                      "--strategy", "standard"],
+    "csv-fit-linear-coefficients": ["fit", "--input", "multi-column.csv",
+                                    "--grid-row", "--segments", "3",
+                                    "--cost", "linear", "--emit-coefficients"],
 }
 
 # cases whose document is written with exit 2; every other case exits 0
@@ -78,6 +91,7 @@ def _render(argv: list[str], workdir: Path, expected_code: int = 0) -> bytes:
     for name, text in configs.items():
         (workdir / f"{name}.cfg").write_text(text)
     (workdir / "one-column.csv").write_text(ONE_COLUMN_CSV)
+    (workdir / "multi-column.csv").write_bytes(MULTI_COLUMN_CSV.encode())
     out = workdir / "out.json"
     argv = [str(workdir / f"{a}.cfg") if a in configs else a for a in argv]
     cwd = os.getcwd()
