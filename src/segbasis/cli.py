@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import statistics
 import sys
 import time
@@ -21,7 +22,7 @@ import numpy as np
 from .core import CostKind, FunctionalDataset, Segmentation, fit_model, reconstruct
 from .costs import CostTable, build_linear_table, build_sse_table, loo_table
 from .io import ResultDocument, read_csv, write_result
-from .selection import SelectionStrategy, default_k_max, price_basis, select_k
+from .selection import SelectionStrategy, default_k_max, price_bases, select_k
 from .solver import InfeasiblePartitionError, solve
 from .synth import SynthSpec, add_noise, generate
 
@@ -30,6 +31,13 @@ USAGE_ERROR = 64
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the conventional 64 exit for usage mistakes."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # "-1e-3", "-inf" and "-nan" are negative numbers like "-1": option
+        # values, not flags (no option name starts with a digit, inf or nan)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -141,13 +149,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise ValueError(f"k out of range: need 1 <= k <= {dataset.m}, got {k}")
     kind = CostKind(args.cost)
     t0 = time.perf_counter()
-    sse = build_sse_table(dataset)
     if kind is CostKind.LINEAR:
-        table: CostTable = build_linear_table(dataset)
-    elif kind is CostKind.LOO:
-        table = loo_table(sse)
+        # one basis's SSE total needs k entries, not the m x m table
+        sse: CostTable | FunctionalDataset = dataset
+        table = build_linear_table(dataset)
     else:
-        table = sse
+        sse = build_sse_table(dataset)
+        table = loo_table(sse) if kind is CostKind.LOO else sse
     t1 = time.perf_counter()
     try:
         seg, total, _ = solve(table, k)
@@ -155,7 +163,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         seg, total = None, np.inf
     t2 = time.perf_counter()
     # a fit reports its basis whatever its leave-one-out total: not scored
-    record = _row(k, seg, price_basis(sse, kind, seg, total), scored=False)
+    (totals,) = price_bases(sse, kind, [(seg, total)])
+    record = _row(k, seg, totals, scored=False)
     coefficients = timing = None
     if seg is not None and args.emit_coefficients:
         model = fit_model(dataset, seg)

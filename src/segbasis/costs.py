@@ -16,20 +16,26 @@ summed over all functions.  Three kinds are supported:
 
 Both builds are O(n m^2) arithmetic done a block of start rows at a time:
 one ``einsum`` sums an n x b x m tensor of interval sums over functions.
+:func:`partition_totals` prices given segmentations from their SSE entries
+alone, with or without the SSE table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
 from .core import CostKind, FunctionalDataset, Segmentation, _readonly
 
 # Byte budget of one n x b x m block tensor, which fixes the b start rows of
-# a build step; the step count then grows with n, like the work.
-_BLOCK_BYTES = 256 * 1024
+# a build step; the step count then grows with n, like the work.  Smaller
+# budgets leave steps bound by per-call overhead (b = 1 at n=124, m=256 with
+# 256 KiB), larger ones spill the cache: 1 MiB built fastest from n=4,
+# m=2048 to n=124, m=256, and the table does not depend on b.
+_BLOCK_BYTES = 1 << 20
 _LOO_ROWS = 128  # start rows per step of the leave-one-out transform
 
 
@@ -71,23 +77,52 @@ def _loo_scale(lens: np.ndarray, sse: np.ndarray, out=None) -> np.ndarray:
     return q
 
 
+def partition_totals(sse: CostTable | FunctionalDataset,
+                     segs: Sequence[Segmentation], kind: CostKind) -> list[float]:
+    """SSE or leave-one-out totals (``kind``) of segmentations, priced from
+    the SSE entries of their segments alone.
+
+    ``sse`` is an SSE table, or the dataset when no table is built: each
+    entry is then the last column of a one-row block of the table's own
+    kernel, clamped and pinned like the table.  Each total equals
+    ``partition_cost`` on ``build_sse_table`` (or on ``loo_table`` of it)
+    bit for bit: the leave-one-out entries come from the table's own
+    :func:`_loo_scale`, in one call for all segmentations, and each
+    segmentation's segments are summed from the last to the first.
+    """
+    if kind is CostKind.LINEAR:
+        raise ValueError("linear totals are not priced from SSE entries")
+    if isinstance(sse, CostTable) and sse.kind is not CostKind.SSE:
+        raise ValueError(f"expected an SSE table, got {sse.kind.value}")
+    for seg in segs:
+        if seg.m != sse.m:
+            raise ValueError(f"segmentation covers {seg.m} points, table {sse.m}")
+    s = np.array([j for seg in segs for j in seg.starts], dtype=np.intp)
+    e = np.array([l for seg in segs for l in seg.ends], dtype=np.intp)
+    if isinstance(sse, CostTable):
+        costs = sse.values[s - 1, e - 1]
+    else:
+        costs = _sse_entries(sse, s, e)
+    if kind is CostKind.LOO:
+        costs = _loo_scale(e - s + 1.0, costs)
+    flat = costs.tolist()
+    totals, stop = [], 0
+    for seg in segs:
+        start, stop = stop, stop + seg.k
+        total = 0.0
+        for cost in reversed(flat[start:stop]):
+            total = cost + total
+        totals.append(total)
+    return totals
+
+
 def loo_partition_cost(sse: CostTable, seg: Segmentation) -> float:
     """Leave-one-out total of a segmentation, priced from its SSE entries.
 
     Equal bit for bit to ``partition_cost(loo_table(sse), seg)`` without the
-    m x m table: each segment is priced by the same :func:`_loo_scale` as
-    the table, and the segments are summed from the last to the first.
+    m x m table; see :func:`partition_totals`.
     """
-    if sse.kind is not CostKind.SSE:
-        raise ValueError(f"expected an SSE table, got {sse.kind.value}")
-    if seg.m != sse.m:
-        raise ValueError(f"segmentation covers {seg.m} points, table {sse.m}")
-    s, e = np.array(seg.starts), np.array(seg.ends)
-    costs = _loo_scale(e - s + 1.0, sse.values[s - 1, e - 1])
-    total = 0.0
-    for cost in reversed(costs.tolist()):
-        total = cost + total
-    return total
+    return partition_totals(sse, [seg], CostKind.LOO)[0]
 
 
 def _prefix(a: np.ndarray) -> np.ndarray:
@@ -144,14 +179,39 @@ def _sse_block(p1, p2, s, e, lens, tensors, sq, q) -> None:
     q -= sq
 
 
+def _sse_prefix(dataset: FunctionalDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of each function centred on its mean, and of all the
+    squares, as :func:`_sse_block` reads them."""
+    y = dataset.values - dataset.values.mean(axis=1, keepdims=True)
+    return _prefix(y), _prefix((y * y).sum(axis=0))
+
+
+def _sse_entries(dataset: FunctionalDataset, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """SSE entries Q(s..e) of 1-based intervals, without the table.
+
+    Each is the last column of the one-row block of start s, cut at column
+    e: an entry reads no prefix sum past its end, so it has the bits of
+    ``build_sse_table(dataset)``, clamped at 0 and pinned to 0 at length 1.
+    """
+    p1, p2 = _sse_prefix(dataset)
+    out = np.empty(len(s))
+    for i, (j, l) in enumerate(zip(s.tolist(), e.tolist())):
+        w = l - j + 1
+        q = np.empty((1, w))
+        _sse_block(p1[:, :l + 1], p2[:l + 1], j - 1, j,
+                   np.arange(1.0, w + 1.0)[None, :],
+                   [np.empty((dataset.n, 1, w))], np.empty((1, w)), q)
+        out[i] = 0.0 if w == 1 else np.maximum(q[0, -1], 0.0)
+    return out
+
+
 def build_sse_table(dataset: FunctionalDataset) -> CostTable:
     """Build the aggregated SSE table for all functions of ``dataset``.
 
     The diagonal is exactly 0, cancellation noise is clamped at 0 and the
     lower triangle is +inf.
     """
-    y = dataset.values - dataset.values.mean(axis=1, keepdims=True)
-    p1, p2 = _prefix(y), _prefix((y * y).sum(axis=0))
+    p1, p2 = _sse_prefix(dataset)
     table = _blocked_table(dataset.n, dataset.m, 1, 1, partial(_sse_block, p1, p2))
     return CostTable(m=dataset.m, kind=CostKind.SSE, values=_readonly(table))
 

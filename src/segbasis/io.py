@@ -23,40 +23,65 @@ from .core import FunctionalDataset, new_dataset
 def read_csv(path: str, has_grid_row: bool = False) -> FunctionalDataset:
     """Load a rectangular numeric CSV as a dataset.
 
-    Without a grid row the grid defaults to 0, 1, ..., m-1.  Row and column
-    numbers in diagnostics are 1-based file positions.
+    Cells are separated by commas and may be wrapped in double quotes.  Each
+    holds one float as Python spells it (sign, exponent, ``inf``, ``nan``,
+    surrounding whitespace), except that underscores and non-ASCII digits are
+    rejected.  Blank lines are skipped.  Without a grid row the grid defaults
+    to 0, 1, ..., m-1.  Row and column numbers in diagnostics are 1-based
+    file positions; a row is numbered by the file line it starts on.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ValueError("empty CSV: no rows")
-    width = len(rows[0])
-    parsed = []
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ValueError(f"ragged row {lineno}")
+        # numpy only warns about a file without rows
+        if not any(line.strip("\r\n") for line in fh):
+            raise ValueError("empty CSV: no rows")
+        fh.seek(0)
         try:
-            # a row array at a time: a list of lists of Python floats would
-            # hold 4x the bytes of the table until the stack
-            parsed.append(np.array(list(map(float, row))))
+            table = np.loadtxt(fh, delimiter=",", quotechar='"',
+                               comments=None, ndmin=2)
         except ValueError:
-            # walk the row again only to name the first bad cell
-            for col, cell in enumerate(row, start=1):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"non-numeric value {cell.strip()!r} at row {lineno}, "
-                        f"column {col}"
-                    ) from None
+            # walk the file again only to name the first bad row
+            _raise_first_bad_row(path)
             raise
     if has_grid_row:
-        if len(parsed) < 2:
+        if len(table) < 2:
             raise ValueError("no data rows after the grid row")
-        grid, values = parsed[0], parsed[1:]
+        grid, values = table[0], table[1:]
     else:
-        grid, values = np.arange(width, dtype=np.float64), parsed
-    return new_dataset(grid, np.stack(values))
+        grid, values = np.arange(table.shape[1], dtype=np.float64), table
+    return new_dataset(grid, values)
+
+
+def _is_number(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads the cell as a float: Python's spelling
+    without underscores and non-ASCII digits."""
+    core = cell.strip()
+    if not core.isascii() or "_" in core:
+        return False
+    try:
+        float(core)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_bad_row(path: str) -> None:
+    """Raise the diagnosis of the first row that is ragged or holds a
+    non-numeric cell, numbered by the file line the row starts on."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        width, lineno = None, 1
+        for row in reader:
+            if row:
+                width = len(row) if width is None else width
+                if len(row) != width:
+                    raise ValueError(f"ragged row {lineno}")
+                for col, cell in enumerate(row, start=1):
+                    if not _is_number(cell):
+                        raise ValueError(
+                            f"non-numeric value {cell.strip()!r} at row "
+                            f"{lineno}, column {col}"
+                        )
+            lineno = reader.line_num + 1
 
 
 def write_csv(dataset: FunctionalDataset, path: str,

@@ -17,7 +17,7 @@ and which one scores its partitions.  The leave-one-out table is built only
 for ``FULL_LOO``, whose dynamic program needs every entry; the standard
 sweep prices its partitions' leave-one-out totals from the SSE entries.  A
 caller that needs both strategies builds the SSE table once and passes it to
-both sweeps.  :func:`price_basis` is the one rule for the totals a basis
+both sweeps.  :func:`price_bases` is the one rule for the totals a basis
 reports given the cost its dynamic program minimized, shared with ``fit``.
 """
 
@@ -26,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
+from typing import Sequence
 
 import numpy as np
 
-from .core import CostKind, Segmentation
-from .costs import CostTable, loo_partition_cost, loo_table, partition_cost
+from .core import CostKind, FunctionalDataset, Segmentation
+from .costs import CostTable, loo_table, partition_totals
 from .solver import solve_all
 
 
@@ -78,22 +79,28 @@ def _pick(records: list[SelectionRecord]) -> tuple[int, bool]:
     return best_k, False
 
 
-def price_basis(sse: CostTable, kind: CostKind, seg: Segmentation | None,
-                objective: float) -> dict[str, float]:
-    """Totals one basis reports, given the ``objective`` its dynamic program
-    minimized over a table of ``kind`` and the SSE table of the same data.
+def price_bases(sse: CostTable | FunctionalDataset, kind: CostKind,
+                bases: Sequence[tuple[Segmentation | None, float]]
+                ) -> list[dict[str, float]]:
+    """Totals each basis reports, given the ``objective`` its dynamic program
+    minimized over a table of ``kind``, and the SSE table of the same data
+    (or the dataset itself, when no SSE table is built).
 
     The minimized cost is reported as is; the SSE kind adds the basis's
-    leave-one-out total and the others its SSE total.  The linear kind
-    reports no leave-one-out total: the per-segment inflation factor does
-    not apply to it.  No basis (an infeasible k) costs +inf either way.
+    leave-one-out total and the others its SSE total, priced for all bases
+    at once.  The linear kind reports no leave-one-out total: the
+    per-segment inflation factor does not apply to it.  No basis (an
+    infeasible k) costs +inf either way.
     """
-    if seg is None:
-        return {"sse_total": np.inf, "loo_total": np.inf}
-    if kind is CostKind.SSE:
-        return {"sse_total": objective, "loo_total": loo_partition_cost(sse, seg)}
-    name = "loo_total" if kind is CostKind.LOO else "objective_total"
-    return {name: objective, "sse_total": partition_cost(sse, seg)}
+    scored = CostKind.LOO if kind is CostKind.SSE else CostKind.SSE
+    priced = iter(partition_totals(
+        sse, [seg for seg, _ in bases if seg is not None], scored))
+    name = {CostKind.SSE: "sse_total", CostKind.LOO: "loo_total",
+            CostKind.LINEAR: "objective_total"}[kind]
+    other = "loo_total" if scored is CostKind.LOO else "sse_total"
+    return [{"sse_total": np.inf, "loo_total": np.inf} if seg is None
+            else {name: objective, other: next(priced)}
+            for seg, objective in bases]
 
 
 def select_k(
@@ -107,12 +114,11 @@ def select_k(
     """
     standard = strategy is SelectionStrategy.STANDARD_THEN_LOO
     objective = sse if standard else loo_table(sse)
-    records = [
-        SelectionRecord(k=res.k, segmentation=res.segmentation,
-                        **price_basis(sse, objective.kind, res.segmentation,
-                                      res.cost))
-        for res in solve_all(objective, k_max)
-    ]
+    results = solve_all(objective, k_max)
+    totals = price_bases(sse, objective.kind,
+                         [(res.segmentation, res.cost) for res in results])
+    records = [SelectionRecord(k=res.k, segmentation=res.segmentation, **t)
+               for res, t in zip(results, totals)]
     selected, degenerate = _pick(records)
     return SelectionReport(strategy=strategy, records=tuple(records),
                            selected_k=selected, degenerate=degenerate)

@@ -2,19 +2,27 @@
 
 ``brute_force`` enumerates every partition, ``prefix_oracle_cost`` prices one
 SSE entry from plain uncentred prefix sums, ``segment_cost`` reads one table
-entry with a range check, and ``SplitMix64`` is the scalar splitmix64
-generator whose bits the bulk streams of :mod:`segbasis.synth` reproduce.
+entry with a range check, ``SplitMix64`` is the scalar splitmix64
+generator whose bits the bulk streams of :mod:`segbasis.synth` reproduce, and
+``per_row_read_csv`` parses a CSV a row at a time with Python's ``float``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from segbasis import CostTable, FunctionalDataset, Segmentation, partition_cost
+from segbasis import (
+    CostTable,
+    FunctionalDataset,
+    Segmentation,
+    new_dataset,
+    partition_cost,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -98,3 +106,42 @@ class SplitMix64:
         r = math.sqrt(-2.0 * math.log1p(-u1))
         theta = 2.0 * math.pi * u2
         return r * math.cos(theta), r * math.sin(theta)
+
+
+def per_row_read_csv(path: str, has_grid_row: bool = False) -> FunctionalDataset:
+    """Load a rectangular numeric CSV as a dataset.
+
+    Without a grid row the grid defaults to 0, 1, ..., m-1.  Row numbers in
+    diagnostics count the non-blank rows; column numbers are 1-based.
+    """
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ValueError("empty CSV: no rows")
+    width = len(rows[0])
+    parsed = []
+    for lineno, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise ValueError(f"ragged row {lineno}")
+        try:
+            # a row array at a time: a list of lists of Python floats would
+            # hold 4x the bytes of the table until the stack
+            parsed.append(np.array(list(map(float, row))))
+        except ValueError:
+            # walk the row again only to name the first bad cell
+            for col, cell in enumerate(row, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"non-numeric value {cell.strip()!r} at row {lineno}, "
+                        f"column {col}"
+                    ) from None
+            raise
+    if has_grid_row:
+        if len(parsed) < 2:
+            raise ValueError("no data rows after the grid row")
+        grid, values = parsed[0], parsed[1:]
+    else:
+        grid, values = np.arange(width, dtype=np.float64), parsed
+    return new_dataset(grid, np.stack(values))

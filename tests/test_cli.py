@@ -253,11 +253,13 @@ def test_experiment_noiseless(tmp_path, small_cfg):
 
 
 def test_experiment_negative_sigma(capsys):
-    assert main(["experiment", "--sigma", "-1"]) == 1
-    assert "sigma must be nonnegative" in capsys.readouterr().err
+    # "-1e-3" is read as a negative number, not as a flag
+    for sigma in ("-1", "-1e-3"):
+        assert main(["experiment", "--sigma", sigma]) == 1
+        assert "sigma must be nonnegative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sigma", ["nan", "inf"])
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "-nan"])
 def test_experiment_nonfinite_sigma(tmp_path, small_cfg, capsys, sigma):
     out = tmp_path / "result.json"
     code = main(["experiment", "--synth", small_cfg, "--sigma", sigma,
@@ -338,14 +340,18 @@ def test_experiment_builds_each_table_once(tmp_path, small_cfg, monkeypatch):
     (["select", "--strategy", "full-loo", "--max-segments", "5"], 1),
     (["fit", "--segments", "4", "--cost", "sse"], 0),
     (["fit", "--segments", "4", "--cost", "loo"], 1),
+    (["fit", "--segments", "4", "--cost", "linear"], 0),
 ])
 def test_loo_table_built_only_where_minimized(tmp_path, small_cfg, monkeypatch,
                                               argv, loo_builds):
     calls = _count_calls(monkeypatch)
     doc = _run_json(tmp_path, [*argv, "--synth", small_cfg])
-    assert calls == Counter(build_sse_table=1, loo_table=loo_builds,
-                            fill_dp=1)
-    assert all(np.isfinite(row["loo_total"]) for row in doc["records"][:2])
+    # a linear fit prices its SSE total without the SSE table
+    linear = "linear" in argv
+    assert calls == Counter(build_sse_table=0 if linear else 1,
+                            loo_table=loo_builds, fill_dp=1)
+    total = "sse_total" if linear else "loo_total"
+    assert all(np.isfinite(row[total]) for row in doc["records"][:2])
 
 
 # ---------------------------------------------------------------- synth config

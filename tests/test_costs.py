@@ -14,6 +14,8 @@ from segbasis import (
     partition_cost,
     segmentation_from_ends,
 )
+from segbasis import costs
+from segbasis.costs import partition_totals
 
 
 def _dataset(rows, grid=None):
@@ -153,6 +155,43 @@ def test_loo_partition_cost_equals_loo_table_pricing(n, offset):
         assert m < 3 or any(1 in seg.lengths and seg.k < m for seg in segs)
         for seg in segs:
             assert loo_partition_cost(sse, seg) == partition_cost(loo, seg)
+        assert partition_totals(sse, segs, CostKind.LOO) == [
+            partition_cost(loo, seg) for seg in segs]
+
+
+@pytest.mark.parametrize("n", [1, 4, 124])
+def test_table_free_sse_totals_equal_table_pricing(n):
+    rng = np.random.default_rng(100 + n)
+    for m in (2, 3, 5, 17, 256):
+        # steps of 4 points: their segments' entries are clamped rounding noise
+        steps = np.repeat(rng.normal(size=(n, m // 4 + 1)), 4, axis=1)[:, :m]
+        for rows in (rng.normal(size=(n, m)), steps, steps + 1e6):
+            ds = _dataset(rows)
+            sse = build_sse_table(ds)
+            segs = [segmentation_from_ends([m], m),
+                    segmentation_from_ends(list(range(1, m + 1)), m),
+                    segmentation_from_ends(list(range(4, m, 4)) + [m], m)]
+            segs += [segmentation_from_ends(_random_ends(rng, m), m)
+                     for _ in range(20)]
+            assert partition_totals(ds, segs, CostKind.SSE) == [
+                partition_cost(sse, seg) for seg in segs]
+
+
+@pytest.mark.parametrize("build", [build_sse_table, build_linear_table])
+def test_tables_do_not_depend_on_block_budget(monkeypatch, build):
+    rng = np.random.default_rng(31)
+    small = _dataset(rng.normal(size=(7, 61)) + 3.0,
+                     grid=np.cumsum(rng.uniform(0.1, 1.0, size=61)))
+    default = _dataset(rng.normal(size=(124, 256)))
+    # b = 1, 4 (a short last step) and 61 start rows a step; then b = 1 and
+    # 4 at the default size
+    for ds, budgets in ((small, (8 * 7 * 61, 4 * 8 * 7 * 61, 1 << 20)),
+                        (default, (256 << 10, 1 << 20))):
+        tables = []
+        for budget in budgets:
+            monkeypatch.setattr(costs, "_BLOCK_BYTES", budget)
+            tables.append(build(ds).values.view(np.uint64))
+        assert all(np.array_equal(tables[0], t) for t in tables[1:])
 
 
 def test_loo_partition_cost_requires_sse_input():

@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles import per_row_read_csv
 
 from segbasis import (
     ResultDocument,
@@ -51,6 +54,22 @@ def test_read_non_numeric(tmp_path):
         read_csv(_write(tmp_path, "1,2\nx,4\n"))
 
 
+def test_read_numbers_rows_by_file_line(tmp_path):
+    with pytest.raises(ValueError, match="ragged row 3"):
+        read_csv(_write(tmp_path, "1,2\n\n3\n"))
+    with pytest.raises(ValueError, match=r"non-numeric value 'x' at row 4, column 2"):
+        read_csv(_write(tmp_path, "1,2\n\n\n3,x\n"))
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\u0661", "2.\u0665"])
+def test_read_rejects_python_only_spellings(tmp_path, cell):
+    # Python's float() accepts underscores and non-ASCII digits; the CSV
+    # grammar does not
+    with pytest.raises(ValueError,
+                       match=f"non-numeric value {re.escape(repr(cell))} at row 2"):
+        read_csv(_write(tmp_path, f"1,2\n3,{cell}\n"))
+
+
 def test_read_empty(tmp_path):
     with pytest.raises(ValueError, match="empty CSV: no rows"):
         read_csv(_write(tmp_path, ""))
@@ -78,6 +97,71 @@ def test_round_trip_is_bitwise(tmp_path, grid_row):
     back = read_csv(path, has_grid_row=grid_row)
     np.testing.assert_array_equal(back.grid, ds.grid)
     np.testing.assert_array_equal(back.values, ds.values)
+
+
+_PADS = ["", " ", "  ", "\t"]
+_BAD_CELLS = ["x", "", "1e", "--1", "1.2.3", "0x10", "nan?", "1 2"]
+_SPECIALS = ["inf", "-Infinity", "nan", "+NaN"]
+_FORMATS = [repr, "{:e}".format, "{:E}".format, "{:.17g}".format, "{:+}".format]
+
+
+@st.composite
+def _cell(draw):
+    kind = draw(st.integers(0, 40))
+    if kind == 0:
+        text = draw(st.sampled_from(_BAD_CELLS))
+    elif kind == 1:
+        text = draw(st.sampled_from(_SPECIALS))
+    else:
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+        text = draw(st.sampled_from(_FORMATS))(x)
+    text = draw(st.sampled_from(_PADS)) + text + draw(st.sampled_from(_PADS))
+    if draw(st.booleans()):
+        text = f'"{text}"' + draw(st.sampled_from(["", " "]))
+    return text
+
+
+@st.composite
+def _csv_file(draw):
+    """CSV text, and the file line each non-blank row starts on."""
+    width = draw(st.integers(1, 5))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines, starts = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        lines += [""] * draw(st.integers(0, 2))  # blank lines
+        if draw(st.integers(0, 12)) == 0:
+            cells = draw(st.sampled_from([[" "], ["1"] * (width + 1), ["1"]]))
+        else:
+            cells = draw(st.lists(_cell(), min_size=width, max_size=width))
+        lines.append(",".join(cells))
+        starts.append(len(lines))
+    lines += [""] * draw(st.integers(0, 1))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text, starts
+
+
+def _outcome(read, path, grid_row):
+    try:
+        ds = read(path, has_grid_row=grid_row)
+    except ValueError as exc:
+        return str(exc)
+    return ds.grid.view(np.uint64).tolist(), ds.values.view(np.uint64).tolist()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_file(), st.booleans())
+def test_read_matches_per_row_parser(tmp_path, case, grid_row):
+    text, starts = case
+    path = tmp_path / "generated.csv"
+    path.write_bytes(text.encode())
+    expected = _outcome(per_row_read_csv, str(path), grid_row)
+    if isinstance(expected, str):
+        # the per-row parser counts non-blank rows; rows are numbered by line
+        expected = re.sub(r"row (\d+)",
+                          lambda m: f"row {starts[int(m.group(1)) - 1]}",
+                          expected)
+    assert _outcome(read_csv, str(path), grid_row) == expected
 
 
 def _doc(**overrides):
