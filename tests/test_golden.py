@@ -40,6 +40,16 @@ MULTI_COLUMN_CSV = (
     "-1e-1,1.5e-2,2.1E-1,0.33,0.5,0.61,0.8,1.02,1.1,1.3,1.41,1.62\n"
 )
 
+# three functions on an 8-point grid with runs of equal values: many
+# segmentations tie, and every k > 4 leaves a singleton, so the top rows of
+# the standard sweep have infinite leave-one-out totals and the full-loo
+# sweep has no basis there
+TIED_CSV = (
+    "1,1,1,2,2,2,2,5\n"
+    "1,1,1,2,2,2,2,5\n"
+    "0,0,3,3,3,3,3,3\n"
+)
+
 CASES = {
     "acc9-fit-sse": ["fit", "--synth", "ACC9", "--seed", "5", "--segments", "6"],
     "acc9-fit-loo": ["fit", "--synth", "ACC9", "--seed", "5", "--segments", "6",
@@ -80,6 +90,12 @@ CASES = {
     "csv-fit-linear-coefficients": ["fit", "--input", "multi-column.csv",
                                     "--grid-row", "--segments", "3",
                                     "--cost", "linear", "--emit-coefficients"],
+    "csv-tied-select-standard": ["select", "--input", "tied.csv",
+                                 "--strategy", "standard",
+                                 "--max-segments", "8"],
+    "csv-tied-select-full-loo": ["select", "--input", "tied.csv",
+                                 "--strategy", "full-loo",
+                                 "--max-segments", "8"],
 }
 
 # cases whose document is written with exit 2; every other case exits 0
@@ -92,6 +108,7 @@ def _render(argv: list[str], workdir: Path, expected_code: int = 0) -> bytes:
         (workdir / f"{name}.cfg").write_text(text)
     (workdir / "one-column.csv").write_text(ONE_COLUMN_CSV)
     (workdir / "multi-column.csv").write_bytes(MULTI_COLUMN_CSV.encode())
+    (workdir / "tied.csv").write_text(TIED_CSV)
     out = workdir / "out.json"
     argv = [str(workdir / f"{a}.cfg") if a in configs else a for a in argv]
     cwd = os.getcwd()
