@@ -161,7 +161,4 @@ def reconstruct(dataset: FunctionalDataset, model: PiecewiseModel) -> np.ndarray
         )
     if model.coefficients.shape != (dataset.n, seg.k):
         raise ValueError("coefficient matrix shape does not match model")
-    out = np.empty((dataset.n, dataset.m), dtype=np.float64)
-    for j, sl in enumerate(seg.slices()):
-        out[:, sl] = model.coefficients[:, j][:, None]
-    return out
+    return np.repeat(model.coefficients, seg.lengths, axis=1)

@@ -15,10 +15,13 @@ splitmix64 is counter-based: output t of a stream is a fixed mix of the state
 once as one uint64 array.  The bulk path leaves to numpy only operations that
 IEEE 754 rounds exactly (integer mixing, the shift and scale to a uniform,
 products, negation and sqrt) and keeps their association, so it gives the
-bits of the generator stepped one output at a time in Python.  log1p, cos
-and sin are mapped from :mod:`math`, because numpy's versions may round
-differently: with numpy 2.4 on x86-64, ``np.log1p`` differs from
-``math.log1p`` on 147,387 of the first 2,000,000 uniforms of seed 0.
+bits of the generator stepped one output at a time in Python.  Only log1p
+is mapped from :mod:`math`, because numpy's version rounds differently: with
+numpy 2.4 on x86-64, ``np.log1p`` differs from ``math.log1p`` on 147,387 of
+the first 2,000,000 uniforms of seed 0.  ``np.cos`` and ``np.sin`` gave
+``math.cos`` and ``math.sin``'s bits on all of 2,000,000 uniform angles in
+[0, 2 pi) there, so they run on whole arrays; the bulk-versus-scalar stream
+tests check that assumption on more than 100k angles per seed.
 """
 
 from __future__ import annotations
@@ -59,17 +62,15 @@ def _normals(seed: int, n: int, count: int) -> np.ndarray:
     pairs = (count + 1) // 2
     u = (_splitmix64(seeds, 2 * pairs) >> np.uint64(11)) * 2.0**-53
     u1, u2 = u[:, 0::2].ravel(), u[:, 1::2].ravel()
-    size = u1.size
-
-    def mapped(fn, x: np.ndarray) -> np.ndarray:
-        # a memoryview yields Python floats one at a time, without a list
-        return np.fromiter(map(fn, memoryview(x)), np.float64, size)
-
-    r = np.sqrt(-2.0 * mapped(math.log1p, -u1))
+    # only log1p is mapped from math: np.log1p rounds differently, while
+    # np.cos and np.sin give math's bits (see the module docstring).  A
+    # memoryview yields Python floats one at a time, without a list.
+    log = np.fromiter(map(math.log1p, memoryview(-u1)), np.float64, u1.size)
+    r = np.sqrt(-2.0 * log)
     theta = (2.0 * math.pi) * u2
     z = np.empty((n, 2 * pairs))
-    z[:, 0::2] = (r * mapped(math.cos, theta)).reshape(n, pairs)
-    z[:, 1::2] = (r * mapped(math.sin, theta)).reshape(n, pairs)
+    z[:, 0::2] = (r * np.cos(theta)).reshape(n, pairs)
+    z[:, 1::2] = (r * np.sin(theta)).reshape(n, pairs)
     return z[:, :count]
 
 

@@ -140,6 +140,21 @@ def _random_ends(rng, m):
     return sorted(c for c in cuts if c < m) + [m]
 
 
+def _right_to_left(table, seg):
+    """A segmentation's total as a scalar loop, last segment first."""
+    total = 0.0
+    for s, e in reversed(seg.intervals()):
+        total = float(table.values[s - 1, e - 1]) + total
+    return total
+
+
+def _segs_of_each_count(rng, m, k_top=64):
+    """One random segmentation of 1..m with k segments, for k = 1..k_top."""
+    return [segmentation_from_ends(
+        sorted(rng.choice(np.arange(1, m), size=k - 1, replace=False).tolist())
+        + [m], m) for k in range(1, min(k_top, m) + 1)]
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 @pytest.mark.parametrize("n", [1, 4, 124])
 def test_loo_partition_cost_equals_loo_table_pricing(n, offset):
@@ -151,12 +166,16 @@ def test_loo_partition_cost_equals_loo_table_pricing(n, offset):
                 segmentation_from_ends(list(range(1, m + 1)), m)]
         segs += [segmentation_from_ends(_random_ends(rng, m), m)
                  for _ in range(20)]
+        segs += _segs_of_each_count(rng, m)
         # singletons next to longer segments (m=2 has only all-singletons)
         assert m < 3 or any(1 in seg.lengths and seg.k < m for seg in segs)
-        for seg in segs:
-            assert loo_partition_cost(sse, seg) == partition_cost(loo, seg)
-        assert partition_totals(sse, segs, CostKind.LOO) == [
-            partition_cost(loo, seg) for seg in segs]
+        expected = [_right_to_left(loo, seg) for seg in segs]
+        assert np.inf in expected and np.isfinite(expected).any()
+        assert [partition_cost(loo, seg) for seg in segs] == expected
+        for seg, total in zip(segs, expected):
+            assert loo_partition_cost(sse, seg) == total
+        assert partition_totals(sse, segs, CostKind.LOO) == expected
+        assert partition_totals(sse, [], CostKind.LOO) == []
 
 
 @pytest.mark.parametrize("n", [1, 4, 124])
@@ -173,8 +192,34 @@ def test_table_free_sse_totals_equal_table_pricing(n):
                     segmentation_from_ends(list(range(4, m, 4)) + [m], m)]
             segs += [segmentation_from_ends(_random_ends(rng, m), m)
                      for _ in range(20)]
-            assert partition_totals(ds, segs, CostKind.SSE) == [
-                partition_cost(sse, seg) for seg in segs]
+            segs += _segs_of_each_count(rng, m)
+            expected = [_right_to_left(sse, seg) for seg in segs]
+            assert [partition_cost(sse, seg) for seg in segs] == expected
+            assert partition_totals(ds, segs, CostKind.SSE) == expected
+            assert partition_totals(sse, segs, CostKind.SSE) == expected
+    assert partition_totals(ds, [], CostKind.SSE) == []
+
+
+def test_bulk_totals_keep_the_right_to_left_association():
+    # costs spread over 16 decades, so another summation order would round
+    # differently; +inf entries stay +inf
+    rng = np.random.default_rng(3)
+    counts = list(range(1, 65)) * 3
+    values = 10.0 ** rng.uniform(-8, 8, size=sum(counts))
+    values[rng.choice(values.size, 20, replace=False)] = np.inf
+    expected, start = [], 0
+    for k in counts:
+        total = 0.0
+        for c in reversed(values[start:start + k].tolist()):
+            total = c + total
+        expected.append(total)
+        start += k
+    assert np.inf in expected
+    assert costs._right_sums(values, counts) == expected
+    forward = [sum(values[s - k:s].tolist())
+               for s, k in zip(np.cumsum(counts), counts)]
+    assert forward != expected
+    assert costs._right_sums(np.empty(0), []) == []
 
 
 @pytest.mark.parametrize("build", [build_sse_table, build_linear_table])

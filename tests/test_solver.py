@@ -17,7 +17,8 @@ from segbasis import (
     solve,
     solve_all,
 )
-from segbasis.solver import _slabs
+from segbasis import solver
+from segbasis.solver import DPTable, _slabs, backtrack
 
 
 def _dataset(rows):
@@ -133,8 +134,6 @@ def test_fill_dp_rejects_bad_k():
 def test_backtrack_any_k_from_one_fill():
     table = build_sse_table(_dataset([[0, 3, 1, 4, 1, 5, 9, 2, 6]]))
     dp = fill_dp(table, 5)
-    from segbasis.solver import backtrack
-
     for k in range(1, 6):
         seg = backtrack(dp, k, table.m)
         assert seg.k == k
@@ -237,3 +236,52 @@ def test_fill_dp_rejects_nan_table():
         fill_dp(table, 3)
     with pytest.raises(ValueError, match="NaN"):
         solve(table, 3)
+
+
+def _reference_walk(splits, k):
+    """Backtrack one k at a time, reading one split per step."""
+    ends, j = [], 1
+    for p in range(k, 0, -1):
+        ends.append(int(splits[p - 1, j - 1]))
+        j = ends[-1] + 1
+    return tuple(ends)
+
+
+@pytest.mark.parametrize("name", ["uniform", "rounded", "zeros"])
+@pytest.mark.parametrize("m", [1, 2, 7, 300])
+def test_one_walk_equals_per_k_walks(m, name):
+    # "rounded" and "zeros" tie many splits; LOO leaves every k > m/2
+    # infeasible
+    ds = _dataset(_slab_case(name, m, np.random.default_rng(m)))
+    sse = build_sse_table(ds)
+    for table in (sse, loo_table(sse), build_linear_table(ds)):
+        dp = fill_dp(table, m)
+        results = solve_all(table, m)
+        for k in range(1, m + 1):
+            ref = _reference_walk(dp.splits, k)
+            assert backtrack(dp, k, m).ends == ref, (table.kind, k)
+            res = results[k - 1]
+            if np.isfinite(dp.costs[k - 1, 0]):
+                assert res.segmentation.ends == ref, (table.kind, k)
+                assert res.cost == dp.costs[k - 1, 0]
+            else:
+                assert table.kind is CostKind.LOO and 2 * k > m
+                assert res.segmentation is None and res.cost == np.inf
+        if table.kind is CostKind.LOO:
+            assert sum(r.segmentation is None for r in results) == m - m // 2
+
+
+def test_sweep_never_walks_infeasible_counts(monkeypatch):
+    # blank the first split of every infeasible k: only a walk of that k
+    # reads it, and it would fail there
+    table = loo_table(build_sse_table(_dataset(
+        np.random.default_rng(5).normal(size=(2, 9)))))
+    expected = solve_all(table, 9)
+    dp = fill_dp(table, 9)
+    splits = dp.splits.copy()
+    splits[~np.isfinite(dp.costs[:, 0]), 0] = 0
+    blanked = DPTable(k_max=9, m=9, costs=dp.costs, splits=splits)
+    monkeypatch.setattr(solver, "fill_dp", lambda table, k_max: blanked)
+    assert solve_all(table, 9) == expected
+    with pytest.raises(ValueError, match="no 9-partition recorded at index 1"):
+        backtrack(blanked, 9, 9)
