@@ -75,11 +75,11 @@ def _right_sums(costs: np.ndarray, counts: Sequence[int]) -> list[float]:
     """Totals of consecutive runs of ``counts[i]`` segment costs each, every
     run summed from its last cost to its first, starting from 0.0.
 
-    Row i of one (runs x (max count + 1)) array holds 0.0 and then run i's
-    costs last to first; a sequential ``np.cumsum`` along the rows then
-    forms c_k + 0.0 first and adds one cost at a time, which is the
-    right-to-left loop's association, so the totals have its bits (and
-    +inf stays +inf).
+    Row i of one (runs x (max count + 1)) array holds run i's costs and at
+    least one 0.0 after them.  A sequential ``np.cumsum`` over the reversed
+    columns then adds 0.0 and the costs from the last to the first, one at
+    a time: the right-to-left loop's association, so the totals have its
+    bits (and +inf stays +inf).
     """
     if not counts:
         return []
@@ -87,10 +87,8 @@ def _right_sums(costs: np.ndarray, counts: Sequence[int]) -> list[float]:
     rows = np.zeros((counts.size, int(counts.max()) + 1))
     run = np.repeat(np.arange(counts.size), counts)
     first = np.cumsum(counts) - counts  # flat index of each run's first cost
-    # cost q of run i (0-based, first to last) goes to column counts[i] - q
-    rows[run, counts[run] - (np.arange(costs.size) - first[run])] = costs
-    np.cumsum(rows, axis=1, out=rows)
-    return rows[np.arange(counts.size), counts].tolist()
+    rows[run, np.arange(costs.size) - first[run]] = costs
+    return np.cumsum(rows[:, ::-1], axis=1)[:, -1].tolist()
 
 
 def _loo_scale(lens: np.ndarray, sse: np.ndarray, out=None) -> np.ndarray:

@@ -131,46 +131,32 @@ def fill_dp(table: CostTable, k_max: int) -> DPTable:
     return DPTable(k_max=k_max, m=m, costs=_readonly(F), splits=_readonly(L))
 
 
-def _walk(splits: np.ndarray, ks, m: int) -> list[Segmentation]:
-    """Optimal segmentations for the segment counts ``ks``, backtracked from
-    one split table.
-
-    Each walk starts at index 1: its first segment ends at split(k, 1), and
-    the walk restarts at the next index with one segment fewer.  Splits are
-    read as Python ints with ``ndarray.item``, with no numpy scalar and no
-    second validating pass: each end is checked as it is read.  Walking all
-    counts together with one numpy gather per step was no faster for a
-    64-count sweep and 20 times slower for one count (each gather costs
-    more than a whole scalar walk of k=16).
-    """
-    get = splits.item
-    segs = []
-    for k in ks:
-        ends, j = [], 0  # j: 0-based start of the next segment
-        for p in range(k, 0, -1):
-            l = get(p - 1, j)
-            if not j < l <= m - p + 1:
-                what = "recorded" if l == 0 else f"within reach (split {l})"
-                raise ValueError(f"no {p}-partition {what} at index {j + 1}")
-            ends.append(l)
-            j = l
-        if j != m:
-            raise ValueError(f"last end {j} does not equal m={m}")
-        segs.append(Segmentation(ends=tuple(ends), m=m))
-    return segs
-
-
 def backtrack(dp: DPTable, k: int, m: int) -> Segmentation:
     """Reconstruct the optimal k-segmentation from the recorded splits.
 
     The first segment is {1..split(k, 1)}; the walk then restarts at the next
-    index with one segment fewer.
+    index with one segment fewer.  Splits are read as Python ints with
+    ``ndarray.item`` and each end is checked as it is read, so no numpy
+    scalar and no second validating pass is made.  A walk of every count of
+    a sweep at once, one numpy gather per step, was no faster for 64 counts
+    and 20 times slower for one.
     """
     if not (1 <= k <= dp.k_max):
         raise ValueError(f"k={k} exceeds solved k_max={dp.k_max}")
     if m != dp.m:
         raise ValueError(f"m={m} does not match solved table m={dp.m}")
-    return _walk(dp.splits, [k], m)[0]
+    split = dp.splits.item
+    ends, j = [], 0  # j: 0-based start of the next segment
+    for p in range(k, 0, -1):
+        l = split(p - 1, j)
+        if not j < l <= m - p + 1:
+            what = "recorded" if l == 0 else f"in range (split {l})"
+            raise ValueError(f"no {p}-partition {what} at index {j + 1}")
+        ends.append(l)
+        j = l
+    if j != m:
+        raise ValueError(f"last end {j} does not equal m={m}")
+    return Segmentation(ends=tuple(ends), m=m)
 
 
 def solve(table: CostTable, k: int) -> tuple[Segmentation, float, DPTable]:
@@ -192,11 +178,13 @@ def solve_all(table: CostTable, k_max: int) -> list[SolveResult]:
     """Optima for every segment count 1..k_max from a single DP fill.
 
     Infinite-cost counts are flagged (segmentation None), not omitted, and
-    are never backtracked: only the feasible counts read the split records.
+    never backtracked.
     """
     dp = fill_dp(table, k_max)
-    totals = dp.costs[:, 0].tolist()
-    feasible = [k for k in range(1, k_max + 1) if isfinite(totals[k - 1])]
-    segs = dict(zip(feasible, _walk(dp.splits, feasible, table.m)))
-    return [SolveResult(k, segs[k], totals[k - 1]) if k in segs
-            else SolveResult(k, None, np.inf) for k in range(1, k_max + 1)]
+    out = []
+    for k, total in enumerate(dp.costs[:, 0].tolist(), start=1):
+        if isfinite(total):
+            out.append(SolveResult(k, backtrack(dp, k, table.m), total))
+        else:
+            out.append(SolveResult(k, None, np.inf))
+    return out

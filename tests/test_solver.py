@@ -239,7 +239,7 @@ def test_fill_dp_rejects_nan_table():
 
 
 def _reference_walk(splits, k):
-    """Backtrack one k at a time, reading one split per step."""
+    """Backtrack k reading one numpy scalar per step, with no checks."""
     ends, j = [], 1
     for p in range(k, 0, -1):
         ends.append(int(splits[p - 1, j - 1]))
@@ -249,7 +249,7 @@ def _reference_walk(splits, k):
 
 @pytest.mark.parametrize("name", ["uniform", "rounded", "zeros"])
 @pytest.mark.parametrize("m", [1, 2, 7, 300])
-def test_one_walk_equals_per_k_walks(m, name):
+def test_backtracks_equal_reference_walks(m, name):
     # "rounded" and "zeros" tie many splits; LOO leaves every k > m/2
     # infeasible
     ds = _dataset(_slab_case(name, m, np.random.default_rng(m)))
@@ -272,8 +272,8 @@ def test_one_walk_equals_per_k_walks(m, name):
 
 
 def test_sweep_never_walks_infeasible_counts(monkeypatch):
-    # blank the first split of every infeasible k: only a walk of that k
-    # reads it, and it would fail there
+    # blank the first split of every infeasible k: only a backtrack of that
+    # k reads it, and it would fail there
     table = loo_table(build_sse_table(_dataset(
         np.random.default_rng(5).normal(size=(2, 9)))))
     expected = solve_all(table, 9)
