@@ -62,9 +62,9 @@ def _normals(seed: int, n: int, count: int) -> np.ndarray:
     pairs = (count + 1) // 2
     u = (_splitmix64(seeds, 2 * pairs) >> np.uint64(11)) * 2.0**-53
     u1, u2 = u[:, 0::2].ravel(), u[:, 1::2].ravel()
-    # only log1p is mapped from math: np.log1p rounds differently, while
-    # np.cos and np.sin give math's bits (see the module docstring).  A
-    # memoryview yields Python floats one at a time, without a list.
+    # only log1p is mapped from math, which np.log1p does not match bit for
+    # bit (see the module docstring); a memoryview yields Python floats one
+    # at a time, without a list
     log = np.fromiter(map(math.log1p, memoryview(-u1)), np.float64, u1.size)
     r = np.sqrt(-2.0 * log)
     theta = (2.0 * math.pi) * u2

@@ -271,7 +271,7 @@ def test_backtracks_equal_reference_walks(m, name):
             assert sum(r.segmentation is None for r in results) == m - m // 2
 
 
-def test_sweep_never_walks_infeasible_counts(monkeypatch):
+def test_sweep_never_backtracks_infeasible_counts(monkeypatch):
     # blank the first split of every infeasible k: only a backtrack of that
     # k reads it, and it would fail there
     table = loo_table(build_sse_table(_dataset(
