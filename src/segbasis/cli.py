@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .core import CostKind, FunctionalDataset, Segmentation, fit_model, reconstruct
-from .costs import CostTable, build_linear_table, build_sse_table, loo_table
+from .costs import CostTable, build_linear_table, build_sse_table
 from .io import ResultDocument, read_csv, write_result
 from .selection import SelectionStrategy, default_k_max, price_bases, select_k
 from .solver import InfeasiblePartitionError, solve
@@ -154,11 +154,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         sse: CostTable | FunctionalDataset = dataset
         table = build_linear_table(dataset)
     else:
-        sse = build_sse_table(dataset)
-        table = loo_table(sse) if kind is CostKind.LOO else sse
+        sse = table = build_sse_table(dataset)
     t1 = time.perf_counter()
     try:
-        seg, total, _ = solve(table, k)
+        seg, total, _ = solve(table, k, loo=kind is CostKind.LOO)
     except InfeasiblePartitionError:
         seg, total = None, np.inf
     t2 = time.perf_counter()

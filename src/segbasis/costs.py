@@ -239,36 +239,49 @@ def build_sse_table(dataset: FunctionalDataset) -> CostTable:
     return CostTable(m=dataset.m, kind=CostKind.SSE, values=_readonly(table))
 
 
+def _loo_windows(m: int) -> np.ndarray:
+    """Toeplitz source of leave-one-out factors for an m-point grid:
+    ``windows[a, c]`` is (len/(len-1))^2 at len = a + c + 1 - m, +inf below
+    len 2.  The factor row for len = 1-m..m is computed once, by
+    :func:`_loo_scale` itself."""
+    factor = _loo_scale(np.arange(1.0 - m, m + 1.0), np.ones(2 * m))
+    return np.lib.stride_tricks.sliding_window_view(factor, m)
+
+
+def _loo_rows(windows: np.ndarray, sse_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Leave-one-out entries of a block of SSE rows that starts on the
+    diagonal (row r, column c is an interval of len c - r + 1), into ``out``.
+
+    The block is multiplied by a Toeplitz view of the factor row (row stride
+    back one length, column stride forward one).  The factor is +inf below
+    len 2, and inf * 0 is NaN on the diagonal, so the diagonal and the lower
+    triangle are set to +inf where the factor is after the multiply.
+    """
+    b, w = sse_rows.shape
+    m = windows.shape[1]
+    f = windows[m - b + 1:m + 1][::-1, :w]
+    with np.errstate(invalid="ignore"):  # inf * 0 on the diagonal
+        np.multiply(f, sse_rows, out=out)
+    np.copyto(out[:, :b], np.inf, where=f[:, :b] == np.inf)
+    return out
+
+
 def loo_table(sse: CostTable) -> CostTable:
     """Leave-one-out transform of an SSE table.
 
     Q_loo(j..l) = (len/(len-1))^2 Q_sse(j..l) with len = l-j+1; singletons
     get +inf.  Rows are transformed in blocks straight into the one output
-    table.
-
-    The factor depends on the length alone, so it is computed once for
-    len = 1-m..m by :func:`_loo_scale` itself and each block multiplies its
-    SSE entries by a Toeplitz view of that row (row stride back one length,
-    column stride forward one).  The factor is +inf below len 2, and
-    inf * 0 is NaN on the diagonal, so the diagonal and the block's part of
-    the lower triangle are set to +inf after the multiply.
+    table by :func:`_loo_rows`, which the leave-one-out dynamic program also
+    scales its row slabs with.
     """
     if sse.kind is not CostKind.SSE:
         raise ValueError(f"expected an SSE table, got {sse.kind.value}")
     m = sse.m
     out = np.empty((m, m))
-    factor = _loo_scale(np.arange(1.0 - m, m + 1.0), np.ones(2 * m))
-    # windows[a, c] = factor at len a + c + 1 - m
-    windows = np.lib.stride_tricks.sliding_window_view(factor, m)
-    lower = np.tril(np.ones((_LOO_ROWS, _LOO_ROWS), dtype=bool))
+    windows = _loo_windows(m)
     for s in range(0, m, _LOO_ROWS):
         e = min(s + _LOO_ROWS, m)
-        b = e - s
-        # row r, column c of the block has len c - r + 1
-        f = windows[m - b + 1:m + 1][::-1, :m - s]
-        with np.errstate(invalid="ignore"):  # inf * 0 on the diagonal
-            np.multiply(f, sse.values[s:e, s:], out=out[s:e, s:])
-        np.copyto(out[s:e, s:e], np.inf, where=lower[:b, :b])
+        _loo_rows(windows, sse.values[s:e, s:], out[s:e, s:])
         out[s:e, :s] = np.inf
     return CostTable(m=m, kind=CostKind.LOO, values=_readonly(out))
 

@@ -13,12 +13,13 @@ Two strategies:
 
 Both are one routine, :func:`select_k`, over a prebuilt SSE table of the
 dataset: the strategy only decides which cost the dynamic program minimizes
-and which one scores its partitions.  The leave-one-out table is built only
-for ``FULL_LOO``, whose dynamic program needs every entry; the standard
-sweep prices its partitions' leave-one-out totals from the SSE entries.  A
-caller that needs both strategies builds the SSE table once and passes it to
-both sweeps.  :func:`price_bases` is the one rule for the totals a basis
-reports given the cost its dynamic program minimized, shared with ``fit``.
+and which one scores its partitions.  No leave-one-out table is built:
+``FULL_LOO``'s dynamic program scales the SSE rows a slab at a time, and the
+standard sweep prices its partitions' leave-one-out totals from the SSE
+entries.  A caller that needs both strategies builds the SSE table once and
+passes it to both sweeps.  :func:`price_bases` is the one rule for the
+totals a basis reports given the cost its dynamic program minimized, shared
+with ``fit``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import CostKind, FunctionalDataset, Segmentation
-from .costs import CostTable, loo_table, partition_totals
+from .costs import CostTable, partition_totals
 from .solver import solve_all
 
 
@@ -113,9 +114,8 @@ def select_k(
     only scores the optimal partitions.
     """
     standard = strategy is SelectionStrategy.STANDARD_THEN_LOO
-    objective = sse if standard else loo_table(sse)
-    results = solve_all(objective, k_max)
-    totals = price_bases(sse, objective.kind,
+    results = solve_all(sse, k_max, loo=not standard)
+    totals = price_bases(sse, CostKind.SSE if standard else CostKind.LOO,
                          [(res.segmentation, res.cost) for res in results])
     records = [SelectionRecord(k=res.k, segmentation=res.segmentation, **t)
                for res, t in zip(results, totals)]

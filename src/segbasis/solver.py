@@ -22,12 +22,13 @@ from math import isfinite, isqrt
 
 import numpy as np
 
-from .core import Segmentation, _readonly
-from .costs import CostTable
+from .core import CostKind, Segmentation, _readonly
+from .costs import CostTable, _loo_rows, _loo_windows
 
-# Byte budget of one row slab of the table (and of its candidate buffer): the
-# slab is reused for every segment count while it stays in cache.
-_SLAB_BYTES = 256 * 1024
+# Byte budget of one row slab of the table (and of its candidate buffer, and
+# of a leave-one-out fill's scaled slab): the slab is reused for every segment
+# count while it stays in cache.
+_SLAB_BYTES = 512 * 1024
 
 
 class InfeasiblePartitionError(ValueError):
@@ -78,21 +79,30 @@ def _slabs(m: int) -> list[tuple[int, int]]:
     return slabs
 
 
-def fill_dp(table: CostTable, k_max: int) -> DPTable:
+def fill_dp(table: CostTable, k_max: int, loo: bool = False) -> DPTable:
     """Fill F and the split records for all segment counts up to ``k_max``.
+
+    With ``loo`` the cost minimized is the leave-one-out transform of the
+    SSE ``table``: each row slab is scaled from the table's rows by the
+    helper :func:`loo_table` uses, into one reused slab buffer, so the costs
+    and splits equal those of ``fill_dp(loo_table(table), k_max)`` bit for
+    bit without a second m x m table.  Otherwise the slab is a view of the
+    table's rows.
 
     The table is swept in row slabs from the bottom up, and each slab runs
     every p = 2..k_max before the next one starts.  Row j's candidates read
     F(p-1, l+1) only for l >= j: rows below the slab, done for every p, or
-    the slab itself at p-1.  So the slab's table columns stay in cache for
-    all k_max passes instead of the whole table streaming k_max times.
+    the slab itself at p-1.  So the slab's rows stay in cache for all k_max
+    passes instead of the whole table streaming k_max times.  A fill at
+    n=4, m=2048, k=64 ran fastest with 512 KiB slabs among budgets of
+    128 KiB to 2 MiB on a host with 2 MiB of L2 a core (``BENCH_9.json``).
 
-    Each (slab, p) pass copies the candidate block out of the strided table
-    view into one contiguous buffer and then adds F(p-1) in place.  The sums
-    are the same as one broadcast ``np.add`` reading the strided view, but
-    with numpy 2.4 on x86-64 that add is the slower path: a fill at n=4,
-    m=2048, k=64 takes 20-35% longer with it (``BENCH_5.json``).  Row
-    minima are gathered from the flat buffer at the argmin offsets.
+    Each (slab, p) pass copies the candidate block out of the slab into one
+    contiguous buffer and then adds F(p-1) in place.  The sums are the same
+    as one broadcast ``np.add`` reading the strided view, but with numpy 2.4
+    on x86-64 that add is the slower path: a fill at n=4, m=2048, k=64 takes
+    20-35% longer with it (``BENCH_5.json``).  Row minima are gathered from
+    the flat buffer at the argmin offsets.
 
     Raises ValueError when a NaN in the table reaches F (for example an SSE
     table whose sums overflowed): such a table has no meaningful optimum.
@@ -100,16 +110,25 @@ def fill_dp(table: CostTable, k_max: int) -> DPTable:
     m = table.m
     if not (1 <= k_max <= m):
         raise ValueError(f"k out of range: {k_max} not in 1..{m}")
+    if loo and table.kind is not CostKind.SSE:
+        raise ValueError(f"expected an SSE table, got {table.kind.value}")
     C = table.values  # +inf below the diagonal by construction
     F = np.full((k_max, m), np.inf, dtype=np.float64)
     L = np.zeros((k_max, m), dtype=np.int64)
-    F[0, :] = C[:, m - 1]
     L[0, :] = m
     slabs = _slabs(m)
-    buf = np.empty(max((e - s) * (m - s) for s, e in slabs))
+    size = max((e - s) * (m - s) for s, e in slabs)
+    buf = np.empty(size)
+    if loo:
+        windows, scaled = _loo_windows(m), np.empty(size)
     arg = np.empty(m, dtype=np.intp)
     rows = np.arange(m)
     for s, e in slabs:
+        slab = C[s:e, s:]  # rows s..e-1 over the columns s..m-1
+        if loo:
+            slab = _loo_rows(windows, slab,
+                             scaled[:slab.size].reshape(slab.shape))
+        F[0, s:e] = slab[:, -1]
         for p in range(2, min(k_max, m - s) + 1):
             # candidate[j, l] = Q(j..l) + F(p-1, l+1) over the columns s..m-p:
             # later ones leave fewer than p-1 points on the right, and the
@@ -117,9 +136,9 @@ def fill_dp(table: CostTable, k_max: int) -> DPTable:
             valid = m - p + 1
             r, w = min(e, valid) - s, valid - s
             block = buf[:r * w].reshape(r, w)
-            np.copyto(block, C[s:s + r, s:valid])
+            np.copyto(block, slab[:r, :w])
             block += F[p - 2, s + 1:valid + 1]
-            a = np.argmin(block, axis=1, out=arg[:r])  # first minimum: leftmost
+            a = block.argmin(axis=1, out=arg[:r])  # first minimum: leftmost
             F[p - 1, s:s + r] = buf[rows[:r] * w + a]
             np.add(a, s + 1, out=L[p - 1, s:s + r])
     if np.isnan(F).any():
@@ -159,13 +178,16 @@ def backtrack(dp: DPTable, k: int, m: int) -> Segmentation:
     return Segmentation(ends=tuple(ends), m=m)
 
 
-def solve(table: CostTable, k: int) -> tuple[Segmentation, float, DPTable]:
-    """Optimal partition of the table's index range into exactly k segments.
+def solve(table: CostTable, k: int,
+          loo: bool = False) -> tuple[Segmentation, float, DPTable]:
+    """Optimal partition of the table's index range into exactly k segments,
+    under the leave-one-out transform of the SSE table with ``loo`` (see
+    :func:`fill_dp`).
 
     Raises :class:`InfeasiblePartitionError` when every k-partition has
-    infinite cost (leave-one-out tables with k > m/2).
+    infinite cost (leave-one-out costs with k > m/2).
     """
-    dp = fill_dp(table, k)
+    dp = fill_dp(table, k, loo=loo)
     total = float(dp.costs[k - 1, 0])
     if not isfinite(total):
         raise InfeasiblePartitionError(
@@ -174,13 +196,14 @@ def solve(table: CostTable, k: int) -> tuple[Segmentation, float, DPTable]:
     return backtrack(dp, k, table.m), total, dp
 
 
-def solve_all(table: CostTable, k_max: int) -> list[SolveResult]:
-    """Optima for every segment count 1..k_max from a single DP fill.
+def solve_all(table: CostTable, k_max: int, loo: bool = False) -> list[SolveResult]:
+    """Optima for every segment count 1..k_max from a single DP fill, under
+    the leave-one-out transform of the SSE table with ``loo``.
 
     Infinite-cost counts are flagged (segmentation None), not omitted, and
     never backtracked.
     """
-    dp = fill_dp(table, k_max)
+    dp = fill_dp(table, k_max, loo=loo)
     out = []
     for k, total in enumerate(dp.costs[:, 0].tolist(), start=1):
         if isfinite(total):

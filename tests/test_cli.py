@@ -312,19 +312,20 @@ def _count_calls(monkeypatch) -> Counter:
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            calls["loo_" + name] += bool(kwargs.get("loo"))
             return fn(*args, **kwargs)
         return wrapper
 
-    # every binding a command can reach: cli imports both builds by name,
-    # selection only loo_table, and solve/solve_all call fill_dp in solver
-    bindings = {segbasis.cli: ("build_sse_table", "loo_table"),
-                segbasis.selection: ("loo_table",)}
-    for module, names in bindings.items():
-        for name in names:
-            fn = getattr(module, name)
-            monkeypatch.setattr(module, name, counted(name, fn))
-    solver = segbasis.solver
-    monkeypatch.setattr(solver, "fill_dp", counted("fill_dp", solver.fill_dp))
+    # every binding a command can reach: a module calls a function through
+    # its own global or a name it imported, so each binding is counted
+    # (solve and solve_all reach fill_dp, the one fill entry point, in solver)
+    modules = (segbasis.cli, segbasis.selection, segbasis.costs, segbasis.solver)
+    for name, fn in (("build_sse_table", segbasis.costs.build_sse_table),
+                     ("loo_table", segbasis.costs.loo_table),
+                     ("fill_dp", segbasis.solver.fill_dp)):
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
     return calls
 
 
@@ -332,10 +333,11 @@ def test_experiment_builds_each_table_once(tmp_path, small_cfg, monkeypatch):
     calls = _count_calls(monkeypatch)
     _run_json(tmp_path, ["experiment", "--synth", small_cfg, "--sigma", "0.1",
                          "--max-segments", "5"])
-    assert calls == {"build_sse_table": 1, "loo_table": 1, "fill_dp": 2}
+    assert calls == Counter(build_sse_table=1, loo_table=0, fill_dp=2,
+                            loo_fill_dp=1)
 
 
-@pytest.mark.parametrize("argv, loo_builds", [
+@pytest.mark.parametrize("argv, loo_fills", [
     (["select", "--strategy", "standard", "--max-segments", "5"], 0),
     (["select", "--strategy", "full-loo", "--max-segments", "5"], 1),
     (["fit", "--segments", "4", "--cost", "sse"], 0),
@@ -343,13 +345,15 @@ def test_experiment_builds_each_table_once(tmp_path, small_cfg, monkeypatch):
     (["fit", "--segments", "4", "--cost", "linear"], 0),
 ])
 def test_loo_table_built_only_where_minimized(tmp_path, small_cfg, monkeypatch,
-                                              argv, loo_builds):
+                                              argv, loo_fills):
     calls = _count_calls(monkeypatch)
     doc = _run_json(tmp_path, [*argv, "--synth", small_cfg])
-    # a linear fit prices its SSE total without the SSE table
+    # no command builds the leave-one-out table: where it is minimized the
+    # fill scales the SSE rows a slab at a time; a linear fit prices its SSE
+    # total without the SSE table
     linear = "linear" in argv
     assert calls == Counter(build_sse_table=0 if linear else 1,
-                            loo_table=loo_builds, fill_dp=1)
+                            loo_table=0, fill_dp=1, loo_fill_dp=loo_fills)
     total = "sse_total" if linear else "loo_total"
     assert all(np.isfinite(row[total]) for row in doc["records"][:2])
 

@@ -209,9 +209,10 @@ def _slab_case(name, m, rng):
     (300, "uniform"), (300, "rounded"), (300, "zeros"), (300, "tiled"),
     (700, "tiled"),
 ])
-def test_fill_dp_equals_full_scan_across_slabs(m, name):
+def test_fill_dp_equals_full_scan_across_slabs(m, name, monkeypatch):
     # rows for p <= k do not depend on k_max, so one reference fill at k = m
-    # covers every k
+    # covers every k; a 128 KiB slab budget splits m = 300 into several slabs
+    monkeypatch.setattr(solver, "_SLAB_BYTES", 128 * 1024)
     assert len(_slabs(m)) >= 3
     rng = np.random.default_rng(m)
     ds = _dataset(_slab_case(name, m, rng))
@@ -225,6 +226,68 @@ def test_fill_dp_equals_full_scan_across_slabs(m, name):
             dp = fill_dp(table, k)
             assert np.array_equal(dp.costs, ref_costs[:k]), (table.kind, k)
             assert np.array_equal(dp.splits, ref_splits[:k]), (table.kind, k)
+
+
+@pytest.mark.parametrize("name", ["uniform", "rounded", "zeros", "tiled"])
+def test_fills_do_not_depend_on_slab_budget(name, monkeypatch):
+    # 32 B gives 1- and 2-row slabs, 8 m^2 B one slab over the whole table
+    m = 300
+    rng = np.random.default_rng(m)
+    ds = _dataset(_slab_case(name, m, rng))
+    sse = build_sse_table(ds)
+    linear = build_linear_table(ds)
+    refs = [_full_scan_fill(t.values, m, m) for t in (sse, loo_table(sse), linear)]
+    k = int(rng.integers(3, m))
+    for budget, heights in ((32, {1, 2}), (solver._SLAB_BYTES, None),
+                            (8 * m * m, {m})):
+        monkeypatch.setattr(solver, "_SLAB_BYTES", budget)
+        assert heights in (None, {e - s for s, e in _slabs(m)})
+        sources = ((sse, False), (sse, True), (linear, False))
+        for (table, loo), (ref_costs, ref_splits) in zip(sources, refs):
+            for dp in (fill_dp(table, k, loo=loo), fill_dp(table, m, loo=loo)):
+                assert np.array_equal(dp.costs, ref_costs[:dp.k_max]), budget
+                assert np.array_equal(dp.splits, ref_splits[:dp.k_max]), budget
+
+
+@pytest.mark.parametrize("name", ["uniform", "rounded", "zeros"])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 300, 700])
+def test_loo_fill_equals_fill_of_loo_table(m, name):
+    # every k on short grids; on long ones the ends, the last feasible count
+    # and the first infeasible one (every k > m/2 is)
+    rng = np.random.default_rng(m)
+    sse = build_sse_table(_dataset(_slab_case(name, m, rng)))
+    loo = loo_table(sse)
+    ks = range(1, m + 1) if m < 10 else (1, 2, int(rng.integers(3, m // 2)),
+                                         m // 2, m // 2 + 1, m)
+    for k in ks:
+        dp, ref = fill_dp(sse, k, loo=True), fill_dp(loo, k)
+        assert np.array_equal(dp.costs, ref.costs), k
+        assert np.array_equal(dp.splits, ref.splits), k
+        assert np.isfinite(dp.costs[k - 1, 0]) == (2 * k <= m), k
+
+
+def test_loo_costs_ignore_the_lower_triangle():
+    # entries below the diagonal are unused: finite ones there must not leak
+    # into leave-one-out costs (the factor is +inf there, inf * 0 is NaN)
+    rng = np.random.default_rng(4)
+    built = build_sse_table(_dataset(rng.normal(size=(2, 9))))
+    values = built.values.copy()
+    values[np.tril_indices(9, -1)] = rng.choice([0.0, -0.0, -1.0, 2.0], 36)
+    sse = CostTable(m=9, kind=CostKind.SSE, values=values)
+    loo = loo_table(sse)
+    assert (loo.values[np.tril_indices(9)] == np.inf).all()
+    assert np.array_equal(np.triu(loo.values, 1), np.triu(loo_table(built).values, 1))
+    for k in range(1, 10):
+        dp, ref = fill_dp(sse, k, loo=True), fill_dp(built, k, loo=True)
+        assert np.array_equal(dp.costs, ref.costs), k
+        assert np.array_equal(dp.splits, ref.splits), k
+
+
+def test_loo_fill_needs_an_sse_table():
+    sse = build_sse_table(SAW)
+    for table in (loo_table(sse), build_linear_table(SAW)):
+        with pytest.raises(ValueError, match="expected an SSE table"):
+            fill_dp(table, 2, loo=True)
 
 
 def test_fill_dp_rejects_nan_table():
@@ -281,7 +344,7 @@ def test_sweep_never_backtracks_infeasible_counts(monkeypatch):
     splits = dp.splits.copy()
     splits[~np.isfinite(dp.costs[:, 0]), 0] = 0
     blanked = DPTable(k_max=9, m=9, costs=dp.costs, splits=splits)
-    monkeypatch.setattr(solver, "fill_dp", lambda table, k_max: blanked)
+    monkeypatch.setattr(solver, "fill_dp", lambda table, k_max, loo: blanked)
     assert solve_all(table, 9) == expected
     with pytest.raises(ValueError, match="no 9-partition recorded at index 1"):
         backtrack(blanked, 9, 9)
