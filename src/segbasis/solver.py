@@ -25,9 +25,8 @@ import numpy as np
 from .core import CostKind, Segmentation, _readonly
 from .costs import CostTable, _loo_rows, _loo_windows
 
-# Byte budget of one row slab of the table (and of its candidate buffer, and
-# of a leave-one-out fill's scaled slab): the slab is reused for every segment
-# count while it stays in cache.
+# Byte budget of the fill's contiguous row slab (and of its candidate
+# buffer): the slab is reused for every segment count while it stays in cache.
 _SLAB_BYTES = 512 * 1024
 
 
@@ -82,27 +81,29 @@ def _slabs(m: int) -> list[tuple[int, int]]:
 def fill_dp(table: CostTable, k_max: int, loo: bool = False) -> DPTable:
     """Fill F and the split records for all segment counts up to ``k_max``.
 
-    With ``loo`` the cost minimized is the leave-one-out transform of the
-    SSE ``table``: each row slab is scaled from the table's rows by the
-    helper :func:`loo_table` uses, into one reused slab buffer, so the costs
-    and splits equal those of ``fill_dp(loo_table(table), k_max)`` bit for
-    bit without a second m x m table.  Otherwise the slab is a view of the
-    table's rows.
-
     The table is swept in row slabs from the bottom up, and each slab runs
     every p = 2..k_max before the next one starts.  Row j's candidates read
     F(p-1, l+1) only for l >= j: rows below the slab, done for every p, or
     the slab itself at p-1.  So the slab's rows stay in cache for all k_max
-    passes instead of the whole table streaming k_max times.  A fill at
-    n=4, m=2048, k=64 ran fastest with 512 KiB slabs among budgets of
-    128 KiB to 2 MiB on a host with 2 MiB of L2 a core (``BENCH_9.json``).
+    passes instead of the whole table streaming k_max times.  The 512 KiB
+    budget was kept after a sweep of 256 KiB to 1 MiB on a host with 2 MiB
+    of L2 a core (``BENCH_10.json``).
 
-    Each (slab, p) pass copies the candidate block out of the slab into one
-    contiguous buffer and then adds F(p-1) in place.  The sums are the same
-    as one broadcast ``np.add`` reading the strided view, but with numpy 2.4
-    on x86-64 that add is the slower path: a fill at n=4, m=2048, k=64 takes
-    20-35% longer with it (``BENCH_5.json``).  Row minima are gathered from
-    the flat buffer at the argmin offsets.
+    Each slab is written once into a contiguous buffer of its rows over the
+    columns s..m-1: a copy of the table's rows or, with ``loo``, their
+    leave-one-out scaling by the helper :func:`loo_table` uses.  So the
+    ``loo`` costs and splits equal those of ``fill_dp(loo_table(table),
+    k_max)`` bit for bit, without a second m x m table.
+
+    Every pass spans the slab's full width.  F carries one trailing +inf
+    column, F(p, m+1) (no points left), so columns past the last feasible
+    split add +inf and the leftmost argmin never picks them.  A pass copies
+    F(p-1, s+1..m+1) into each row of a candidate buffer and adds the slab's
+    leading rows to it as one flat add of two contiguous arrays: with numpy
+    2.4 on x86-64 an add with a strided or broadcast operand costs nearly
+    twice as much a cell, and a fill at n=4, m=2048, k=64 takes about a
+    quarter less time than with a strided copy and a broadcast add over the
+    feasible columns alone (``BENCH_10.json``).
 
     Raises ValueError when a NaN in the table reaches F (for example an SSE
     table whose sums overflowed): such a table has no meaningful optimum.
@@ -113,34 +114,35 @@ def fill_dp(table: CostTable, k_max: int, loo: bool = False) -> DPTable:
     if loo and table.kind is not CostKind.SSE:
         raise ValueError(f"expected an SSE table, got {table.kind.value}")
     C = table.values  # +inf below the diagonal by construction
-    F = np.full((k_max, m), np.inf, dtype=np.float64)
+    F = np.full((k_max, m + 1), np.inf, dtype=np.float64)
     L = np.zeros((k_max, m), dtype=np.int64)
     L[0, :] = m
     slabs = _slabs(m)
     size = max((e - s) * (m - s) for s, e in slabs)
-    buf = np.empty(size)
+    slab_buf, buf = np.empty(size), np.empty(size)
     if loo:
-        windows, scaled = _loo_windows(m), np.empty(size)
+        windows = _loo_windows(m)
     arg = np.empty(m, dtype=np.intp)
     rows = np.arange(m)
     for s, e in slabs:
-        slab = C[s:e, s:]  # rows s..e-1 over the columns s..m-1
+        w = m - s  # rows s..e-1 over the columns s..m-1
+        slab = slab_buf[:(e - s) * w].reshape(e - s, w)
         if loo:
-            slab = _loo_rows(windows, slab,
-                             scaled[:slab.size].reshape(slab.shape))
+            _loo_rows(windows, C[s:e, s:], slab)
+        else:
+            np.copyto(slab, C[s:e, s:])
         F[0, s:e] = slab[:, -1]
         for p in range(2, min(k_max, m - s) + 1):
-            # candidate[j, l] = Q(j..l) + F(p-1, l+1) over the columns s..m-p:
-            # later ones leave fewer than p-1 points on the right, and the
-            # table is +inf for l < j
-            valid = m - p + 1
-            r, w = min(e, valid) - s, valid - s
+            # candidate[j, l] = Q(j..l) + F(p-1, l+1); rows j > m-p+1 admit
+            # no p-partition
+            r = min(e, m - p + 1) - s
             block = buf[:r * w].reshape(r, w)
-            np.copyto(block, slab[:r, :w])
-            block += F[p - 2, s + 1:valid + 1]
+            np.copyto(block, F[p - 2, s + 1:])
+            buf[:r * w] += slab_buf[:r * w]
             a = block.argmin(axis=1, out=arg[:r])  # first minimum: leftmost
             F[p - 1, s:s + r] = buf[rows[:r] * w + a]
             np.add(a, s + 1, out=L[p - 1, s:s + r])
+    F = F[:, :m]
     if np.isnan(F).any():
         raise ValueError("cost table contains NaN (input values too large "
                          "for double-precision sums?)")

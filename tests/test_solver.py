@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import brute_force
 
 from segbasis import (
@@ -299,6 +300,61 @@ def test_fill_dp_rejects_nan_table():
         fill_dp(table, 3)
     with pytest.raises(ValueError, match="NaN"):
         solve(table, 3)
+    # a NaN on the last column: Q(3..5) enters F(1, 3) alone
+    values[1, 3], values[2, 4] = 1.0, np.nan
+    table = CostTable(m=5, kind=CostKind.SSE, values=values)
+    for k in (1, 3):
+        with pytest.raises(ValueError, match="NaN"):
+            fill_dp(table, k)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 300])
+def test_fill_dp_keeps_its_sentinel_column_inside(m):
+    # the fill's F has one +inf column past the grid: the table shows the m
+    # real ones, and a cell is +inf with no split exactly where fewer than p
+    # points are left (LOO cells can be +inf elsewhere, with a split)
+    ds = _dataset(_slab_case("uniform", m, np.random.default_rng(m)))
+    sse = build_sse_table(ds)
+    j = np.arange(1, m + 1)
+    for table, loo in ((sse, False), (sse, True), (build_linear_table(ds), False)):
+        dp = fill_dp(table, m, loo=loo)
+        assert dp.costs.shape == dp.splits.shape == (m, m)
+        assert not dp.costs.flags.writeable and not dp.splits.flags.writeable
+        for p in range(1, m + 1):
+            empty = (dp.costs[p - 1] == np.inf) & (dp.splits[p - 1] == 0)
+            assert np.array_equal(empty, j > m - p + 1), (table.kind, loo, p)
+
+
+@st.composite
+def _tied_tables(draw):
+    """SSE-kind tables of up to 8 points whose upper-triangle entries are
+    drawn from a few exact values and +inf, so many partitions tie."""
+    m = draw(st.integers(1, 8))
+    cells = m * (m + 1) // 2
+    upper = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, np.inf]),
+                          min_size=cells, max_size=cells))
+    values = np.full((m, m), np.inf)
+    values[np.triu_indices(m)] = upper
+    return CostTable(m=m, kind=CostKind.SSE, values=values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_tables())
+def test_fill_dp_equals_brute_force_on_tied_tables(table):
+    # 1-row slabs, the default budget and one slab over the whole table;
+    # the LOO fill against enumeration of the LOO table
+    m = table.m
+    optima = [[brute_force(t, k) for k in range(1, m + 1)]
+              for t in (table, loo_table(table))]
+    for budget in (8, solver._SLAB_BYTES, 8 * m * m):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_SLAB_BYTES", budget)
+            fills = (fill_dp(table, m), fill_dp(table, m, loo=True))
+        for dp, best in zip(fills, optima):
+            for k, (bseg, bcost) in enumerate(best, start=1):
+                assert dp.costs[k - 1, 0] == bcost, (budget, k)
+                if np.isfinite(bcost):
+                    assert backtrack(dp, k, m).ends == bseg.ends, (budget, k)
 
 
 def _reference_walk(splits, k):
