@@ -24,7 +24,6 @@ from .costs import (
     CostTable,
     build_linear_table,
     build_sse_table,
-    loo_partition_cost,
     loo_table,
     partition_cost,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "fit_model",
     "generate",
     "greedy_agglomerative",
-    "loo_partition_cost",
     "loo_table",
     "main",
     "new_dataset",

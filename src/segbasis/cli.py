@@ -395,7 +395,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: too large a table
         print(f"segbasis: error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,8 +16,9 @@ summed over all functions.  Three kinds are supported:
 
 Both builds are O(n m^2) arithmetic done a block of start rows at a time:
 one ``einsum`` sums an n x b x m tensor of interval sums over functions.
-:func:`partition_totals` prices given segmentations from their SSE entries
-alone, with or without the SSE table.
+The SSE rule is written once, in :func:`_sse_kernel`, and the leave-one-out
+rule once, in :func:`_loo_rows`.  :func:`partition_totals` prices given
+segmentations from their SSE entries alone, with or without the SSE table.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .core import CostKind, FunctionalDataset, Segmentation, _readonly
 # 256 KiB), larger ones spill the cache: 1 MiB built fastest from n=4,
 # m=2048 to n=124, m=256, and the table does not depend on b.
 _BLOCK_BYTES = 1 << 20
-_LOO_ROWS = 128  # start rows per step of the leave-one-out transform
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,9 @@ def partition_totals(sse: CostTable | FunctionalDataset,
     """SSE or leave-one-out totals (``kind``) of segmentations, priced from
     the SSE entries of their segments alone.
 
-    ``sse`` is an SSE table, or the dataset when no table is built: each
-    entry is then the last column of a one-row block of the table's own
-    kernel, clamped and pinned like the table.  Each total equals
+    ``sse`` is an SSE table, or the dataset when no table is built: the
+    entries are then priced by the table's own kernel in one pass, clamped
+    and pinned like the table (:func:`_sse_entries`).  Each total equals
     ``partition_cost`` on ``build_sse_table`` (or on ``loo_table`` of it)
     bit for bit: the leave-one-out entries come from the table's own
     :func:`_loo_scale`, in one call for all segmentations, and each
@@ -130,15 +130,6 @@ def partition_totals(sse: CostTable | FunctionalDataset,
     if kind is CostKind.LOO:
         costs = _loo_scale(e - s + 1.0, costs)
     return _right_sums(costs, [seg.k for seg in segs])
-
-
-def loo_partition_cost(sse: CostTable, seg: Segmentation) -> float:
-    """Leave-one-out total of a segmentation, priced from its SSE entries.
-
-    Equal bit for bit to ``partition_cost(loo_table(sse), seg)`` without the
-    m x m table; see :func:`partition_totals`.
-    """
-    return partition_totals(sse, [seg], CostKind.LOO)[0]
 
 
 def _prefix(a: np.ndarray) -> np.ndarray:
@@ -192,14 +183,21 @@ def _blocked_table(n: int, m: int, n_tensors: int, pinned: int, fill) -> np.ndar
     return out
 
 
-def _sse_block(p1, p2, s, e, lens, tensors, sq, q) -> None:
-    """Block fill of S2 - sum_i S1_i^2 / len from the prefix sums ``p1`` of
-    each function and ``p2`` of the squares; ``tensors[0]`` keeps S1."""
-    d = _interval_sums(p1, s, e, tensors[0])
+def _sse_kernel(d, lens, sq, q) -> None:
+    """S2 - sum_i S1_i^2 / len in place in ``q``, which holds the S2 sums,
+    from the n x b x w interval sums ``d`` of each function; ``sq`` is b x w
+    scratch.  ``d`` must be C-ordered: ``einsum`` then adds the functions
+    in sequence, so an entry's bits do not depend on the block it is in."""
     np.einsum("ibl,ibl->bl", d, d, out=sq)
-    _interval_sums(p2, s, e, q)
     sq /= lens
     q -= sq
+
+
+def _sse_block(p1, p2, s, e, lens, tensors, sq, q) -> None:
+    """Block fill of :func:`_sse_kernel` from the prefix sums ``p1`` of each
+    function and ``p2`` of the squares; ``tensors[0]`` keeps S1."""
+    d = _interval_sums(p1, s, e, tensors[0])
+    _sse_kernel(d, lens, sq, _interval_sums(p2, s, e, q))
 
 
 def _sse_prefix(dataset: FunctionalDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -212,19 +210,19 @@ def _sse_prefix(dataset: FunctionalDataset) -> tuple[np.ndarray, np.ndarray]:
 def _sse_entries(dataset: FunctionalDataset, s: np.ndarray, e: np.ndarray) -> np.ndarray:
     """SSE entries Q(s..e) of 1-based intervals, without the table.
 
-    Each is the last column of the one-row block of start s, cut at column
-    e: an entry reads no prefix sum past its end, so it has the bits of
-    ``build_sse_table(dataset)``, clamped at 0 and pinned to 0 at length 1.
+    The interval sums are gathered as one row of entries, with the same one
+    subtraction each as the table's, and priced by the table's own
+    :func:`_sse_kernel`; the gather is copied to C order first, as the
+    kernel needs.  So each entry has the bits of ``build_sse_table(dataset)``,
+    clamped at 0 and pinned to 0 at length 1 like it.
     """
     p1, p2 = _sse_prefix(dataset)
-    out = np.empty(len(s))
-    for i, (j, l) in enumerate(zip(s.tolist(), e.tolist())):
-        w = l - j + 1
-        q = np.empty((1, w))
-        _sse_block(p1[:, :l + 1], p2[:l + 1], j - 1, j,
-                   np.arange(1.0, w + 1.0)[None, :],
-                   [np.empty((dataset.n, 1, w))], np.empty((1, w)), q)
-        out[i] = 0.0 if w == 1 else np.maximum(q[0, -1], 0.0)
+    lens = (e - s + 1.0)[None, :]
+    d = np.ascontiguousarray(p1[:, e] - p1[:, s - 1])[:, None, :]
+    q = (p2[e] - p2[s - 1])[None, :]
+    _sse_kernel(d, lens, np.empty_like(q), q)
+    out = np.maximum(q[0], 0.0)
+    out[e == s] = 0.0
     return out
 
 
@@ -239,27 +237,20 @@ def build_sse_table(dataset: FunctionalDataset) -> CostTable:
     return CostTable(m=dataset.m, kind=CostKind.SSE, values=_readonly(table))
 
 
-def _loo_windows(m: int) -> np.ndarray:
-    """Toeplitz source of leave-one-out factors for an m-point grid:
-    ``windows[a, c]`` is (len/(len-1))^2 at len = a + c + 1 - m, +inf below
-    len 2.  The factor row for len = 1-m..m is computed once, by
-    :func:`_loo_scale` itself."""
-    factor = _loo_scale(np.arange(1.0 - m, m + 1.0), np.ones(2 * m))
-    return np.lib.stride_tricks.sliding_window_view(factor, m)
-
-
-def _loo_rows(windows: np.ndarray, sse_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Leave-one-out entries of a block of SSE rows that starts on the
+def _loo_rows(sse_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Leave-one-out entries of a b x w block of SSE rows that starts on the
     diagonal (row r, column c is an interval of len c - r + 1), into ``out``.
 
-    The block is multiplied by a Toeplitz view of the factor row (row stride
-    back one length, column stride forward one).  The factor is +inf below
-    len 2, and inf * 0 is NaN on the diagonal, so the diagonal and the lower
-    triangle are set to +inf where the factor is after the multiply.
+    The factor row (len/(len-1))^2 for len = 1-b..w comes from
+    :func:`_loo_scale` itself, and the block is multiplied by a Toeplitz
+    view of it (row stride back one length, column stride forward one).
+    The factor is +inf below len 2, and inf * 0 is NaN on the diagonal, so
+    the diagonal and the lower triangle are set to +inf where the factor is
+    after the multiply.
     """
     b, w = sse_rows.shape
-    m = windows.shape[1]
-    f = windows[m - b + 1:m + 1][::-1, :w]
+    factor = _loo_scale(np.arange(1.0 - b, w + 1.0), np.ones(b + w))
+    f = np.lib.stride_tricks.sliding_window_view(factor, w)[:0:-1]
     with np.errstate(invalid="ignore"):  # inf * 0 on the diagonal
         np.multiply(f, sse_rows, out=out)
     np.copyto(out[:, :b], np.inf, where=f[:, :b] == np.inf)
@@ -270,20 +261,14 @@ def loo_table(sse: CostTable) -> CostTable:
     """Leave-one-out transform of an SSE table.
 
     Q_loo(j..l) = (len/(len-1))^2 Q_sse(j..l) with len = l-j+1; singletons
-    get +inf.  Rows are transformed in blocks straight into the one output
-    table by :func:`_loo_rows`, which the leave-one-out dynamic program also
-    scales its row slabs with.
+    and the lower triangle get +inf.  The whole table is one block of
+    :func:`_loo_rows`, which the leave-one-out dynamic program also scales
+    its row slabs with.
     """
     if sse.kind is not CostKind.SSE:
         raise ValueError(f"expected an SSE table, got {sse.kind.value}")
-    m = sse.m
-    out = np.empty((m, m))
-    windows = _loo_windows(m)
-    for s in range(0, m, _LOO_ROWS):
-        e = min(s + _LOO_ROWS, m)
-        _loo_rows(windows, sse.values[s:e, s:], out[s:e, s:])
-        out[s:e, :s] = np.inf
-    return CostTable(m=m, kind=CostKind.LOO, values=_readonly(out))
+    out = _loo_rows(sse.values, np.empty((sse.m, sse.m)))
+    return CostTable(m=sse.m, kind=CostKind.LOO, values=_readonly(out))
 
 
 def build_linear_table(dataset: FunctionalDataset) -> CostTable:

@@ -23,7 +23,7 @@ from math import isfinite, isqrt
 import numpy as np
 
 from .core import CostKind, Segmentation, _readonly
-from .costs import CostTable, _loo_rows, _loo_windows
+from .costs import CostTable, _loo_rows
 
 # Byte budget of the fill's contiguous row slab (and of its candidate
 # buffer): the slab is reused for every segment count while it stays in cache.
@@ -91,7 +91,8 @@ def fill_dp(table: CostTable, k_max: int, loo: bool = False) -> DPTable:
 
     Each slab is written once into a contiguous buffer of its rows over the
     columns s..m-1: a copy of the table's rows or, with ``loo``, their
-    leave-one-out scaling by the helper :func:`loo_table` uses.  So the
+    leave-one-out scaling by :func:`costs._loo_rows`, which is all that
+    :func:`costs.loo_table` does to the whole table.  So the
     ``loo`` costs and splits equal those of ``fill_dp(loo_table(table),
     k_max)`` bit for bit, without a second m x m table.
 
@@ -120,15 +121,13 @@ def fill_dp(table: CostTable, k_max: int, loo: bool = False) -> DPTable:
     slabs = _slabs(m)
     size = max((e - s) * (m - s) for s, e in slabs)
     slab_buf, buf = np.empty(size), np.empty(size)
-    if loo:
-        windows = _loo_windows(m)
     arg = np.empty(m, dtype=np.intp)
     rows = np.arange(m)
     for s, e in slabs:
         w = m - s  # rows s..e-1 over the columns s..m-1
         slab = slab_buf[:(e - s) * w].reshape(e - s, w)
         if loo:
-            _loo_rows(windows, C[s:e, s:], slab)
+            _loo_rows(C[s:e, s:], slab)
         else:
             np.copyto(slab, C[s:e, s:])
         F[0, s:e] = slab[:, -1]

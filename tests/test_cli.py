@@ -142,6 +142,24 @@ def test_overflowing_values_are_an_input_error(tmp_path, capsys):
     assert not out.exists() and captured.out == ""
 
 
+def test_table_too_large_to_allocate_is_an_input_error(tmp_path, step_csv,
+                                                        capsys, monkeypatch):
+    def build(dataset):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array with shape "
+                          "(1073741824, 1073741824) and data type float64")
+
+    monkeypatch.setattr(segbasis.cli, "build_sse_table", build)
+    out = tmp_path / "result.json"
+    code = main(["fit", "--input", step_csv, "--grid-row", "--segments", "2",
+                 "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [
+        "segbasis: error: Unable to allocate 8.00 EiB for an array with shape "
+        "(1073741824, 1073741824) and data type float64"]
+    assert not out.exists() and captured.out == ""
+
+
 def test_fit_synth_default(tmp_path):
     doc = _run_json(tmp_path, ["fit", "--synth", "default", "--segments", "4"])
     src = doc["source"]

@@ -8,13 +8,12 @@ from segbasis import (
     CostKind,
     build_linear_table,
     build_sse_table,
-    loo_partition_cost,
     loo_table,
     new_dataset,
     partition_cost,
     segmentation_from_ends,
 )
-from segbasis import costs
+from segbasis import costs, solver
 from segbasis.costs import partition_totals
 
 
@@ -173,7 +172,7 @@ def test_loo_partition_cost_equals_loo_table_pricing(n, offset):
         assert np.inf in expected and np.isfinite(expected).any()
         assert [partition_cost(loo, seg) for seg in segs] == expected
         for seg, total in zip(segs, expected):
-            assert loo_partition_cost(sse, seg) == total
+            assert partition_totals(sse, [seg], CostKind.LOO) == [total]
         assert partition_totals(sse, segs, CostKind.LOO) == expected
         assert partition_totals(sse, [], CostKind.LOO) == []
 
@@ -181,10 +180,11 @@ def test_loo_partition_cost_equals_loo_table_pricing(n, offset):
 @pytest.mark.parametrize("n", [1, 4, 124])
 def test_table_free_sse_totals_equal_table_pricing(n):
     rng = np.random.default_rng(100 + n)
-    for m in (2, 3, 5, 17, 256):
+    for m in (2, 3, 5, 17, 256) + ((1024, 2048) if n == 4 else ()):
         # steps of 4 points: their segments' entries are clamped rounding noise
         steps = np.repeat(rng.normal(size=(n, m // 4 + 1)), 4, axis=1)[:, :m]
-        for rows in (rng.normal(size=(n, m)), steps, steps + 1e6):
+        noise = rng.normal(size=(n, m))
+        for rows in (noise, noise + 1e6, steps, steps + 1e6):
             ds = _dataset(rows)
             sse = build_sse_table(ds)
             segs = [segmentation_from_ends([m], m),
@@ -242,9 +242,28 @@ def test_tables_do_not_depend_on_block_budget(monkeypatch, build):
 def test_loo_partition_cost_requires_sse_input():
     loo = loo_table(build_sse_table(SAW))
     with pytest.raises(ValueError, match="expected an SSE table"):
-        loo_partition_cost(loo, segmentation_from_ends([3], 3))
+        partition_totals(loo, [segmentation_from_ends([3], 3)], CostKind.LOO)
     with pytest.raises(ValueError, match="covers 2 points"):
-        loo_partition_cost(build_sse_table(SAW), segmentation_from_ends([2], 2))
+        partition_totals(build_sse_table(SAW), [segmentation_from_ends([2], 2)],
+                         CostKind.LOO)
+
+
+def test_loo_rows_scale_each_block_by_its_own_lengths():
+    m = 700
+    sse = build_sse_table(_dataset(np.random.default_rng(5).normal(size=(3, m))))
+    # the fill's slabs (the bottom one is square), then blocks of b = 1 and
+    # of b = w, the whole table among them
+    blocks = solver._slabs(m) + [(0, 1), (350, 351), (m - 1, m), (m - 40, m), (0, m)]
+    assert len(blocks) > 6
+    for s, e in blocks:
+        block = sse.values[s:e, s:]
+        b, w = block.shape
+        r, c = np.indices((b, w))
+        expected = costs._loo_scale(c - r + 1.0, block)
+        got = costs._loo_rows(block, np.empty((b, w)))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert np.all(got[np.tril_indices(b, 0, w)] == np.inf)
+        assert np.isfinite(got[np.triu_indices(b, 1, w)]).all()
 
 
 def test_partition_cost_right_association():
