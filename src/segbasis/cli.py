@@ -184,7 +184,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     k_max = _k_max(args.max_segments, dataset.m)
     strategy = SelectionStrategy(args.strategy)
     t0 = time.perf_counter()
-    report = select_k(build_sse_table(dataset), strategy, k_max)
+    report = select_k(dataset, strategy, k_max)  # no m x m table
     t1 = time.perf_counter()
     timing = {"total_ms": (t1 - t0) * 1e3} if args.timing else None
     doc = ResultDocument(

@@ -17,8 +17,11 @@ summed over all functions.  Three kinds are supported:
 Both builds are O(n m^2) arithmetic done a block of start rows at a time:
 one ``einsum`` sums an n x b x m tensor of interval sums over functions.
 The SSE rule is written once, in :func:`_sse_kernel`, and the leave-one-out
-rule once, in :func:`_loo_rows`.  :func:`partition_totals` prices given
-segmentations from their SSE entries alone, with or without the SSE table.
+rule once, in :func:`_loo_rows`.  One row builder, :func:`_sse_rows`, makes
+both the whole SSE table and, through :func:`_row_slabs`, the row slabs the
+dynamic program reads from a dataset, so a table-free fill has the table's
+bits.  :func:`partition_totals` prices given segmentations from their SSE
+entries alone, with or without the SSE table.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import CostKind, FunctionalDataset, Segmentation, _readonly
 
@@ -152,42 +156,60 @@ def _interval_sums(p: np.ndarray, s: int, e: int, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _blocked_table(n: int, m: int, n_tensors: int, pinned: int, fill) -> np.ndarray:
-    """Fill an m x m table a block of start rows s..e-1 at a time.
+def _blocked_rows(n: int, m: int, n_tensors: int, pinned: int, fill):
+    """Row builder of an m x m cost table: ``rows(s0, e0, out)`` writes the
+    rows s0..e0-1 over the columns s0..m-1 into the (e0-s0) x (m-s0) array
+    ``out`` and returns it.  A whole table is ``rows(0, m, out)``.
 
+    The rows are built a block of start rows s..e-1 at a time, b rows a
+    block for the budget ``_BLOCK_BYTES`` at the width m - s0.
     ``fill(s, e, lens, tensors, scratch, q)`` writes the costs of intervals
     ending at columns s..m-1 into the view ``q``, given the interval lengths
-    (1 where empty) and preallocated buffers: ``n_tensors`` of n x b x w and
-    one of b x w, w = m - s.  Then noise below 0 is clamped, lengths
-    1..``pinned`` are set to exactly 0 and the lower triangle to +inf.
+    (1 where empty) and buffers: ``n_tensors`` of n x b x w and one of
+    b x w, w = m - s.  Then noise below 0 is clamped, lengths 1..``pinned``
+    are set to exactly 0 and the columns left of the diagonal to +inf.  The
+    buffers are allocated once and reused by every call, and the lengths and
+    masks are Toeplitz views of one row each: row r of a block starts r
+    entries further left in it, so entry (r, c) is of interval length
+    c - r + 1.
     """
-    b = max(1, min(m, _BLOCK_BYTES // (8 * max(n, 1) * m)))
-    rel = np.arange(m)[None, :] - np.arange(b)[:, None] + 1  # interval length
-    lens = np.maximum(rel, 1).astype(np.float64)
-    empty, short = rel < 1, (rel >= 1) & (rel <= pinned)
-    tensors = [np.empty(n * b * m) for _ in range(n_tensors)]
-    scratch = np.empty(b * m)
-    out = np.empty((m, m))
-    for s in range(0, m, b):
-        e = min(s + b, m)
-        bb, w = e - s, m - s
-        q = out[s:e, s:]
-        fill(s, e, lens[:bb, :w],
-             [t[:n * bb * w].reshape(n, bb, w) for t in tensors],
-             scratch[:bb * w].reshape(bb, w), q)
-        np.maximum(q, 0.0, out=q)
-        c = min(w, bb + pinned)  # no later column is empty or short
-        np.copyto(q[:, :c], np.inf, where=empty[:bb, :c])
-        np.copyto(q[:, :c], 0.0, where=short[:bb, :c])
-        out[s:e, :s] = np.inf
-    return out
+    cells = _BLOCK_BYTES // (8 * max(n, 1))  # the b x w cells a block may hold
+    top = max(1, min(m, cells))  # the most rows a block has
+    rel = np.arange(1 - top, m + 1)  # interval lengths 1-top .. m
+    lens, empty, short = (
+        sliding_window_view(row, m)[top::-1]
+        for row in (np.maximum(rel, 1).astype(np.float64), rel < 1,
+                    (rel >= 1) & (rel <= pinned)))
+    tensors = [np.empty(max(n * m, _BLOCK_BYTES // 8)) for _ in range(n_tensors)]
+    scratch = np.empty(max(m, cells))
+
+    def rows(s0: int, e0: int, out: np.ndarray) -> np.ndarray:
+        b = max(1, min(e0 - s0, cells // (m - s0)))
+        for s in range(s0, e0, b):
+            e = min(s + b, e0)
+            bb, w = e - s, m - s
+            q = out[s - s0:e - s0, s - s0:]
+            fill(s, e, lens[:bb, :w],
+                 [t[:n * bb * w].reshape(n, bb, w) for t in tensors],
+                 scratch[:bb * w].reshape(bb, w), q)
+            np.maximum(q, 0.0, out=q)
+            c = min(w, bb + pinned)  # no later column is empty or short
+            np.copyto(q[:, :c], np.inf, where=empty[:bb, :c])
+            np.copyto(q[:, :c], 0.0, where=short[:bb, :c])
+            out[s - s0:e - s0, :s - s0] = np.inf
+        return out
+
+    return rows
 
 
 def _sse_kernel(d, lens, sq, q) -> None:
     """S2 - sum_i S1_i^2 / len in place in ``q``, which holds the S2 sums,
     from the n x b x w interval sums ``d`` of each function; ``sq`` is b x w
     scratch.  ``d`` must be C-ordered: ``einsum`` then adds the functions
-    in sequence, so an entry's bits do not depend on the block it is in."""
+    in sequence, so an entry's bits do not depend on the block it is in.
+    Another order would change the last bit of some entries, so it raises."""
+    if not d.flags.c_contiguous:
+        raise ValueError("interval sums must be C-ordered")
     np.einsum("ibl,ibl->bl", d, d, out=sq)
     sq /= lens
     q -= sq
@@ -214,8 +236,13 @@ def _sse_entries(dataset: FunctionalDataset, s: np.ndarray, e: np.ndarray) -> np
     subtraction each as the table's, and priced by the table's own
     :func:`_sse_kernel`; the gather is copied to C order first, as the
     kernel needs.  So each entry has the bits of ``build_sse_table(dataset)``,
-    clamped at 0 and pinned to 0 at length 1 like it.
+    clamped at 0 and pinned to 0 at length 1 like it.  Each distinct
+    interval is priced once: the optimal bases of a sweep share most of
+    their segments (195-260 distinct of 2080 on the default synthetic data,
+    n=124, m=256, k=1..64).
     """
+    key, inverse = np.unique(s * (dataset.m + 1) + e, return_inverse=True)
+    s, e = np.divmod(key, dataset.m + 1)
     p1, p2 = _sse_prefix(dataset)
     lens = (e - s + 1.0)[None, :]
     d = np.ascontiguousarray(p1[:, e] - p1[:, s - 1])[:, None, :]
@@ -223,7 +250,15 @@ def _sse_entries(dataset: FunctionalDataset, s: np.ndarray, e: np.ndarray) -> np
     _sse_kernel(d, lens, np.empty_like(q), q)
     out = np.maximum(q[0], 0.0)
     out[e == s] = 0.0
-    return out
+    return out[inverse]
+
+
+def _sse_rows(dataset: FunctionalDataset):
+    """The SSE row builder of ``dataset`` (see :func:`_blocked_rows`): the
+    one path by which both the table and the dynamic program's row slabs
+    are made, so a slab has the bits of the table's rows."""
+    p1, p2 = _sse_prefix(dataset)
+    return _blocked_rows(dataset.n, dataset.m, 1, 1, partial(_sse_block, p1, p2))
 
 
 def build_sse_table(dataset: FunctionalDataset) -> CostTable:
@@ -232,9 +267,9 @@ def build_sse_table(dataset: FunctionalDataset) -> CostTable:
     The diagonal is exactly 0, cancellation noise is clamped at 0 and the
     lower triangle is +inf.
     """
-    p1, p2 = _sse_prefix(dataset)
-    table = _blocked_table(dataset.n, dataset.m, 1, 1, partial(_sse_block, p1, p2))
-    return CostTable(m=dataset.m, kind=CostKind.SSE, values=_readonly(table))
+    m = dataset.m
+    table = _sse_rows(dataset)(0, m, np.empty((m, m)))
+    return CostTable(m=m, kind=CostKind.SSE, values=_readonly(table))
 
 
 def _loo_rows(sse_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -271,6 +306,27 @@ def loo_table(sse: CostTable) -> CostTable:
     return CostTable(m=sse.m, kind=CostKind.LOO, values=_readonly(out))
 
 
+def _row_slabs(source: CostTable | FunctionalDataset, loo: bool):
+    """``slab(s, e, out)``: the cost rows s..e-1 over the columns s..m-1
+    into ``out``, the one way the dynamic program reads its costs.
+
+    ``source`` is a cost table, whose rows are copied, or a dataset, whose
+    SSE rows are built by :func:`_sse_rows`, the table build's own path, so
+    they equal the table's rows bit for bit without the m x m table.  With
+    ``loo`` the SSE rows are scaled by :func:`_loo_rows`, as
+    :func:`loo_table` scales the whole table.
+    """
+    if isinstance(source, FunctionalDataset):
+        build = _sse_rows(source)
+        return (lambda s, e, out: _loo_rows(build(s, e, out), out)) if loo else build
+    if loo and source.kind is not CostKind.SSE:
+        raise ValueError(f"expected an SSE table, got {source.kind.value}")
+    values = source.values
+    if loo:
+        return lambda s, e, out: _loo_rows(values[s:e, s:], out)
+    return lambda s, e, out: np.copyto(out, values[s:e, s:])
+
+
 def build_linear_table(dataset: FunctionalDataset) -> CostTable:
     """Residual SSE of the best per-segment line fit of each function against
     the grid, for every interval.
@@ -297,5 +353,6 @@ def build_linear_table(dataset: FunctionalDataset) -> CostTable:
         np.einsum("ibl,ibl->bl", dty, dty, out=sq)
         q -= sq / ctt
 
-    table = _blocked_table(dataset.n, dataset.m, 2, 2, fill)
-    return CostTable(m=dataset.m, kind=CostKind.LINEAR, values=_readonly(table))
+    m = dataset.m
+    table = _blocked_rows(dataset.n, m, 2, 2, fill)(0, m, np.empty((m, m)))
+    return CostTable(m=m, kind=CostKind.LINEAR, values=_readonly(table))

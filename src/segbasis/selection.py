@@ -11,15 +11,16 @@ Two strategies:
   table (it is additive too).  Singletons are then never selected, and the
   per-k scores are the best achievable.
 
-Both are one routine, :func:`select_k`, over a prebuilt SSE table of the
-dataset: the strategy only decides which cost the dynamic program minimizes
-and which one scores its partitions.  No leave-one-out table is built:
-``FULL_LOO``'s dynamic program scales the SSE rows a slab at a time, and the
-standard sweep prices its partitions' leave-one-out totals from the SSE
-entries.  A caller that needs both strategies builds the SSE table once and
-passes it to both sweeps.  :func:`price_bases` is the one rule for the
-totals a basis reports given the cost its dynamic program minimized, shared
-with ``fit``.
+Both are one routine, :func:`select_k`, over the SSE costs of the dataset:
+the strategy only decides which cost the dynamic program minimizes and which
+one scores its partitions.  The costs come from the dataset itself or from a
+prebuilt SSE table, with the same bits.  From the dataset no m x m table is
+built at all: the dynamic program builds the SSE rows a slab at a time
+(``FULL_LOO``'s scales them), and the partitions' other totals are priced
+from their SSE entries.  A caller that needs both strategies can build the
+SSE table once and pass it to both sweeps.  :func:`price_bases` is the one
+rule for the totals a basis reports given the cost its dynamic program
+minimized, shared with ``fit``.
 """
 
 from __future__ import annotations
@@ -105,10 +106,13 @@ def price_bases(sse: CostTable | FunctionalDataset, kind: CostKind,
 
 
 def select_k(
-    sse: CostTable, strategy: SelectionStrategy, k_max: int
+    sse: CostTable | FunctionalDataset, strategy: SelectionStrategy, k_max: int
 ) -> SelectionReport:
-    """Sweep k = 1..k_max on a prebuilt SSE table of one dataset and pick the
-    k with the smallest leave-one-out total.
+    """Sweep k = 1..k_max on the SSE costs of one dataset and pick the k with
+    the smallest leave-one-out total.
+
+    ``sse`` is the dataset, which the sweep builds its SSE rows from a slab
+    at a time, or a prebuilt SSE table of it; both give the same report.
 
     The strategy names the cost the dynamic program optimizes; the other one
     only scores the optimal partitions.

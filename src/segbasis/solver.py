@@ -22,8 +22,8 @@ from math import isfinite, isqrt
 
 import numpy as np
 
-from .core import CostKind, Segmentation, _readonly
-from .costs import CostTable, _loo_rows
+from .core import FunctionalDataset, Segmentation, _readonly
+from .costs import CostTable, _row_slabs
 
 # Byte budget of the fill's contiguous row slab (and of its candidate
 # buffer): the slab is reused for every segment count while it stays in cache.
@@ -78,7 +78,8 @@ def _slabs(m: int) -> list[tuple[int, int]]:
     return slabs
 
 
-def fill_dp(table: CostTable, k_max: int, loo: bool = False) -> DPTable:
+def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
+            loo: bool = False) -> DPTable:
     """Fill F and the split records for all segment counts up to ``k_max``.
 
     The table is swept in row slabs from the bottom up, and each slab runs
@@ -89,12 +90,18 @@ def fill_dp(table: CostTable, k_max: int, loo: bool = False) -> DPTable:
     budget was kept after a sweep of 256 KiB to 1 MiB on a host with 2 MiB
     of L2 a core (``BENCH_10.json``).
 
-    Each slab is written once into a contiguous buffer of its rows over the
-    columns s..m-1: a copy of the table's rows or, with ``loo``, their
-    leave-one-out scaling by :func:`costs._loo_rows`, which is all that
-    :func:`costs.loo_table` does to the whole table.  So the
-    ``loo`` costs and splits equal those of ``fill_dp(loo_table(table),
-    k_max)`` bit for bit, without a second m x m table.
+    ``table`` is a cost table or, for SSE costs, the dataset itself.  Each
+    slab is written once into a contiguous buffer of its rows over the
+    columns s..m-1 by :func:`costs._row_slabs`: a copy of the table's rows,
+    or the dataset's SSE rows built by the table build's own row path, so
+    the fill of a dataset equals the fill of ``build_sse_table(dataset)`` bit
+    for bit and never holds an m x m table.  With ``loo`` the SSE rows are
+    scaled by :func:`costs._loo_rows`, which is all that
+    :func:`costs.loo_table` does to the whole table, so the costs and splits
+    equal those of ``fill_dp(loo_table(build_sse_table(dataset)), k_max)``.
+    Building the rows in the fill is faster than building the table first
+    at n=4, m=2048, k=64: it spares the first touch of a 32 MiB table and a
+    second pass over each of its rows (``BENCH_12.json``).
 
     Every pass spans the slab's full width.  F carries one trailing +inf
     column, F(p, m+1) (no points left), so columns past the last feasible
@@ -106,15 +113,13 @@ def fill_dp(table: CostTable, k_max: int, loo: bool = False) -> DPTable:
     quarter less time than with a strided copy and a broadcast add over the
     feasible columns alone (``BENCH_10.json``).
 
-    Raises ValueError when a NaN in the table reaches F (for example an SSE
-    table whose sums overflowed): such a table has no meaningful optimum.
+    Raises ValueError when a NaN in the costs reaches F (for example SSE
+    costs whose sums overflowed): such costs have no meaningful optimum.
     """
     m = table.m
     if not (1 <= k_max <= m):
         raise ValueError(f"k out of range: {k_max} not in 1..{m}")
-    if loo and table.kind is not CostKind.SSE:
-        raise ValueError(f"expected an SSE table, got {table.kind.value}")
-    C = table.values  # +inf below the diagonal by construction
+    write_slab = _row_slabs(table, loo)  # +inf left of the diagonal
     F = np.full((k_max, m + 1), np.inf, dtype=np.float64)
     L = np.zeros((k_max, m), dtype=np.int64)
     L[0, :] = m
@@ -122,15 +127,12 @@ def fill_dp(table: CostTable, k_max: int, loo: bool = False) -> DPTable:
     size = max((e - s) * (m - s) for s, e in slabs)
     slab_buf, buf = np.empty(size), np.empty(size)
     arg = np.empty(m, dtype=np.intp)
-    rows = np.arange(m)
     for s, e in slabs:
         w = m - s  # rows s..e-1 over the columns s..m-1
         slab = slab_buf[:(e - s) * w].reshape(e - s, w)
-        if loo:
-            _loo_rows(C[s:e, s:], slab)
-        else:
-            np.copyto(slab, C[s:e, s:])
+        write_slab(s, e, slab)
         F[0, s:e] = slab[:, -1]
+        starts = np.arange(0, (e - s) * w, w)  # flat offset of each row
         for p in range(2, min(k_max, m - s) + 1):
             # candidate[j, l] = Q(j..l) + F(p-1, l+1); rows j > m-p+1 admit
             # no p-partition
@@ -139,11 +141,12 @@ def fill_dp(table: CostTable, k_max: int, loo: bool = False) -> DPTable:
             np.copyto(block, F[p - 2, s + 1:])
             buf[:r * w] += slab_buf[:r * w]
             a = block.argmin(axis=1, out=arg[:r])  # first minimum: leftmost
-            F[p - 1, s:s + r] = buf[rows[:r] * w + a]
             np.add(a, s + 1, out=L[p - 1, s:s + r])
+            a += starts[:r]
+            F[p - 1, s:s + r] = buf[a]
     F = F[:, :m]
     if np.isnan(F).any():
-        raise ValueError("cost table contains NaN (input values too large "
+        raise ValueError("costs contain NaN (input values too large "
                          "for double-precision sums?)")
     # all-inf rows: argmin is meaningless, pin split to the leftmost slot;
     # rows with no p-partition keep split 0
@@ -179,11 +182,11 @@ def backtrack(dp: DPTable, k: int, m: int) -> Segmentation:
     return Segmentation(ends=tuple(ends), m=m)
 
 
-def solve(table: CostTable, k: int,
+def solve(table: CostTable | FunctionalDataset, k: int,
           loo: bool = False) -> tuple[Segmentation, float, DPTable]:
     """Optimal partition of the table's index range into exactly k segments,
-    under the leave-one-out transform of the SSE table with ``loo`` (see
-    :func:`fill_dp`).
+    under the leave-one-out transform of the SSE costs with ``loo``; the
+    table may be the dataset itself for SSE costs (see :func:`fill_dp`).
 
     Raises :class:`InfeasiblePartitionError` when every k-partition has
     infinite cost (leave-one-out costs with k > m/2).
@@ -197,9 +200,11 @@ def solve(table: CostTable, k: int,
     return backtrack(dp, k, table.m), total, dp
 
 
-def solve_all(table: CostTable, k_max: int, loo: bool = False) -> list[SolveResult]:
-    """Optima for every segment count 1..k_max from a single DP fill, under
-    the leave-one-out transform of the SSE table with ``loo``.
+def solve_all(table: CostTable | FunctionalDataset, k_max: int,
+              loo: bool = False) -> list[SolveResult]:
+    """Optima for every segment count 1..k_max from a single DP fill of a
+    table or a dataset (see :func:`fill_dp`), under the leave-one-out
+    transform of the SSE costs with ``loo``.
 
     Infinite-cost counts are flagged (segmentation None), not omitted, and
     never backtracked.

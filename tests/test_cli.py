@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -367,13 +368,34 @@ def test_loo_table_built_only_where_minimized(tmp_path, small_cfg, monkeypatch,
     calls = _count_calls(monkeypatch)
     doc = _run_json(tmp_path, [*argv, "--synth", small_cfg])
     # no command builds the leave-one-out table: where it is minimized the
-    # fill scales the SSE rows a slab at a time; a linear fit prices its SSE
-    # total without the SSE table
+    # fill scales the SSE rows a slab at a time; a select fills from the
+    # dataset and a linear fit prices its SSE total, neither with the SSE
+    # table
     linear = "linear" in argv
-    assert calls == Counter(build_sse_table=0 if linear else 1,
+    tableless = linear or argv[0] == "select"
+    assert calls == Counter(build_sse_table=0 if tableless else 1,
                             loo_table=0, fill_dp=1, loo_fill_dp=loo_fills)
     total = "sse_total" if linear else "loo_total"
     assert all(np.isfinite(row[total]) for row in doc["records"][:2])
+
+
+@pytest.mark.parametrize("strategy", ["standard", "full-loo"])
+def test_select_holds_no_cost_table(tmp_path, strategy):
+    # one m x m table at n=4, m=2048 is 8 m^2 B = 32 MiB; a select builds
+    # the SSE rows a slab at a time and stays far below it
+    path = tmp_path / "fine.csv"
+    np.savetxt(path, np.random.default_rng(2048).normal(size=(4, 2048)),
+               delimiter=",")
+    out = tmp_path / "result.json"
+    tracemalloc.start()
+    try:
+        code = main(["select", "--input", str(path), "--max-segments", "4",
+                     "--strategy", strategy, "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(json.loads(out.read_text())["records"]) == 4
+    assert peak < 8 << 20, peak
 
 
 # ---------------------------------------------------------------- synth config

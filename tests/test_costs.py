@@ -239,6 +239,23 @@ def test_tables_do_not_depend_on_block_budget(monkeypatch, build):
         assert all(np.array_equal(tables[0], t) for t in tables[1:])
 
 
+def test_sse_kernel_takes_only_c_ordered_sums():
+    # einsum adds the functions in sequence only over a C-ordered operand;
+    # another order would change the last bit of some entries silently
+    rng = np.random.default_rng(8)
+    d = rng.normal(size=(4, 3, 5))
+    lens = np.arange(1.0, 16.0).reshape(3, 5)
+    q = rng.normal(size=(3, 5)) + 10.0
+    expected = q - (d * d).sum(axis=0) / lens
+    costs._sse_kernel(d, lens, np.empty((3, 5)), q)
+    assert np.allclose(q, expected, rtol=1e-14)
+    for other in (np.asfortranarray(d), d.transpose(0, 2, 1).copy().transpose(0, 2, 1),
+                  np.repeat(d, 2, axis=2)[:, :, ::2]):
+        assert np.array_equal(other, d) and not other.flags.c_contiguous
+        with pytest.raises(ValueError, match="C-ordered"):
+            costs._sse_kernel(other, lens, np.empty((3, 5)), np.zeros((3, 5)))
+
+
 def test_loo_partition_cost_requires_sse_input():
     loo = loo_table(build_sse_table(SAW))
     with pytest.raises(ValueError, match="expected an SSE table"):

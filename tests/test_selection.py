@@ -169,3 +169,18 @@ def test_select_k_shares_prebuilt_tables():
     assert std == select_k(build_sse_table(ds), STANDARD, 5)
     assert floo == select_k(build_sse_table(ds), FULL_LOO, 5)
     assert floo.strategy is SelectionStrategy.FULL_LOO
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_select_k_of_dataset_equals_select_k_of_its_table(offset):
+    # a report from the dataset's SSE rows, built slab by slab, equals the
+    # report from its prebuilt SSE table, records and totals bit for bit
+    rng = np.random.default_rng(103)
+    steps = np.repeat(rng.normal(size=(4, 76)), 4, axis=1)[:, :300]
+    for rows in (rng.normal(size=(4, 300)), steps + rng.normal(size=(4, 300)) / 8):
+        ds = _dataset(rows + offset)
+        sse = build_sse_table(ds)
+        for strategy in (STANDARD, FULL_LOO):
+            report = select_k(ds, strategy, 40)
+            assert report == select_k(sse, strategy, 40)
+            assert not report.degenerate

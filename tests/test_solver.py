@@ -18,7 +18,7 @@ from segbasis import (
     solve,
     solve_all,
 )
-from segbasis import solver
+from segbasis import costs, solver
 from segbasis.solver import DPTable, _slabs, backtrack
 
 
@@ -231,7 +231,8 @@ def test_fill_dp_equals_full_scan_across_slabs(m, name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["uniform", "rounded", "zeros", "tiled"])
 def test_fills_do_not_depend_on_slab_budget(name, monkeypatch):
-    # 32 B gives 1- and 2-row slabs, 8 m^2 B one slab over the whole table
+    # 32 B gives 1- and 2-row slabs, 8 m^2 B one slab over the whole table;
+    # the dataset's fills build its SSE rows slab by slab
     m = 300
     rng = np.random.default_rng(m)
     ds = _dataset(_slab_case(name, m, rng))
@@ -243,8 +244,9 @@ def test_fills_do_not_depend_on_slab_budget(name, monkeypatch):
                             (8 * m * m, {m})):
         monkeypatch.setattr(solver, "_SLAB_BYTES", budget)
         assert heights in (None, {e - s for s, e in _slabs(m)})
-        sources = ((sse, False), (sse, True), (linear, False))
-        for (table, loo), (ref_costs, ref_splits) in zip(sources, refs):
+        sources = ((sse, False), (sse, True), (linear, False), (ds, False),
+                   (ds, True))
+        for (table, loo), (ref_costs, ref_splits) in zip(sources, refs + refs[:2]):
             for dp in (fill_dp(table, k, loo=loo), fill_dp(table, m, loo=loo)):
                 assert np.array_equal(dp.costs, ref_costs[:dp.k_max]), budget
                 assert np.array_equal(dp.splits, ref_splits[:dp.k_max]), budget
@@ -254,17 +256,52 @@ def test_fills_do_not_depend_on_slab_budget(name, monkeypatch):
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 300, 700])
 def test_loo_fill_equals_fill_of_loo_table(m, name):
     # every k on short grids; on long ones the ends, the last feasible count
-    # and the first infeasible one (every k > m/2 is)
+    # and the first infeasible one (every k > m/2 is); the dataset's fills
+    # equal the fills of its SSE table
     rng = np.random.default_rng(m)
-    sse = build_sse_table(_dataset(_slab_case(name, m, rng)))
+    ds = _dataset(_slab_case(name, m, rng))
+    sse = build_sse_table(ds)
     loo = loo_table(sse)
     ks = range(1, m + 1) if m < 10 else (1, 2, int(rng.integers(3, m // 2)),
                                          m // 2, m // 2 + 1, m)
     for k in ks:
-        dp, ref = fill_dp(sse, k, loo=True), fill_dp(loo, k)
-        assert np.array_equal(dp.costs, ref.costs), k
-        assert np.array_equal(dp.splits, ref.splits), k
-        assert np.isfinite(dp.costs[k - 1, 0]) == (2 * k <= m), k
+        ref = fill_dp(loo, k)
+        for dp, want in ((fill_dp(sse, k, loo=True), ref),
+                         (fill_dp(ds, k, loo=True), ref),
+                         (fill_dp(ds, k), fill_dp(sse, k))):
+            assert np.array_equal(dp.costs, want.costs), k
+            assert np.array_equal(dp.splits, want.splits), k
+        assert np.isfinite(ref.costs[k - 1, 0]) == (2 * k <= m), k
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("n", [1, 4, 124])
+def test_dataset_fills_do_not_depend_on_block_budget(n, offset, monkeypatch):
+    # budgets of one and of three full-width rows of n functions build each
+    # slab of the dataset's SSE rows in several blocks; the default budget
+    # is the last
+    m = 300
+    ds = _dataset(np.random.default_rng(n).normal(size=(n, m)) + offset)
+    sse = build_sse_table(ds)
+    k = m // 2 + 1  # the leave-one-out fill's last count is infeasible
+    refs = [fill_dp(sse, k, loo=loo) for loo in (False, True)]
+    blocks = []
+
+    def counted(*args):
+        blocks.append(args[2])  # the block's first row
+        return sse_block(*args)
+
+    sse_block, default = costs._sse_block, costs._BLOCK_BYTES
+    monkeypatch.setattr(costs, "_sse_block", counted)
+    for budget in (8 * n * m, 3 * 8 * n * m, default):
+        monkeypatch.setattr(costs, "_BLOCK_BYTES", budget)
+        for loo, ref in zip((False, True), refs):
+            blocks.clear()
+            dp = fill_dp(ds, k, loo=loo)
+            assert np.array_equal(dp.costs, ref.costs), (budget, loo)
+            assert np.array_equal(dp.splits, ref.splits), (budget, loo)
+            if budget < default or n == 124:
+                assert len(blocks) >= 2 * len(_slabs(m)), budget
 
 
 def test_loo_costs_ignore_the_lower_triangle():
