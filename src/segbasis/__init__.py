@@ -24,8 +24,8 @@ from .costs import (
     CostTable,
     build_linear_table,
     build_sse_table,
-    loo_table,
     partition_cost,
+    partition_totals,
 )
 from .io import ResultDocument, read_csv, render_result, write_csv, write_result
 from .selection import (
@@ -68,10 +68,10 @@ __all__ = [
     "fit_model",
     "generate",
     "greedy_agglomerative",
-    "loo_table",
     "main",
     "new_dataset",
     "partition_cost",
+    "partition_totals",
     "read_csv",
     "reconstruct",
     "render_result",

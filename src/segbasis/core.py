@@ -16,7 +16,9 @@ import numpy as np
 
 
 class CostKind(Enum):
-    """Which additive segment cost a table holds."""
+    """Which additive segment cost is meant.  A table holds SSE or linear
+    costs; leave-one-out costs are scaled from SSE costs where they are
+    read."""
 
     SSE = "sse"
     LOO = "loo"

@@ -1,27 +1,30 @@
-"""Additive segment cost tables.
+"""Additive segment costs and their tables.
 
 The central object is the upper-triangular table ``Q(j..l)``: the cost of
 covering grid indices ``j..l`` (1-based, inclusive) with a single segment,
-summed over all functions.  Three kinds are supported:
+summed over all functions.  Three kinds of cost are supported:
 
 * ``SSE`` -- within-segment sum of squared deviations from the segment mean,
   ``S2 - sum_i S1_i^2 / len`` from prefix sums of each function's values
   (S1_i) and of all squared values (S2), centred on each function's mean so
   that value offsets stay out of the arithmetic.
-* ``LOO`` -- the leave-one-out transform of an SSE table: each point of a
-  segment is predicted by the mean of the remaining points, which scales the
-  SSE by (len/(len-1))^2 and makes singleton segments infinitely expensive.
+* ``LOO`` -- leave-one-out cost: each point of a segment is predicted by the
+  mean of the remaining points, which scales the SSE by (len/(len-1))^2 and
+  makes singleton segments infinitely expensive.  It is never held in a
+  table: SSE costs are scaled where they are read, the dynamic program's row
+  slabs by :func:`_loo_rows` and priced entries by :func:`_loo_scale`.
 * ``LINEAR`` -- residual sum of squares of the per-segment least-squares line
   against the grid, from prefix sums of t, t^2, y, t*y and y^2 alike.
 
-Both builds are O(n m^2) arithmetic done a block of start rows at a time:
-one ``einsum`` sums an n x b x m tensor of interval sums over functions.
-The SSE rule is written once, in :func:`_sse_kernel`, and the leave-one-out
-rule once, in :func:`_loo_rows`.  One row builder, :func:`_sse_rows`, makes
-both the whole SSE table and, through :func:`_row_slabs`, the row slabs the
-dynamic program reads from a dataset, so a table-free fill has the table's
-bits.  :func:`partition_totals` prices given segmentations from their SSE
-entries alone, with or without the SSE table.
+Both table builds are O(n m^2) arithmetic done a block of start rows at a
+time: one ``einsum`` sums an n x b x m tensor of interval sums over
+functions.  The SSE rule is written once, in :func:`_sse_kernel`, and the
+leave-one-out rule once, in :func:`_loo_scale`.  One row builder,
+:func:`_sse_rows`, makes both the whole SSE table and, through
+:func:`_row_slabs`, the row slabs the dynamic program reads from a dataset,
+so a table-free fill has the table's bits.  :func:`partition_totals` prices
+given segmentations from their SSE entries alone, with or without the SSE
+table.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ class CostTable:
 
     ``values[j-1, l-1]`` holds Q(j..l) for j <= l; entries below the diagonal
     are unused and set to +inf so the solver can index the array directly.
+    The library builds SSE and linear tables; leave-one-out costs are scaled
+    from SSE costs where they are read.
     """
 
     m: int
@@ -112,11 +117,12 @@ def partition_totals(sse: CostTable | FunctionalDataset,
 
     ``sse`` is an SSE table, or the dataset when no table is built: the
     entries are then priced by the table's own kernel in one pass, clamped
-    and pinned like the table (:func:`_sse_entries`).  Each total equals
-    ``partition_cost`` on ``build_sse_table`` (or on ``loo_table`` of it)
-    bit for bit: the leave-one-out entries come from the table's own
-    :func:`_loo_scale`, in one call for all segmentations, and each
-    segmentation's segments are summed from the last to the first.
+    and pinned like the table (:func:`_sse_entries`).  Each SSE total equals
+    ``partition_cost`` on ``build_sse_table`` bit for bit.  The leave-one-out
+    entries come from :func:`_loo_scale`, in one call for all
+    segmentations, with the bits the leave-one-out dynamic program reads.
+    Each segmentation's segments are summed from the last to the first, as
+    the dynamic program sums them.
     """
     if kind is CostKind.LINEAR:
         raise ValueError("linear totals are not priced from SSE entries")
@@ -292,20 +298,6 @@ def _loo_rows(sse_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def loo_table(sse: CostTable) -> CostTable:
-    """Leave-one-out transform of an SSE table.
-
-    Q_loo(j..l) = (len/(len-1))^2 Q_sse(j..l) with len = l-j+1; singletons
-    and the lower triangle get +inf.  The whole table is one block of
-    :func:`_loo_rows`, which the leave-one-out dynamic program also scales
-    its row slabs with.
-    """
-    if sse.kind is not CostKind.SSE:
-        raise ValueError(f"expected an SSE table, got {sse.kind.value}")
-    out = _loo_rows(sse.values, np.empty((sse.m, sse.m)))
-    return CostTable(m=sse.m, kind=CostKind.LOO, values=_readonly(out))
-
-
 def _row_slabs(source: CostTable | FunctionalDataset, loo: bool):
     """``slab(s, e, out)``: the cost rows s..e-1 over the columns s..m-1
     into ``out``, the one way the dynamic program reads its costs.
@@ -313,8 +305,8 @@ def _row_slabs(source: CostTable | FunctionalDataset, loo: bool):
     ``source`` is a cost table, whose rows are copied, or a dataset, whose
     SSE rows are built by :func:`_sse_rows`, the table build's own path, so
     they equal the table's rows bit for bit without the m x m table.  With
-    ``loo`` the SSE rows are scaled by :func:`_loo_rows`, as
-    :func:`loo_table` scales the whole table.
+    ``loo`` the SSE rows are scaled by :func:`_loo_rows`, so the fill reads
+    leave-one-out costs without a leave-one-out table.
     """
     if isinstance(source, FunctionalDataset):
         build = _sse_rows(source)

@@ -7,9 +7,9 @@ Two strategies:
   smallest score.  Nothing stops these partitions from containing singleton
   segments, whose score is infinite, so this variant tends to settle on few
   segments when the data is noisy.
-* ``FULL_LOO`` -- run the dynamic program directly on the leave-one-out cost
-  table (it is additive too).  Singletons are then never selected, and the
-  per-k scores are the best achievable.
+* ``FULL_LOO`` -- run the dynamic program directly on the leave-one-out
+  costs (they are additive too).  Singletons are then never selected, and
+  the per-k scores are the best achievable.
 
 Both are one routine, :func:`select_k`, over the SSE costs of the dataset:
 the strategy only decides which cost the dynamic program minimizes and which

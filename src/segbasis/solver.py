@@ -11,7 +11,7 @@ the solved maximum can be reconstructed by backtracking from j = 1.  Ties are
 broken toward the smallest split, which makes results deterministic and equal
 to lexicographic-first among optimal partitions.
 
-+inf is an admissible cost (leave-one-out tables assign it to singletons); a
++inf is an admissible cost (leave-one-out costs assign it to singletons); a
 partition is feasible iff its total is finite.
 """
 
@@ -96,9 +96,8 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     or the dataset's SSE rows built by the table build's own row path, so
     the fill of a dataset equals the fill of ``build_sse_table(dataset)`` bit
     for bit and never holds an m x m table.  With ``loo`` the SSE rows are
-    scaled by :func:`costs._loo_rows`, which is all that
-    :func:`costs.loo_table` does to the whole table, so the costs and splits
-    equal those of ``fill_dp(loo_table(build_sse_table(dataset)), k_max)``.
+    scaled by :func:`costs._loo_rows`, so the fill minimizes leave-one-out
+    costs without a leave-one-out table, from an SSE table or the dataset.
     Building the rows in the fill is faster than building the table first
     at n=4, m=2048, k=64: it spares the first touch of a 32 MiB table and a
     second pass over each of its rows (``BENCH_12.json``).

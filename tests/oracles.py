@@ -2,9 +2,11 @@
 
 ``brute_force`` enumerates every partition, ``prefix_oracle_cost`` prices one
 SSE entry from plain uncentred prefix sums, ``segment_cost`` reads one table
-entry with a range check, ``SplitMix64`` is the scalar splitmix64
-generator whose bits the bulk streams of :mod:`segbasis.synth` reproduce, and
-``per_row_read_csv`` parses a CSV a row at a time with Python's ``float``.
+entry with a range check, ``loo_table`` materialises the m x m leave-one-out
+table that the library only ever reads a slab or an entry of,
+``SplitMix64`` is the scalar splitmix64 generator whose bits the bulk streams
+of :mod:`segbasis.synth` reproduce, and ``per_row_read_csv`` parses a CSV a
+row at a time with Python's ``float``.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ from math import comb
 import numpy as np
 
 from segbasis import (
+    CostKind,
     CostTable,
     FunctionalDataset,
     Segmentation,
     new_dataset,
     partition_cost,
 )
+from segbasis.core import _readonly
+from segbasis.costs import _loo_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -32,6 +37,20 @@ def segment_cost(table: CostTable, j: int, l: int) -> float:
     if not (1 <= j <= l <= table.m):
         raise ValueError(f"segment ({j},{l}) out of range for m={table.m}")
     return float(table.values[j - 1, l - 1])
+
+
+def loo_table(sse: CostTable) -> CostTable:
+    """Leave-one-out table of an SSE table.
+
+    Q_loo(j..l) = (len/(len-1))^2 Q_sse(j..l) with len = l-j+1; singletons
+    and the lower triangle get +inf.  The whole table is one block of the
+    library's ``_loo_rows``, which scales the leave-one-out dynamic
+    program's row slabs, so every entry has the bits that fill reads.
+    """
+    if sse.kind is not CostKind.SSE:
+        raise ValueError(f"expected an SSE table, got {sse.kind.value}")
+    out = _loo_rows(sse.values, np.empty((sse.m, sse.m)))
+    return CostTable(m=sse.m, kind=CostKind.LOO, values=_readonly(out))
 
 
 def prefix_oracle_cost(dataset: FunctionalDataset, j: int, l: int) -> float:

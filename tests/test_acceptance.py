@@ -17,14 +17,13 @@ from collections import defaultdict
 import numpy as np
 import pytest
 from conftest import record_acceptance
-from oracles import brute_force, prefix_oracle_cost
+from oracles import brute_force, loo_table, prefix_oracle_cost
 
 from segbasis import (
     InfeasiblePartitionError,
     build_linear_table,
     build_sse_table,
     greedy_agglomerative,
-    loo_table,
     main,
     new_dataset,
     partition_cost,
@@ -98,16 +97,20 @@ def test_solver_matches_exhaustive_search():
     compared = 0
     for ds, sse, loo, lin in suite:
         for table in (sse, loo, lin):
+            # the LOO optimum also from the SSE table, scaled in the fill as
+            # every command runs it
+            runs = [(loo, False), (sse, True)] if table is loo else [(table, False)]
             for k in range(1, min(6, ds.m) + 1):
                 expected, expected_cost = brute_force(table, k)
-                if expected is None:
-                    with pytest.raises(InfeasiblePartitionError):
-                        solve(table, k)
-                    continue
-                seg, cost, _ = solve(table, k)
-                assert seg == expected
-                assert abs(cost - expected_cost) <= 1e-9
-                compared += 1
+                for source, scaled in runs:
+                    if expected is None:
+                        with pytest.raises(InfeasiblePartitionError):
+                            solve(source, k, loo=scaled)
+                        continue
+                    seg, cost, _ = solve(source, k, loo=scaled)
+                    assert seg == expected
+                    assert abs(cost - expected_cost) <= 1e-9
+                    compared += 1
     assert compared >= 500
     assert time.perf_counter() - start < 60.0
 

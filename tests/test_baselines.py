@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import segment_cost
+from oracles import loo_table, segment_cost
 
 from segbasis import (
     build_sse_table,
     greedy_agglomerative,
-    loo_table,
     new_dataset,
     solve,
     uniform_partition,

@@ -340,7 +340,6 @@ def _count_calls(monkeypatch) -> Counter:
     # (solve and solve_all reach fill_dp, the one fill entry point, in solver)
     modules = (segbasis.cli, segbasis.selection, segbasis.costs, segbasis.solver)
     for name, fn in (("build_sse_table", segbasis.costs.build_sse_table),
-                     ("loo_table", segbasis.costs.loo_table),
                      ("fill_dp", segbasis.solver.fill_dp)):
         for module in modules:
             if getattr(module, name, None) is fn:

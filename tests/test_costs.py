@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-from oracles import prefix_oracle_cost, segment_cost
+from oracles import loo_table, prefix_oracle_cost, segment_cost
 
 from segbasis import (
     CostKind,
     build_linear_table,
     build_sse_table,
-    loo_table,
     new_dataset,
     partition_cost,
     segmentation_from_ends,

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from oracles import loo_table
 
 from segbasis import (
     SelectionStrategy,
     build_sse_table,
     default_k_max,
-    loo_table,
     new_dataset,
     partition_cost,
     select_k,

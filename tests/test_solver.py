@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import brute_force
+from oracles import brute_force, loo_table
 
 from segbasis import (
     CostKind,
@@ -12,7 +12,6 @@ from segbasis import (
     build_linear_table,
     build_sse_table,
     fill_dp,
-    loo_table,
     new_dataset,
     partition_cost,
     solve,
