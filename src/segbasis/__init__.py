@@ -24,7 +24,6 @@ from .costs import (
     CostTable,
     build_linear_table,
     build_sse_table,
-    partition_cost,
     partition_totals,
 )
 from .io import ResultDocument, read_csv, render_result, write_csv, write_result
@@ -70,7 +69,6 @@ __all__ = [
     "greedy_agglomerative",
     "main",
     "new_dataset",
-    "partition_cost",
     "partition_totals",
     "read_csv",
     "reconstruct",

@@ -4,7 +4,7 @@ bottom-up merging of adjacent segments."""
 from __future__ import annotations
 
 from .core import CostKind, Segmentation, segmentation_from_ends
-from .costs import CostTable, partition_cost
+from .costs import CostTable, partition_totals
 
 
 def uniform_partition(m: int, k: int) -> Segmentation:
@@ -54,4 +54,4 @@ def greedy_agglomerative(table: CostTable, k: int) -> tuple[Segmentation, float]
         del starts[best_i + 1]
         del ends[best_i + 1]
     seg = segmentation_from_ends(ends, m)
-    return seg, partition_cost(table, seg)
+    return seg, partition_totals(table, [seg], CostKind.SSE)[0]

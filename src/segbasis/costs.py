@@ -61,25 +61,6 @@ class CostTable:
     values: np.ndarray  # (m, m), upper triangle meaningful
 
 
-def partition_cost(table: CostTable, seg: Segmentation) -> float:
-    """Total cost of a segmentation, accumulated from the last segment to the
-    first.
-
-    The right-to-left association mirrors how the dynamic program sums costs,
-    so a partition's reported total is bitwise comparable with solver output.
-    It is a scalar loop, not :func:`_right_sums`: for one segmentation the
-    bulk helper's fixed numpy cost is about 2.5 times the loop's, and
-    exhaustive search prices every partition through this function.
-    """
-    if seg.m != table.m:
-        raise ValueError(f"segmentation covers {seg.m} points, table {table.m}")
-    entry = table.values.item
-    total = 0.0
-    for s, e in reversed(seg.intervals()):
-        total = entry(s - 1, e - 1) + total
-    return total
-
-
 def _right_sums(costs: np.ndarray, counts: Sequence[int]) -> list[float]:
     """Totals of consecutive runs of ``counts[i]`` segment costs each, every
     run summed from its last cost to its first, starting from 0.0.
@@ -112,28 +93,30 @@ def _loo_scale(lens: np.ndarray, sse: np.ndarray, out=None) -> np.ndarray:
 
 def partition_totals(sse: CostTable | FunctionalDataset,
                      segs: Sequence[Segmentation], kind: CostKind) -> list[float]:
-    """SSE or leave-one-out totals (``kind``) of segmentations, priced from
-    the SSE entries of their segments alone.
+    """SSE or leave-one-out totals (``kind``) of segmentations from the SSE
+    entries of their segments: the library's one pricing rule.
 
     ``sse`` is an SSE table, or the dataset when no table is built: the
     entries are then priced by the table's own kernel in one pass, clamped
-    and pinned like the table (:func:`_sse_entries`).  Each SSE total equals
-    ``partition_cost`` on ``build_sse_table`` bit for bit.  The leave-one-out
-    entries come from :func:`_loo_scale`, in one call for all
-    segmentations, with the bits the leave-one-out dynamic program reads.
-    Each segmentation's segments are summed from the last to the first, as
-    the dynamic program sums them.
+    and pinned like the table (:func:`_sse_entries`), with the same bits.
+    The leave-one-out entries come from :func:`_loo_scale`, in one call for
+    all segmentations, with the bits the leave-one-out dynamic program
+    reads.  Each total is summed from the last segment to the first,
+    starting from 0.0, as the dynamic program sums, so it has the bits of
+    the solver's objective.  Linear fits report their objective instead.
     """
     if kind is CostKind.LINEAR:
         raise ValueError("linear totals are not priced from SSE entries")
-    if isinstance(sse, CostTable) and sse.kind is not CostKind.SSE:
+    table = isinstance(sse, CostTable)
+    if table and sse.kind is not CostKind.SSE:
         raise ValueError(f"expected an SSE table, got {sse.kind.value}")
     for seg in segs:
         if seg.m != sse.m:
-            raise ValueError(f"segmentation covers {seg.m} points, table {sse.m}")
+            raise ValueError(f"segmentation covers {seg.m} points, "
+                             f"{'table' if table else 'dataset'} {sse.m}")
     s = np.array([j for seg in segs for j in seg.starts], dtype=np.intp)
     e = np.array([l for seg in segs for l in seg.ends], dtype=np.intp)
-    if isinstance(sse, CostTable):
+    if table:
         costs = sse.values[s - 1, e - 1]
     else:
         costs = _sse_entries(sse, s, e)
@@ -228,11 +211,23 @@ def _sse_block(p1, p2, s, e, lens, tensors, sq, q) -> None:
     _sse_kernel(d, lens, sq, _interval_sums(p2, s, e, q))
 
 
-def _sse_prefix(dataset: FunctionalDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums of each function centred on its mean, and of all the
-    squares, as :func:`_sse_block` reads them."""
-    y = dataset.values - dataset.values.mean(axis=1, keepdims=True)
-    return _prefix(y), _prefix((y * y).sum(axis=0))
+def _require_finite(*bounds) -> None:
+    """Raise unless every bound on a kernel's sums is finite: an overflow
+    is an input error, never a cost."""
+    if not np.isfinite(bounds).all():
+        raise ValueError("input values too large for double-precision sums")
+
+
+def _sse_prefix(dataset: FunctionalDataset):
+    """Each function centred on its mean, the prefix sums of each and those
+    of all the squares, as :func:`_sse_block` reads them.  Raises if a cell
+    could overflow: each |S1_i| is at most the span (``np.ptp``) of its
+    prefix sums and each |S2| at most the last, also left of the diagonal."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = dataset.values - dataset.values.mean(axis=1, keepdims=True)
+        p1, p2 = _prefix(y), _prefix((y * y).sum(axis=0))
+        _require_finite((np.ptp(p1, axis=-1) ** 2).sum() + p2[-1])
+    return y, p1, p2
 
 
 def _sse_entries(dataset: FunctionalDataset, s: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -249,7 +244,7 @@ def _sse_entries(dataset: FunctionalDataset, s: np.ndarray, e: np.ndarray) -> np
     """
     key, inverse = np.unique(s * (dataset.m + 1) + e, return_inverse=True)
     s, e = np.divmod(key, dataset.m + 1)
-    p1, p2 = _sse_prefix(dataset)
+    _, p1, p2 = _sse_prefix(dataset)
     lens = (e - s + 1.0)[None, :]
     d = np.ascontiguousarray(p1[:, e] - p1[:, s - 1])[:, None, :]
     q = (p2[e] - p2[s - 1])[None, :]
@@ -263,7 +258,7 @@ def _sse_rows(dataset: FunctionalDataset):
     """The SSE row builder of ``dataset`` (see :func:`_blocked_rows`): the
     one path by which both the table and the dynamic program's row slabs
     are made, so a slab has the bits of the table's rows."""
-    p1, p2 = _sse_prefix(dataset)
+    _, p1, p2 = _sse_prefix(dataset)
     return _blocked_rows(dataset.n, dataset.m, 1, 1, partial(_sse_block, p1, p2))
 
 
@@ -328,10 +323,14 @@ def build_linear_table(dataset: FunctionalDataset) -> CostTable:
     of the centred grid t and functions y_i.  Intervals of length 1 or 2 are
     exactly interpolated, so their cost is pinned to 0.
     """
-    t = dataset.grid - dataset.grid.mean()
-    y = dataset.values - dataset.values.mean(axis=1, keepdims=True)
-    pt, ptt, pty = _prefix(t), _prefix(t * t), _prefix(y * t)
-    py, pyy = _prefix(y), _prefix((y * y).sum(axis=0))
+    y, py, pyy = _sse_prefix(dataset)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = dataset.grid - dataset.grid.mean()
+        pt, ptt, pty = _prefix(t), _prefix(t * t), _prefix(y * t)
+        # as in _sse_prefix, |Cty_i| <= ptp(pty_i) + ptp(pt) ptp(py_i), also in
+        # the empty cells left of the diagonal, whose lengths read 1
+        st, ty, y1 = (np.ptp(p, axis=-1) for p in (pt, pty, py))
+        _require_finite(st * st, ptt[-1], ((ty + st * y1) ** 2).sum())
 
     def fill(s, e, lens, tensors, sq, q):
         _sse_block(py, pyy, s, e, lens, tensors, sq, q)

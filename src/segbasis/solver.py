@@ -153,7 +153,7 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     return DPTable(k_max=k_max, m=m, costs=_readonly(F), splits=_readonly(L))
 
 
-def backtrack(dp: DPTable, k: int, m: int) -> Segmentation:
+def backtrack(dp: DPTable, k: int) -> Segmentation:
     """Reconstruct the optimal k-segmentation from the recorded splits.
 
     The first segment is {1..split(k, 1)}; the walk then restarts at the next
@@ -165,8 +165,7 @@ def backtrack(dp: DPTable, k: int, m: int) -> Segmentation:
     """
     if not (1 <= k <= dp.k_max):
         raise ValueError(f"k={k} exceeds solved k_max={dp.k_max}")
-    if m != dp.m:
-        raise ValueError(f"m={m} does not match solved table m={dp.m}")
+    m = dp.m
     split = dp.splits.item
     ends, j = [], 0  # j: 0-based start of the next segment
     for p in range(k, 0, -1):
@@ -196,7 +195,7 @@ def solve(table: CostTable | FunctionalDataset, k: int,
         raise InfeasiblePartitionError(
             f"no finite-cost partition into {k} segments"
         )
-    return backtrack(dp, k, table.m), total, dp
+    return backtrack(dp, k), total, dp
 
 
 def solve_all(table: CostTable | FunctionalDataset, k_max: int,
@@ -212,7 +211,7 @@ def solve_all(table: CostTable | FunctionalDataset, k_max: int,
     out = []
     for k, total in enumerate(dp.costs[:, 0].tolist(), start=1):
         if isfinite(total):
-            out.append(SolveResult(k, backtrack(dp, k, table.m), total))
+            out.append(SolveResult(k, backtrack(dp, k), total))
         else:
             out.append(SolveResult(k, None, np.inf))
     return out

@@ -17,7 +17,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 from conftest import record_acceptance
-from oracles import brute_force, loo_table, prefix_oracle_cost
+from oracles import brute_force, loo_table, partition_cost, prefix_oracle_cost
 
 from segbasis import (
     InfeasiblePartitionError,
@@ -26,7 +26,6 @@ from segbasis import (
     greedy_agglomerative,
     main,
     new_dataset,
-    partition_cost,
     solve,
     solve_all,
     uniform_partition,

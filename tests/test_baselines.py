@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import loo_table, segment_cost
+from oracles import loo_table, partition_cost, segment_cost
 
 from segbasis import (
     build_sse_table,
@@ -82,8 +82,6 @@ def test_baselines_never_beat_the_solver():
         table = build_sse_table(_dataset(rng.uniform(-1, 1, size=(n, m))))
         for k in range(1, m + 1):
             _, optimal, _ = solve(table, k)
-            from segbasis import partition_cost
-
             uniform_cost = partition_cost(table, uniform_partition(m, k))
             _, greedy_cost = greedy_agglomerative(table, k)
             assert uniform_cost >= optimal - 1e-12

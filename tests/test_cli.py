@@ -125,22 +125,52 @@ def test_fit_missing_input_file(tmp_path, capsys):
     assert "segbasis: error:" in capsys.readouterr().err
 
 
+OVERFLOW = "too large for double-precision sums"
+
+
+def _one_error_line(err: str) -> str:
+    """The one line a failed command writes to stderr: no numpy warning."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("segbasis: error:"), err
+    return lines[0]
+
+
 def test_overflowing_values_are_an_input_error(tmp_path, capsys):
-    # finite values whose squares overflow give NaN costs, not "infeasible"
+    # finite values whose squares overflow are an input error, not NaN
+    # costs or "infeasible"
     rng = np.random.default_rng(0)
     path = tmp_path / "huge.csv"
     np.savetxt(path, rng.choice([-1e300, 1e300], size=(3, 20)), delimiter=",")
     out = tmp_path / "result.json"
-    with np.errstate(invalid="ignore", over="ignore"):
-        fit = main(["fit", "--input", str(path), "--segments", "3",
-                    "--output", str(out)])
-        fit_err = capsys.readouterr().err
-        select = main(["select", "--input", str(path)])
+    fit = main(["fit", "--input", str(path), "--segments", "3",
+                "--output", str(out)])
+    fit_err = capsys.readouterr().err
+    select = main(["select", "--input", str(path)])
     captured = capsys.readouterr()
     assert fit == select == 1
-    assert "segbasis: error:" in fit_err and "NaN" in fit_err
-    assert "segbasis: error:" in captured.err
+    assert OVERFLOW in _one_error_line(fit_err)
+    assert OVERFLOW in _one_error_line(captured.err)
     assert not out.exists() and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--segments", "2", "--cost", "sse"],
+    ["fit", "--segments", "2", "--cost", "loo"],
+    ["fit", "--segments", "2", "--cost", "linear"],
+    ["select", "--strategy", "standard"],
+    ["select", "--strategy", "full-loo"],
+])
+def test_overflowing_interval_sums_are_an_input_error(tmp_path, capsys, argv):
+    # every square is finite (2.25e304) and so is their sum (9e306), but
+    # the sum of the first 300 values is not squarable: it used to cancel
+    # to a 0.0 cost and a wrong basis with exit 0
+    path = tmp_path / "big.csv"
+    path.write_text(",".join(["1.5e152"] * 200 + ["-1.5e152"] * 200) + "\n")
+    out = tmp_path / "result.json"
+    code = main([*argv, "--input", str(path), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and not out.exists() and captured.out == ""
+    assert OVERFLOW in _one_error_line(captured.err)
 
 
 def test_table_too_large_to_allocate_is_an_input_error(tmp_path, step_csv,
@@ -311,17 +341,17 @@ def test_experiment_noisy_clean_errors_differ(tmp_path, small_cfg):
         assert row["clean_error"] != row["noisy_error"]
 
 
-def test_experiment_infeasible_fixed_basis_is_an_input_error(tmp_path, capsys):
+def test_experiment_overflowing_fixed_basis_is_an_input_error(tmp_path, capsys):
     # two points of +-1.2e154: each square is finite, their sum is not, so
-    # the one-segment cost is +inf without any NaN in the table
+    # the one-segment cost would be +inf; that is an overflow, not an
+    # infeasible basis
     cfg = tmp_path / "edge.cfg"
     cfg.write_text("n = 1\nm = 2\nlo = -1.2e154\nhi = 1.2e154\n")
     out = tmp_path / "result.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["experiment", "--synth", str(cfg), "--max-segments", "1",
-                     "--output", str(out)])
+    code = main(["experiment", "--synth", str(cfg), "--max-segments", "1",
+                 "--output", str(out)])
     assert code == 1 and not out.exists()
-    assert "no finite-cost partition into 1 segments" in capsys.readouterr().err
+    assert OVERFLOW in _one_error_line(capsys.readouterr().err)
 
 
 def _count_calls(monkeypatch) -> Counter:
@@ -351,8 +381,7 @@ def test_experiment_builds_each_table_once(tmp_path, small_cfg, monkeypatch):
     calls = _count_calls(monkeypatch)
     _run_json(tmp_path, ["experiment", "--synth", small_cfg, "--sigma", "0.1",
                          "--max-segments", "5"])
-    assert calls == Counter(build_sse_table=1, loo_table=0, fill_dp=2,
-                            loo_fill_dp=1)
+    assert calls == Counter(build_sse_table=1, fill_dp=2, loo_fill_dp=1)
 
 
 @pytest.mark.parametrize("argv, loo_fills", [
@@ -362,8 +391,8 @@ def test_experiment_builds_each_table_once(tmp_path, small_cfg, monkeypatch):
     (["fit", "--segments", "4", "--cost", "loo"], 1),
     (["fit", "--segments", "4", "--cost", "linear"], 0),
 ])
-def test_loo_table_built_only_where_minimized(tmp_path, small_cfg, monkeypatch,
-                                              argv, loo_fills):
+def test_loo_fill_only_where_minimized(tmp_path, small_cfg, monkeypatch,
+                                      argv, loo_fills):
     calls = _count_calls(monkeypatch)
     doc = _run_json(tmp_path, [*argv, "--synth", small_cfg])
     # no command builds the leave-one-out table: where it is minimized the
@@ -373,7 +402,7 @@ def test_loo_table_built_only_where_minimized(tmp_path, small_cfg, monkeypatch,
     linear = "linear" in argv
     tableless = linear or argv[0] == "select"
     assert calls == Counter(build_sse_table=0 if tableless else 1,
-                            loo_table=0, fill_dp=1, loo_fill_dp=loo_fills)
+                            fill_dp=1, loo_fill_dp=loo_fills)
     total = "sse_total" if linear else "loo_total"
     assert all(np.isfinite(row[total]) for row in doc["records"][:2])
 

@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from oracles import loo_table, prefix_oracle_cost, segment_cost
+from oracles import loo_table, partition_cost, prefix_oracle_cost, segment_cost
 
 from segbasis import (
     CostKind,
     build_linear_table,
     build_sse_table,
     new_dataset,
-    partition_cost,
     segmentation_from_ends,
 )
 from segbasis import costs, solver
@@ -155,7 +154,7 @@ def _segs_of_each_count(rng, m, k_top=64):
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 @pytest.mark.parametrize("n", [1, 4, 124])
-def test_loo_partition_cost_equals_loo_table_pricing(n, offset):
+def test_loo_totals_equal_loo_table_pricing(n, offset):
     rng = np.random.default_rng(n)
     for m in (2, 3, 5, 17, 256, 2048):
         sse = build_sse_table(_dataset(rng.normal(size=(n, m)) + offset))
@@ -255,13 +254,42 @@ def test_sse_kernel_takes_only_c_ordered_sums():
             costs._sse_kernel(other, lens, np.empty((3, 5)), np.zeros((3, 5)))
 
 
-def test_loo_partition_cost_requires_sse_input():
+def test_loo_totals_require_an_sse_table():
     loo = loo_table(build_sse_table(SAW))
     with pytest.raises(ValueError, match="expected an SSE table"):
         partition_totals(loo, [segmentation_from_ends([3], 3)], CostKind.LOO)
     with pytest.raises(ValueError, match="covers 2 points"):
         partition_totals(build_sse_table(SAW), [segmentation_from_ends([2], 2)],
                          CostKind.LOO)
+
+
+def test_overflowing_interval_sums_are_an_input_error():
+    # each square (2.25e304) and their sum (9e306) are finite, but S1 of
+    # points 1..300 squares past the largest double: it used to cancel to a
+    # 0.0 entry with no error
+    big = _dataset(np.repeat([[1.5e152, -1.5e152]], 200, axis=1))
+    seg = segmentation_from_ends([200, 400], 400)
+    for price in (build_sse_table, build_linear_table,
+                  lambda ds: partition_totals(ds, [seg], CostKind.SSE),
+                  lambda ds: solver.fill_dp(ds, 2)):
+        with pytest.raises(ValueError, match="too large for double-precision sums"):
+            price(big)
+    # the centred values are what is summed: an offset of 1e150 is no error
+    assert build_sse_table(_dataset(np.full((2, 400), 1e150))).values[0, -1] == 0.0
+
+
+def test_linear_grid_sums_are_bounded():
+    line = 0.0226 * np.arange(100.0)
+    # a centred grid of +-7.4e153: Stt overflows, and Q(1..100) used to be
+    # NaN; at +-7.5e151, St S1 may overflow left of the diagonal
+    for grid in (1.5e152 * np.arange(100.0), 1.5e152 * np.linspace(0.0, 1.0, 100)):
+        with pytest.raises(ValueError, match="too large for double-precision sums"):
+            build_linear_table(_dataset(line, grid=grid))
+    # at +-5e149 every sum is finite, and an exactly linear curve costs ~0
+    for grid in (1e150 * np.linspace(0.0, 1.0, 100),
+                 1e150 * np.linspace(1.0, 2.0, 100)):
+        q = build_linear_table(_dataset(line, grid=grid)).values
+        assert 0.0 <= q[0, -1] < 1e-12 < build_sse_table(_dataset(line)).values[0, -1]
 
 
 def test_loo_rows_scale_each_block_by_its_own_lengths():
@@ -282,7 +310,7 @@ def test_loo_rows_scale_each_block_by_its_own_lengths():
         assert np.isfinite(got[np.triu_indices(b, 1, w)]).all()
 
 
-def test_partition_cost_right_association():
+def test_partition_totals_right_association():
     rng = np.random.default_rng(17)
     ds = _dataset(rng.normal(size=(2, 10)))
     t = build_sse_table(ds)
@@ -290,13 +318,15 @@ def test_partition_cost_right_association():
     total = 0.0
     for s, e in reversed(seg.intervals()):
         total = float(t.values[s - 1, e - 1]) + total
-    assert partition_cost(t, seg) == total
+    assert partition_totals(t, [seg], CostKind.SSE) == [total]
+    assert partition_totals(ds, [seg], CostKind.SSE) == [total]
 
 
-def test_partition_cost_m_mismatch():
-    t = build_sse_table(SAW)
-    with pytest.raises(ValueError, match="covers 3 points"):
-        partition_cost(t, segmentation_from_ends([3], 3))
+def test_partition_totals_m_mismatch():
+    seg = segmentation_from_ends([3], 3)
+    for source, name in ((build_sse_table(SAW), "table"), (SAW, "dataset")):
+        with pytest.raises(ValueError, match=f"covers 3 points, {name} 4$"):
+            partition_totals(source, [seg], CostKind.SSE)
 
 
 def test_linear_known_values():

@@ -5,7 +5,7 @@ import segbasis
 
 # defined in tests/oracles.py, not in the library
 ORACLES = {"brute_force", "prefix_oracle_cost", "segment_cost", "SplitMix64",
-           "loo_table", "per_row_read_csv"}
+           "loo_table", "per_row_read_csv", "partition_cost"}
 # select_k takes the SSE table, the strategy and k_max instead;
 # partition_totals(sse, [seg], CostKind.LOO) prices one leave-one-out total
 WRAPPERS = {"select_k_standard", "select_k_full_loo", "loo_partition_cost"}

@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from oracles import loo_table
+from oracles import loo_table, partition_cost
 
 from segbasis import (
     SelectionStrategy,
     build_sse_table,
     default_k_max,
     new_dataset,
-    partition_cost,
     select_k,
     solve_all,
 )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import brute_force, loo_table
+from oracles import brute_force, loo_table, partition_cost
 
 from segbasis import (
     CostKind,
@@ -13,7 +13,6 @@ from segbasis import (
     build_sse_table,
     fill_dp,
     new_dataset,
-    partition_cost,
     solve,
     solve_all,
 )
@@ -135,13 +134,11 @@ def test_backtrack_any_k_from_one_fill():
     table = build_sse_table(_dataset([[0, 3, 1, 4, 1, 5, 9, 2, 6]]))
     dp = fill_dp(table, 5)
     for k in range(1, 6):
-        seg = backtrack(dp, k, table.m)
+        seg = backtrack(dp, k)
         assert seg.k == k
         assert float(dp.costs[k - 1, 0]) == partition_cost(table, seg)
     with pytest.raises(ValueError, match="exceeds solved"):
-        backtrack(dp, 6, table.m)
-    with pytest.raises(ValueError, match="does not match"):
-        backtrack(dp, 2, 7)
+        backtrack(dp, 6)
 
 
 def test_determinism_repeated_runs():
@@ -390,7 +387,7 @@ def test_fill_dp_equals_brute_force_on_tied_tables(table):
             for k, (bseg, bcost) in enumerate(best, start=1):
                 assert dp.costs[k - 1, 0] == bcost, (budget, k)
                 if np.isfinite(bcost):
-                    assert backtrack(dp, k, m).ends == bseg.ends, (budget, k)
+                    assert backtrack(dp, k).ends == bseg.ends, (budget, k)
 
 
 def _reference_walk(splits, k):
@@ -414,7 +411,7 @@ def test_backtracks_equal_reference_walks(m, name):
         results = solve_all(table, m)
         for k in range(1, m + 1):
             ref = _reference_walk(dp.splits, k)
-            assert backtrack(dp, k, m).ends == ref, (table.kind, k)
+            assert backtrack(dp, k).ends == ref, (table.kind, k)
             res = results[k - 1]
             if np.isfinite(dp.costs[k - 1, 0]):
                 assert res.segmentation.ends == ref, (table.kind, k)
@@ -439,4 +436,4 @@ def test_sweep_never_backtracks_infeasible_counts(monkeypatch):
     monkeypatch.setattr(solver, "fill_dp", lambda table, k_max, loo: blanked)
     assert solve_all(table, 9) == expected
     with pytest.raises(ValueError, match="no 9-partition recorded at index 1"):
-        backtrack(blanked, 9, 9)
+        backtrack(blanked, 9)
