@@ -26,7 +26,7 @@ from .costs import (
     build_sse_table,
     partition_totals,
 )
-from .io import ResultDocument, read_csv, render_result, write_csv, write_result
+from .io import read_csv, render_result, write_csv, write_result
 from .selection import (
     SelectionRecord,
     SelectionReport,
@@ -52,7 +52,6 @@ __all__ = [
     "FunctionalDataset",
     "InfeasiblePartitionError",
     "PiecewiseModel",
-    "ResultDocument",
     "Segmentation",
     "SelectionRecord",
     "SelectionReport",

@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 1 input error, 2 infeasible request or degenerate
 selection (a flagged result document is still written), 64 usage error.
-Results are canonical JSON (see :mod:`segbasis.io`); timing is reported only
-when --timing is passed, keeping default output byte-deterministic.
+Each command builds the result document it writes, adding an optional key
+only when it is set; :mod:`segbasis.io` serialises it as canonical JSON.
+Timing is reported only when --timing is passed, keeping default output
+byte-deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import re
 import statistics
 import sys
@@ -21,7 +24,7 @@ import numpy as np
 
 from .core import CostKind, FunctionalDataset, Segmentation, fit_model, reconstruct
 from .costs import CostTable, build_linear_table, build_sse_table
-from .io import ResultDocument, read_csv, write_result
+from .io import read_csv, write_result
 from .selection import SelectionStrategy, default_k_max, price_bases, select_k
 from .solver import InfeasiblePartitionError, solve
 from .synth import SynthSpec, add_noise, generate
@@ -101,16 +104,7 @@ def parse_synth_config(text: str) -> SynthSpec:
 
 
 def _spec_source(spec: SynthSpec, seed: int) -> dict[str, Any]:
-    return {
-        "kind": "synth",
-        "n": spec.n,
-        "m": spec.m,
-        "bumps": [list(b) for b in spec.bumps],
-        "jitter": spec.jitter,
-        "lo": spec.lo,
-        "hi": spec.hi,
-        "seed": seed,
-    }
+    return {"kind": "synth", **dataclasses.asdict(spec), "seed": seed}
 
 
 def _load_dataset(args: argparse.Namespace) -> tuple[FunctionalDataset, dict[str, Any]]:
@@ -163,18 +157,18 @@ def cmd_fit(args: argparse.Namespace) -> int:
     t2 = time.perf_counter()
     # a fit reports its basis whatever its leave-one-out total: not scored
     (totals,) = price_bases(sse, kind, [(seg, total)])
-    record = _row(k, seg, totals, scored=False)
-    coefficients = timing = None
-    if seg is not None and args.emit_coefficients:
-        model = fit_model(dataset, seg)
-        coefficients = tuple(tuple(r) for r in model.coefficients.tolist())
-    if seg is not None and args.timing:
-        timing = {"build_ms": (t1 - t0) * 1e3, "dp_ms": (t2 - t1) * 1e3}
-    doc = ResultDocument(
-        command="fit", source=source, cost=kind.value, k=k,
-        records=(record,), coefficients=coefficients, timing=timing,
-        infeasible=seg is None,
-    )
+    doc: dict[str, Any] = {
+        "command": "fit", "source": source, "cost": kind.value, "k": k,
+        "records": [_row(k, seg, totals, scored=False)],
+    }
+    if seg is None:
+        doc["infeasible"] = True
+    else:
+        if args.emit_coefficients:
+            doc["coefficients"] = fit_model(dataset, seg).coefficients.tolist()
+        if args.timing:
+            doc["timing"] = {"build_ms": (t1 - t0) * 1e3,
+                             "dp_ms": (t2 - t1) * 1e3}
     write_result(doc, args.output)
     return 2 if seg is None else 0
 
@@ -186,18 +180,20 @@ def cmd_select(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     report = select_k(dataset, strategy, k_max)  # no m x m table
     t1 = time.perf_counter()
-    timing = {"total_ms": (t1 - t0) * 1e3} if args.timing else None
-    doc = ResultDocument(
-        command="select", source=source, k_max=k_max,
-        strategy=strategy.value, selected_k=report.selected_k,
-        records=tuple(
+    doc: dict[str, Any] = {
+        "command": "select", "source": source, "k_max": k_max,
+        "strategy": strategy.value, "selected_k": report.selected_k,
+        "records": [
             _row(rec.k, rec.segmentation,
                  {"sse_total": rec.sse_total, "loo_total": rec.loo_total},
                  scored=True)
             for rec in report.records
-        ),
-        degenerate=report.degenerate, timing=timing,
-    )
+        ],
+    }
+    if report.degenerate:
+        doc["degenerate"] = True
+    if args.timing:
+        doc["timing"] = {"total_ms": (t1 - t0) * 1e3}
     write_result(doc, args.output)
     return 2 if report.degenerate else 0
 
@@ -248,11 +244,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     source = _spec_source(spec, args.seed)
     source["sigma"] = args.sigma
     source["noise_seed"] = noise_seed
-    doc = ResultDocument(
-        command="experiment", source=source, k_max=k_max,
-        records=tuple(rows),
-    )
-    write_result(doc, args.output)
+    write_result({"command": "experiment", "source": source, "k_max": k_max,
+                  "records": rows}, args.output)
     return 0
 
 

@@ -49,12 +49,15 @@ class Segmentation:
     """An ordered partition of ``{1, ..., m}`` into k contiguous intervals.
 
     ``ends`` holds the 1-based inclusive end index of each segment; the last
-    entry is always m.  Segment j starts at ``ends[j-1] + 1`` (or 1 for the
-    first segment).
+    entry is m, so m is derived from it and cannot disagree with it.
+    Segment j starts at ``ends[j-1] + 1`` (or 1 for the first segment).
     """
 
     ends: tuple[int, ...]
-    m: int
+
+    @property
+    def m(self) -> int:
+        return self.ends[-1]
 
     @property
     def k(self) -> int:
@@ -133,7 +136,7 @@ def segmentation_from_ends(ends, m: int) -> Segmentation:
         raise ValueError("segment end out of range")
     if e[-1] != m:
         raise ValueError(f"last end {e[-1]} does not equal m={m}")
-    return Segmentation(ends=tuple(e), m=m)
+    return Segmentation(ends=tuple(e))
 
 
 def fit_model(dataset: FunctionalDataset, seg: Segmentation) -> PiecewiseModel:

@@ -154,20 +154,20 @@ def _blocked_rows(n: int, m: int, n_tensors: int, pinned: int, fill):
     block for the budget ``_BLOCK_BYTES`` at the width m - s0.
     ``fill(s, e, lens, tensors, scratch, q)`` writes the costs of intervals
     ending at columns s..m-1 into the view ``q``, given the interval lengths
-    (1 where empty) and buffers: ``n_tensors`` of n x b x w and one of
-    b x w, w = m - s.  Then noise below 0 is clamped, lengths 1..``pinned``
-    are set to exactly 0 and the columns left of the diagonal to +inf.  The
-    buffers are allocated once and reused by every call, and the lengths and
-    masks are Toeplitz views of one row each: row r of a block starts r
-    entries further left in it, so entry (r, c) is of interval length
-    c - r + 1.
+    (+inf where empty, so that a sum divided by a length is 0 there) and
+    buffers: ``n_tensors`` of n x b x w and one of b x w, w = m - s.  Then
+    noise below 0 is clamped, lengths 1..``pinned`` are set to exactly 0
+    and the columns left of the diagonal to +inf.  The buffers are
+    allocated once and reused by every call, and the lengths and masks are
+    Toeplitz views of one row each: row r of a block starts r entries
+    further left in it, so entry (r, c) is of interval length c - r + 1.
     """
     cells = _BLOCK_BYTES // (8 * max(n, 1))  # the b x w cells a block may hold
     top = max(1, min(m, cells))  # the most rows a block has
     rel = np.arange(1 - top, m + 1)  # interval lengths 1-top .. m
     lens, empty, short = (
         sliding_window_view(row, m)[top::-1]
-        for row in (np.maximum(rel, 1).astype(np.float64), rel < 1,
+        for row in (np.where(rel >= 1, rel, np.inf), rel < 1,
                     (rel >= 1) & (rel <= pinned)))
     tensors = [np.empty(max(n * m, _BLOCK_BYTES // 8)) for _ in range(n_tensors)]
     scratch = np.empty(max(m, cells))
@@ -327,10 +327,13 @@ def build_linear_table(dataset: FunctionalDataset) -> CostTable:
     with np.errstate(over="ignore", invalid="ignore"):
         t = dataset.grid - dataset.grid.mean()
         pt, ptt, pty = _prefix(t), _prefix(t * t), _prefix(y * t)
-        # as in _sse_prefix, |Cty_i| <= ptp(pty_i) + ptp(pt) ptp(py_i), also in
-        # the empty cells left of the diagonal, whose lengths read 1
+        # as in _sse_prefix, |St| <= ptp(pt), also in the empty cells left of
+        # the diagonal; there the lengths read +inf and St/len is 0, and
+        # elsewhere St/len is a mean of t, so |Cty_i| <= ptp(pty_i) +
+        # max|t| ptp(py_i)
         st, ty, y1 = (np.ptp(p, axis=-1) for p in (pt, pty, py))
-        _require_finite(st * st, ptt[-1], ((ty + st * y1) ** 2).sum())
+        _require_finite(st * st, ptt[-1],
+                        ((ty + np.abs(t).max() * y1) ** 2).sum())
 
     def fill(s, e, lens, tensors, sq, q):
         _sse_block(py, pyy, s, e, lens, tensors, sq, q)

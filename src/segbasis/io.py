@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -99,46 +98,6 @@ def write_csv(dataset: FunctionalDataset, path: str,
             writer.writerow([repr(x) for x in row])
 
 
-@dataclass(frozen=True)
-class ResultDocument:
-    """One CLI invocation's result, ready for canonical serialization.
-
-    ``records`` is a list of row mappings: one per fitted k for fit/select,
-    one per basis for the experiment command.  Optional fields are omitted
-    from the JSON when unset.
-    """
-
-    command: str
-    source: Mapping[str, Any]
-    records: tuple[Mapping[str, Any], ...]
-    cost: str | None = None
-    k: int | None = None
-    k_max: int | None = None
-    strategy: str | None = None
-    selected_k: int | None = None
-    degenerate: bool = False
-    infeasible: bool = False
-    coefficients: tuple[tuple[float, ...], ...] | None = None
-    timing: Mapping[str, float] | None = None
-
-    def to_mapping(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "command": self.command,
-            "source": dict(self.source),
-            "records": [dict(r) for r in self.records],
-        }
-        for key in ("cost", "k", "k_max", "strategy", "selected_k",
-                    "coefficients", "timing"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
-        if self.degenerate:
-            doc["degenerate"] = True
-        if self.infeasible:
-            doc["infeasible"] = True
-        return doc
-
-
 def _real(value: float) -> float | str:
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
@@ -169,14 +128,14 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def render_result(doc: ResultDocument) -> str:
+def render_result(doc: Mapping[str, Any]) -> str:
     """Canonical JSON text: byte-stable for equal documents."""
-    payload = _jsonable(doc.to_mapping())
+    payload = _jsonable(doc)
     return json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       allow_nan=False) + "\n"
 
 
-def write_result(doc: ResultDocument, path: str | None) -> None:
+def write_result(doc: Mapping[str, Any], path: str | None) -> None:
     """Serialize to ``path``, or to stdout when path is None."""
     text = render_result(doc)
     if path is None:

@@ -177,7 +177,7 @@ def backtrack(dp: DPTable, k: int) -> Segmentation:
         j = l
     if j != m:
         raise ValueError(f"last end {j} does not equal m={m}")
-    return Segmentation(ends=tuple(ends), m=m)
+    return Segmentation(ends=tuple(ends))
 
 
 def solve(table: CostTable | FunctionalDataset, k: int,

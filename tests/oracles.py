@@ -109,7 +109,7 @@ def brute_force(table: CostTable, k: int) -> tuple[Segmentation | None, float]:
     best_cost = np.inf
     best: Segmentation | None = None
     for cuts in combinations(range(1, m), k - 1):
-        seg = Segmentation(ends=cuts + (m,), m=m)
+        seg = Segmentation(ends=cuts + (m,))
         total = partition_cost(table, seg)
         if total < best_cost:
             best_cost = total

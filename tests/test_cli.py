@@ -118,6 +118,19 @@ def test_fit_loo_infeasible_writes_flagged_document(tmp_path, step_csv):
     assert row["infeasible"] is True
 
 
+def test_fit_infeasible_omits_coefficients_and_timing(tmp_path, step_csv):
+    # there is no basis to fit means to or to time: the flagged document
+    # carries neither key, whatever the flags ask for
+    doc = _run_json(
+        tmp_path,
+        ["fit", "--input", step_csv, "--grid-row", "--segments", "3",
+         "--cost", "loo", "--emit-coefficients", "--timing"],
+        expect=2,
+    )
+    assert doc["infeasible"] is True
+    assert "coefficients" not in doc and "timing" not in doc
+
+
 def test_fit_missing_input_file(tmp_path, capsys):
     code = main(["fit", "--input", str(tmp_path / "absent.csv"),
                  "--segments", "2"])
@@ -261,6 +274,13 @@ def test_select_full_loo_marks_infeasible_rows(tmp_path, step_csv):
     )
     row = doc["records"][2]
     assert row["ends"] is None and row["infeasible"] is True
+
+
+def test_select_timing_is_opt_in(tmp_path, step_csv):
+    base = ["select", "--input", step_csv, "--grid-row"]
+    assert "timing" not in _run_json(tmp_path, base)
+    timed = _run_json(tmp_path, [*base, "--timing"])
+    assert set(timed["timing"]) == {"total_ms"}
 
 
 def test_select_degenerate_exits_two(tmp_path):

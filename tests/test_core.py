@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from segbasis import (
+    CostKind,
+    PiecewiseModel,
     Segmentation,
+    build_sse_table,
     fit_model,
     new_dataset,
+    partition_totals,
     reconstruct,
     segmentation_from_ends,
 )
@@ -109,6 +113,22 @@ def test_fit_model_mismatched_m():
         fit_model(ds, seg)
     with pytest.raises(ValueError, match="model covers 3 points"):
         reconstruct(ds, fit_model(new_dataset([0, 1, 2], [[1, 2, 3]]), seg))
+
+
+def test_segmentation_ends_fix_its_grid_size():
+    # a segmentation's m is its last end, so one ending short of the
+    # dataset is rejected wherever it is priced, fitted or evaluated
+    seg = Segmentation(ends=(2, 4))
+    assert seg.m == 4
+    ds = new_dataset(np.arange(7.0), np.random.default_rng(3).normal(size=(2, 7)))
+    for source in (build_sse_table(ds), ds):
+        with pytest.raises(ValueError, match="segmentation covers 4 points"):
+            partition_totals(source, [seg], CostKind.SSE)
+    with pytest.raises(ValueError, match="segmentation covers 4 points"):
+        fit_model(ds, seg)
+    model = PiecewiseModel(segmentation=seg, coefficients=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="model covers 4 points"):
+        reconstruct(ds, model)
 
 
 def test_reconstruct_rejects_foreign_coefficients():

@@ -1,5 +1,8 @@
 """The package's public names: each export resolves, and no test oracle or
-removed wrapper is among them or defined in any package module."""
+removed wrapper is among them or defined in any package module.  The names
+perfbench's tracer binds are kept."""
+
+import inspect
 
 import segbasis
 
@@ -7,8 +10,10 @@ import segbasis
 ORACLES = {"brute_force", "prefix_oracle_cost", "segment_cost", "SplitMix64",
            "loo_table", "per_row_read_csv", "partition_cost"}
 # select_k takes the SSE table, the strategy and k_max instead;
-# partition_totals(sse, [seg], CostKind.LOO) prices one leave-one-out total
-WRAPPERS = {"select_k_standard", "select_k_full_loo", "loo_partition_cost"}
+# partition_totals(sse, [seg], CostKind.LOO) prices one leave-one-out total;
+# each command builds the plain dict that render_result serialises
+WRAPPERS = {"select_k_standard", "select_k_full_loo", "loo_partition_cost",
+            "ResultDocument"}
 
 
 def test_every_exported_name_resolves():
@@ -30,3 +35,33 @@ def test_no_module_defines_an_oracle():
         "baselines", "cli", "core", "costs", "io", "selection", "solver", "synth")]
     for module in modules:
         assert not {name for name in ORACLES | WRAPPERS if hasattr(module, name)}
+
+
+# Argument names and result attributes that perfbench's tracer reads from the
+# calls it observes (perfbench/tracer.py): a rename raises KeyError or
+# AttributeError in every traced run, so they are pinned here.
+TRACED_ARGUMENTS = {
+    "fill_dp": {"table", "k_max"},
+    "build_sse_table": {"dataset"},
+    "build_linear_table": {"dataset"},
+    "generate": {"spec"},
+    "add_noise": {"dataset", "sigma"},
+}
+
+
+def test_traced_argument_names_are_kept():
+    for name, arguments in TRACED_ARGUMENTS.items():
+        parameters = inspect.signature(getattr(segbasis, name)).parameters
+        assert arguments <= set(parameters), name
+
+
+def test_traced_result_attributes_are_kept():
+    spec = segbasis.SynthSpec(n=2, m=5)
+    dataset = segbasis.add_noise(segbasis.generate(spec, 0), 0.1, 1)
+    assert (spec.n, len(spec.bumps)) == (2, len(segbasis.DEFAULT_BUMPS))
+    assert (dataset.n, dataset.m, dataset.values.shape) == (2, 5, (2, 5))
+    for table in (segbasis.build_sse_table(dataset),
+                  segbasis.build_linear_table(dataset)):
+        assert table.m == 5 and table.values.shape == (5, 5)
+    dp = segbasis.fill_dp(dataset, 3)
+    assert dp.m == 5 and dp.costs.shape == (3, 5)

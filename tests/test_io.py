@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from oracles import per_row_read_csv
 
 from segbasis import (
-    ResultDocument,
     new_dataset,
     read_csv,
     render_result,
@@ -166,21 +165,13 @@ def test_read_matches_per_row_parser(tmp_path, case, grid_row):
 
 
 def _doc(**overrides):
-    base = dict(
-        command="fit",
-        source={"kind": "csv", "path": "d.csv"},
-        records=({"k": 2, "ends": [2, 4]},),
-    )
-    base.update(overrides)
-    return ResultDocument(**base)
-
-
-def test_to_mapping_omits_unset_fields():
-    doc = _doc().to_mapping()
-    assert set(doc) == {"command", "source", "records"}
-    full = _doc(cost="1.5", k=2, degenerate=True, infeasible=True).to_mapping()
-    assert full["cost"] == "1.5"
-    assert full["degenerate"] is True and full["infeasible"] is True
+    """A result document as a command writes it: a plain mapping."""
+    return {
+        "command": "fit",
+        "source": {"kind": "csv", "path": "d.csv"},
+        "records": [{"k": 2, "ends": [2, 4]}],
+        **overrides,
+    }
 
 
 def test_render_is_canonical():
