@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import lt
 
 import numpy as np
 
@@ -51,9 +52,20 @@ class Segmentation:
     ``ends`` holds the 1-based inclusive end index of each segment; the last
     entry is m, so m is derived from it and cannot disagree with it.
     Segment j starts at ``ends[j-1] + 1`` (or 1 for the first segment).
+    Construction raises ValueError unless the ends are non-empty, strictly
+    increasing and at least 1, so every segment has a point.
     """
 
     ends: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        ends = self.ends
+        if not ends:
+            raise ValueError("ends is empty")
+        if not all(map(lt, ends, ends[1:])):
+            raise ValueError("ends not strictly increasing")
+        if ends[0] < 1:
+            raise ValueError("segment end out of range")
 
     @property
     def m(self) -> int:
@@ -124,19 +136,16 @@ def new_dataset(grid, values) -> FunctionalDataset:
 
 
 def segmentation_from_ends(ends, m: int) -> Segmentation:
-    """Validate a list of 1-based inclusive segment ends covering ``{1..m}``."""
-    e = [int(x) for x in ends]
-    if len(e) == 0:
-        raise ValueError("ends is empty")
+    """Validate a list of 1-based inclusive segment ends covering ``{1..m}``:
+    the :class:`Segmentation` checks the ends, and this the grid size."""
+    seg = Segmentation(ends=tuple(int(x) for x in ends))
     if m < 1:
         raise ValueError("m must be at least 1")
-    if any(b <= a for a, b in zip(e, e[1:])):
-        raise ValueError("ends not strictly increasing")
-    if e[0] < 1 or e[-1] > m:
+    if seg.m > m:
         raise ValueError("segment end out of range")
-    if e[-1] != m:
-        raise ValueError(f"last end {e[-1]} does not equal m={m}")
-    return Segmentation(ends=tuple(e))
+    if seg.m != m:
+        raise ValueError(f"last end {seg.m} does not equal m={m}")
+    return seg
 
 
 def fit_model(dataset: FunctionalDataset, seg: Segmentation) -> PiecewiseModel:

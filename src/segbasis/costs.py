@@ -50,15 +50,41 @@ _BLOCK_BYTES = 1 << 20
 class CostTable:
     """Aggregated segment costs for one dataset.
 
-    ``values[j-1, l-1]`` holds Q(j..l) for j <= l; entries below the diagonal
-    are unused and set to +inf so the solver can index the array directly.
-    The library builds SSE and linear tables; leave-one-out costs are scaled
-    from SSE costs where they are read.
+    ``values[j-1, l-1]`` holds Q(j..l) >= 0 for j <= l; entries below the
+    diagonal are unused and read as +inf, so the solver can index the array
+    directly.  Construction raises ValueError on NaN anywhere and on a
+    negative cost, since the dynamic program's pruning rests on costs >= 0
+    (see :func:`solver.fill_dp`), and replaces any other entry below the
+    diagonal by +inf.  The table holds a read-only array of its own (a
+    writable array or a view is copied), so no later write to the caller's
+    array can break what was checked.  A built table passes with one
+    comparison against a Toeplitz view of one threshold row (+inf below
+    the diagonal, 0 on and above it); masking every slab the fill copies
+    instead cost a one-slab fill at m=256 about 7%.  The library builds
+    SSE and linear tables; leave-one-out costs are scaled from SSE costs
+    where they are read.
     """
 
     m: int
     kind: CostKind
     values: np.ndarray  # (m, m), upper triangle meaningful
+
+    def __post_init__(self) -> None:
+        m, values = self.m, self.values
+        if values.shape != (m, m):
+            raise ValueError(f"cost table of shape {values.shape}, "
+                             f"expected ({m}, {m})")
+        floor = sliding_window_view(
+            np.where(np.arange(1 - m, m) < 0, np.inf, 0.0), m)[::-1]
+        if not (values >= floor).all():
+            if np.isnan(values).any():
+                raise ValueError("cost table contains NaN")
+            if (np.triu(values) < 0.0).any():
+                raise ValueError("cost table has a negative cost")
+            values = np.where(floor == np.inf, np.inf, values)
+        elif values.flags.writeable or values.base is not None:
+            values = values.copy()  # so that what was checked stays so
+        object.__setattr__(self, "values", _readonly(values))
 
 
 def _right_sums(costs: np.ndarray, counts: Sequence[int]) -> list[float]:
@@ -297,8 +323,9 @@ def _row_slabs(source: CostTable | FunctionalDataset, loo: bool):
     """``slab(s, e, out)``: the cost rows s..e-1 over the columns s..m-1
     into ``out``, the one way the dynamic program reads its costs.
 
-    ``source`` is a cost table, whose rows are copied, or a dataset, whose
-    SSE rows are built by :func:`_sse_rows`, the table build's own path, so
+    ``source`` is a cost table, whose rows are copied (+inf left of the
+    diagonal, as :class:`CostTable` holds them), or a dataset, whose SSE
+    rows are built by :func:`_sse_rows`, the table build's own path, so
     they equal the table's rows bit for bit without the m x m table.  With
     ``loo`` the SSE rows are scaled by :func:`_loo_rows`, so the fill reads
     leave-one-out costs without a leave-one-out table.

@@ -48,6 +48,7 @@ class DPTable:
     m: int
     costs: np.ndarray  # (k_max, m) float
     splits: np.ndarray  # (k_max, m) int
+    candidates: int  # candidate sums Q(j..l) + F(p-1, l+1) evaluated
 
 
 @dataclass(frozen=True)
@@ -102,18 +103,37 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     at n=4, m=2048, k=64: it spares the first touch of a 32 MiB table and a
     second pass over each of its rows (``BENCH_12.json``).
 
-    Every pass spans the slab's full width.  F carries one trailing +inf
-    column, F(p, m+1) (no points left), so columns past the last feasible
-    split add +inf and the leftmost argmin never picks them.  A pass copies
-    F(p-1, s+1..m+1) into each row of a candidate buffer and adds the slab's
-    leading rows to it as one flat add of two contiguous arrays: with numpy
-    2.4 on x86-64 an add with a strided or broadcast operand costs nearly
-    twice as much a cell, and a fill at n=4, m=2048, k=64 takes about a
-    quarter less time than with a strided copy and a broadcast add over the
-    feasible columns alone (``BENCH_10.json``).
+    F carries one trailing +inf column, F(p, m+1) (no points left), so
+    columns past the last feasible split add +inf and the leftmost argmin
+    never picks them.  A pass copies F(p-1, l+1) over its columns into each
+    row of a candidate buffer and adds the slab's leading part to it in
+    place: with numpy 2.4 on x86-64 a broadcast add costs nearly twice as
+    much a cell (``BENCH_10.json``), and a full-width pass adds two
+    contiguous arrays, which numpy runs as one flat loop.
 
-    Raises ValueError when a NaN in the costs reaches F (for example SSE
-    costs whose sums overflowed): such costs have no meaningful optimum.
+    A pass at p >= 3 stops its rows' scans where no later column can beat
+    their best, which is exact and keeps the full scan's bits.  The premise
+    is that every cost is >= 0 (:class:`costs.CostTable` checks it, and
+    built rows are clamped at 0), so F >= 0 too, and fl(a + x) >= a for
+    x >= 0: no candidate is below its cost Q(j..l).  Each row's best is at
+    most a real candidate of that row, the one at its split for p-1, summed
+    with the same single addition as the scan's.  ``colmin[c]`` is the
+    least slab entry from the c-th column right of the slab's b x b square
+    on, read from the computed entries, so float rows need not grow with l.
+    From the first column whose ``colmin`` exceeds the largest of the rows'
+    bounds on, every candidate is above its row's best and cannot be the
+    leftmost argmin, not even by a tie.  So the pass scans only the columns
+    before it, and the costs, splits and tie-break are the full scan's.  The
+    square and p = 2 are always scanned whole, and so is a fill whose rows
+    fit in one slab (m <= 256 at the default budget); a NaN cost reaches F
+    at p = 2 and raises.  ``colmin`` is made only once a bound is below
+    every entry of the slab's last column, and a slab stops bounding at its
+    first bound that keeps every column: on the n=32, m=512 ``bench`` data
+    the bounds seldom cut, and an uncut bound costs its work for nothing.
+
+    ``candidates`` counts the sums the fill evaluated.  Raises ValueError
+    when a NaN in the costs reaches F (for example SSE costs whose sums
+    overflowed): such costs have no meaningful optimum.
     """
     m = table.m
     if not (1 <= k_max <= m):
@@ -126,23 +146,43 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     size = max((e - s) * (m - s) for s, e in slabs)
     slab_buf, buf = np.empty(size), np.empty(size)
     arg = np.empty(m, dtype=np.intp)
+    rows = np.arange(max(e - s for s, e in slabs))
+    candidates = 0
     for s, e in slabs:
-        w = m - s  # rows s..e-1 over the columns s..m-1
-        slab = slab_buf[:(e - s) * w].reshape(e - s, w)
+        b, w = e - s, m - s  # rows s..e-1 over the columns s..m-1
+        slab = slab_buf[:b * w].reshape(b, w)
         write_slab(s, e, slab)
         F[0, s:e] = slab[:, -1]
-        starts = np.arange(0, (e - s) * w, w)  # flat offset of each row
+        starts = rows[:b] * w  # flat offset of each row
+        flat = starts - (s + 1)  # Q(s+i+1..l) is slab_buf[flat[i] + l]
+        bound, colmin = b < w, None
         for p in range(2, min(k_max, m - s) + 1):
             # candidate[j, l] = Q(j..l) + F(p-1, l+1); rows j > m-p+1 admit
             # no p-partition
             r = min(e, m - p + 1) - s
-            block = buf[:r * w].reshape(r, w)
-            np.copyto(block, F[p - 2, s + 1:])
-            buf[:r * w] += slab_buf[:r * w]
+            width = w
+            if bound and p >= 3:
+                # the candidates at the splits l for p-1: slab entry
+                # (j, l) + F(p-1, l+1), in the scan's order of addition
+                l = L[p - 2, s:s + r]
+                best = (F[p - 2].take(l) + slab_buf.take(l + flat[:r])).max()
+                if colmin is None and best < F[0, s:e].min():
+                    # colmin[c]: the least slab entry in the columns
+                    # b+c..w-1, made once a bound is below the last one's
+                    colmin = np.minimum.accumulate(
+                        slab[:, b:].min(axis=0)[::-1])[::-1]
+                if colmin is not None:
+                    width = b + int(colmin.searchsorted(best, side="right"))
+                bound = width < w  # else no later pass of the slab bounds
+            block = buf[:r * width].reshape(r, width)
+            np.copyto(block, F[p - 2, s + 1:s + 1 + width])
+            block += slab[:r, :width]
             a = block.argmin(axis=1, out=arg[:r])  # first minimum: leftmost
             np.add(a, s + 1, out=L[p - 1, s:s + r])
-            a += starts[:r]
+            # a full-width pass reuses the row offsets: no temporary
+            a += starts[:r] if width == w else rows[:r] * width
             F[p - 1, s:s + r] = buf[a]
+            candidates += r * width
     F = F[:, :m]
     if np.isnan(F).any():
         raise ValueError("costs contain NaN (input values too large "
@@ -150,7 +190,8 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     # all-inf rows: argmin is meaningless, pin split to the leftmost slot;
     # rows with no p-partition keep split 0
     np.copyto(L[1:], np.arange(1, m + 1), where=~np.isfinite(F[1:]) & (L[1:] > 0))
-    return DPTable(k_max=k_max, m=m, costs=_readonly(F), splits=_readonly(L))
+    return DPTable(k_max=k_max, m=m, costs=_readonly(F), splits=_readonly(L),
+                   candidates=candidates)
 
 
 def backtrack(dp: DPTable, k: int) -> Segmentation:
@@ -158,8 +199,9 @@ def backtrack(dp: DPTable, k: int) -> Segmentation:
 
     The first segment is {1..split(k, 1)}; the walk then restarts at the next
     index with one segment fewer.  Splits are read as Python ints with
-    ``ndarray.item`` and each end is checked as it is read, so no numpy
-    scalar and no second validating pass is made.  A walk of every count of
+    ``ndarray.item``, so no numpy scalar is made, and each end is checked
+    against the recorded range as it is read; :class:`Segmentation` checks
+    the order of the ends again on construction.  A walk of every count of
     a sweep at once, one numpy gather per step, was no faster for 64 counts
     and 20 times slower for one.
     """
@@ -175,9 +217,7 @@ def backtrack(dp: DPTable, k: int) -> Segmentation:
             raise ValueError(f"no {p}-partition {what} at index {j + 1}")
         ends.append(l)
         j = l
-    if j != m:
-        raise ValueError(f"last end {j} does not equal m={m}")
-    return Segmentation(ends=tuple(ends))
+    return Segmentation(ends=tuple(ends))  # split(1, j) is m
 
 
 def solve(table: CostTable | FunctionalDataset, k: int,

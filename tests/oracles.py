@@ -3,11 +3,12 @@
 ``brute_force`` enumerates every partition, ``partition_cost`` prices one
 with a scalar right-to-left loop, ``prefix_oracle_cost`` prices one SSE entry
 from plain uncentred prefix sums, ``segment_cost`` reads one table entry with
-a range check, ``loo_table`` materialises the m x m leave-one-out table that
-the library only ever reads a slab or an entry of, ``SplitMix64`` is the
-scalar splitmix64 generator whose bits the bulk streams of
-:mod:`segbasis.synth` reproduce, and ``per_row_read_csv`` parses a CSV a row
-at a time with Python's ``float``.
+a range check, ``full_scan_fill_dp`` fills the dynamic program scanning
+every column of every row, ``loo_table`` materialises the m x m
+leave-one-out table that the library only ever reads a slab or an entry
+of, ``SplitMix64`` is the scalar splitmix64 generator whose bits the bulk
+streams of :mod:`segbasis.synth` reproduce, and ``per_row_read_csv`` parses
+a CSV a row at a time with Python's ``float``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from segbasis import (
     new_dataset,
 )
 from segbasis.core import _readonly
-from segbasis.costs import _loo_rows
+from segbasis.costs import _loo_rows, _row_slabs
+from segbasis.solver import DPTable, _slabs
 
 _MASK64 = (1 << 64) - 1
 
@@ -70,6 +72,52 @@ def loo_table(sse: CostTable) -> CostTable:
         raise ValueError(f"expected an SSE table, got {sse.kind.value}")
     out = _loo_rows(sse.values, np.empty((sse.m, sse.m)))
     return CostTable(m=sse.m, kind=CostKind.LOO, values=_readonly(out))
+
+
+def full_scan_fill_dp(table, k_max: int, loo: bool = False) -> DPTable:
+    """The slab-ordered dynamic program with every pass over the slab's full
+    width: the library's fill before it stopped a row's scan early, whose
+    costs and splits the pruned fill must equal bit for bit.
+    ``candidates`` counts every sum of the full scan."""
+    m = table.m
+    if not (1 <= k_max <= m):
+        raise ValueError(f"k out of range: {k_max} not in 1..{m}")
+    write_slab = _row_slabs(table, loo)  # +inf left of the diagonal
+    F = np.full((k_max, m + 1), np.inf, dtype=np.float64)
+    L = np.zeros((k_max, m), dtype=np.int64)
+    L[0, :] = m
+    slabs = _slabs(m)
+    size = max((e - s) * (m - s) for s, e in slabs)
+    slab_buf, buf = np.empty(size), np.empty(size)
+    arg = np.empty(m, dtype=np.intp)
+    candidates = 0
+    for s, e in slabs:
+        w = m - s  # rows s..e-1 over the columns s..m-1
+        slab = slab_buf[:(e - s) * w].reshape(e - s, w)
+        write_slab(s, e, slab)
+        F[0, s:e] = slab[:, -1]
+        starts = np.arange(0, (e - s) * w, w)  # flat offset of each row
+        for p in range(2, min(k_max, m - s) + 1):
+            # candidate[j, l] = Q(j..l) + F(p-1, l+1); rows j > m-p+1 admit
+            # no p-partition
+            r = min(e, m - p + 1) - s
+            block = buf[:r * w].reshape(r, w)
+            np.copyto(block, F[p - 2, s + 1:])
+            buf[:r * w] += slab_buf[:r * w]
+            a = block.argmin(axis=1, out=arg[:r])  # first minimum: leftmost
+            np.add(a, s + 1, out=L[p - 1, s:s + r])
+            a += starts[:r]
+            F[p - 1, s:s + r] = buf[a]
+            candidates += r * w
+    F = F[:, :m]
+    if np.isnan(F).any():
+        raise ValueError("costs contain NaN (input values too large "
+                         "for double-precision sums?)")
+    # all-inf rows: argmin is meaningless, pin split to the leftmost slot;
+    # rows with no p-partition keep split 0
+    np.copyto(L[1:], np.arange(1, m + 1), where=~np.isfinite(F[1:]) & (L[1:] > 0))
+    return DPTable(k_max=k_max, m=m, costs=_readonly(F), splits=_readonly(L),
+                   candidates=candidates)
 
 
 def prefix_oracle_cost(dataset: FunctionalDataset, j: int, l: int) -> float:

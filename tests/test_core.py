@@ -72,6 +72,23 @@ def test_segmentation_rejects(ends, m, message):
         segmentation_from_ends(ends, m)
 
 
+@pytest.mark.parametrize(
+    "ends,message",
+    [
+        ((), "empty"),
+        ((5, 3, 7), "not strictly increasing"),
+        ((2, 2, 7), "not strictly increasing"),
+        ((0, 7), "out of range"),
+        ((-1,), "out of range"),
+    ],
+)
+def test_segmentation_rejects_malformed_ends(ends, message):
+    # built directly, such ends once priced at +inf from the SSE table and
+    # finite from the dataset, and fitted NaN coefficients
+    with pytest.raises(ValueError, match=message):
+        Segmentation(ends=ends)
+
+
 @given(st.data())
 def test_segmentation_partitions_the_grid(data):
     m = data.draw(st.integers(min_value=1, max_value=30))

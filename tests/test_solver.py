@@ -1,23 +1,28 @@
 """The dynamic program against exhaustive enumeration and its frozen examples."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import brute_force, loo_table, partition_cost
+from oracles import brute_force, full_scan_fill_dp, loo_table, partition_cost
 
 from segbasis import (
     CostKind,
     CostTable,
     InfeasiblePartitionError,
+    SynthSpec,
+    add_noise,
     build_linear_table,
     build_sse_table,
     fill_dp,
+    generate,
     new_dataset,
     solve,
     solve_all,
 )
 from segbasis import costs, solver
-from segbasis.solver import DPTable, _slabs, backtrack
+from segbasis.solver import _slabs, backtrack
 
 
 def _dataset(rows):
@@ -317,6 +322,23 @@ def test_loo_costs_ignore_the_lower_triangle():
         assert np.array_equal(dp.splits, ref.splits), k
 
 
+def test_costs_ignore_the_lower_triangle():
+    # the loo=False twin: a table's entries below the diagonal read as +inf,
+    # so finite ones there never become a split (-100 there once gave a
+    # total of -80.29 and split 4 instead of 15.02 and split 7)
+    rng = np.random.default_rng(4)
+    built = build_sse_table(_dataset(rng.normal(size=(2, 9))))
+    for junk in (-100.0, rng.choice([0.0, -0.0, -1.0, 2.0], 36)):
+        values = built.values.copy()
+        values[np.tril_indices(9, -1)] = junk
+        table = CostTable(m=9, kind=CostKind.SSE, values=values)
+        assert np.array_equal(table.values, built.values)
+        for k in range(1, 10):
+            dp, ref = fill_dp(table, k), fill_dp(built, k)
+            assert np.array_equal(dp.costs, ref.costs), k
+            assert np.array_equal(dp.splits, ref.splits), k
+
+
 def test_loo_fill_needs_an_sse_table():
     sse = build_sse_table(SAW)
     for table in (loo_table(sse), build_linear_table(SAW)):
@@ -328,17 +350,48 @@ def test_fill_dp_rejects_nan_table():
     values = np.triu(np.ones((5, 5)))
     values[np.tril_indices(5, -1)] = np.inf
     values[1, 3] = np.nan
-    table = CostTable(m=5, kind=CostKind.SSE, values=values)
     with pytest.raises(ValueError, match="NaN"):
+        table = CostTable(m=5, kind=CostKind.SSE, values=values)
         fill_dp(table, 3)
-    with pytest.raises(ValueError, match="NaN"):
-        solve(table, 3)
     # a NaN on the last column: Q(3..5) enters F(1, 3) alone
     values[1, 3], values[2, 4] = 1.0, np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        table = CostTable(m=5, kind=CostKind.SSE, values=values)
+        fill_dp(table, 1)
+
+
+def test_nan_far_right_in_a_multi_slab_table_raises():
+    # a scan that stops early never reads this cell: the table rejects it
+    m = 3000
+    assert len(_slabs(m)) > 1
+    values = np.ones((m, m))
+    values[0, m - 2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        CostTable(m=m, kind=CostKind.SSE, values=values)
+
+
+@pytest.mark.parametrize("cell, value, message", [
+    ((0, 0), -1e-300, "negative"), ((1, 3), -np.inf, "negative"),
+    ((3, 1), np.nan, "NaN"),
+])
+def test_cost_table_rejects_what_the_pruning_cannot_read(cell, value, message):
+    values = np.triu(np.ones((5, 5)))
+    values[cell] = value
+    with pytest.raises(ValueError, match=message):
+        CostTable(m=5, kind=CostKind.SSE, values=values)
+
+
+def test_cost_table_holds_the_square_it_checked():
+    # a later write to the caller's array (here a negative cost, which the
+    # scans' early stops cannot read) leaves the table as checked
+    values = np.triu(np.ones((5, 5)))
     table = CostTable(m=5, kind=CostKind.SSE, values=values)
-    for k in (1, 3):
-        with pytest.raises(ValueError, match="NaN"):
-            fill_dp(table, k)
+    values[0, 4] = -1.0
+    assert table.values[0, 4] == 1.0 and not table.values.flags.writeable
+    built = build_sse_table(SAW)
+    assert CostTable(m=4, kind=CostKind.SSE, values=built.values).values is built.values
+    with pytest.raises(ValueError, match="shape"):
+        CostTable(m=4, kind=CostKind.SSE, values=np.ones((4, 5)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 300])
@@ -432,8 +485,111 @@ def test_sweep_never_backtracks_infeasible_counts(monkeypatch):
     dp = fill_dp(table, 9)
     splits = dp.splits.copy()
     splits[~np.isfinite(dp.costs[:, 0]), 0] = 0
-    blanked = DPTable(k_max=9, m=9, costs=dp.costs, splits=splits)
+    blanked = replace(dp, splits=splits)
     monkeypatch.setattr(solver, "fill_dp", lambda table, k_max, loo: blanked)
     assert solve_all(table, 9) == expected
     with pytest.raises(ValueError, match="no 9-partition recorded at index 1"):
         backtrack(blanked, 9)
+
+
+def _full_scan_count(m, k_max):
+    """Candidate sums of the full scan: r rows of width w a pass."""
+    return sum((min(e, m - p + 1) - s) * (m - s) for s, e in _slabs(m)
+               for p in range(2, min(k_max, m - s) + 1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 256])
+def test_one_slab_fills_count_the_full_scan(m):
+    ds = _dataset(_slab_case("uniform", m, np.random.default_rng(m)))
+    assert len(_slabs(m)) == 1
+    for source, loo in ((build_sse_table(ds), False), (ds, True)):
+        for k in {1, min(m, 3), m}:
+            dp = fill_dp(source, k, loo=loo)
+            assert dp.candidates == _full_scan_count(m, k)
+            assert dp.candidates == full_scan_fill_dp(source, k, loo=loo).candidates
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fine_grid_fill_evaluates_at_most_half_the_full_scan(seed):
+    # the select-fine shape: few curves on a long grid, many segments
+    ds = add_noise(generate(SynthSpec(n=4, m=2048), seed), 0.04, seed + 1)
+    full = _full_scan_count(2048, 64)
+    for loo in (False, True):
+        assert fill_dp(ds, 64, loo=loo).candidates <= full // 2, loo
+
+
+def _steps(levels, ends, noise):
+    """Curves constant between the 1-based ``ends`` (one row of ``levels``
+    a curve) plus ``noise``: their long intervals cost far more than their
+    optima, so the scans stop early."""
+    lengths = np.diff([0, *ends])
+    return np.repeat(np.asarray(levels, dtype=float), lengths, axis=1) + noise
+
+
+def _sources(values, holes=()):
+    """The fill's sources for one value array: SSE and linear tables, the
+    dataset, their leave-one-out fills, and an SSE table with +inf at the
+    upper-triangle cells (flat indices) in ``holes``."""
+    ds = _dataset(values)
+    sse = build_sse_table(ds)
+    m = ds.m
+    holed = sse.values.copy()
+    cells = np.unravel_index(np.asarray(holes, dtype=np.intp), (m, m))
+    holed[cells] = np.inf
+    holed = CostTable(m=m, kind=CostKind.SSE, values=holed)
+    return [(sse, False), (sse, True), (ds, False), (ds, True),
+            (build_linear_table(ds), False), (holed, False), (holed, True)]
+
+
+@st.composite
+def _pruning_cases(draw):
+    m = draw(st.integers(2, 64))
+    n = draw(st.integers(1, 3))
+    ends = sorted(draw(st.sets(st.integers(1, m - 1), max_size=6))) + [m]
+    levels = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+                           min_size=n * len(ends), max_size=n * len(ends)))
+    scale = draw(st.sampled_from([0.0, 0.01, 0.3]))  # 0.0: many exact ties
+    noise = draw(st.lists(st.floats(-1, 1), min_size=n * m, max_size=n * m))
+    values = _steps(np.reshape(levels, (n, -1)), ends,
+                    scale * np.reshape(noise, (n, m)))
+    values += draw(st.sampled_from([0.0, 1e6]))
+    holes = draw(st.lists(st.integers(0, m * m - 1), max_size=8))
+    budget = draw(st.sampled_from([64, 256, 1024, 4096, solver._SLAB_BYTES]))
+    return values, holes, budget, draw(st.integers(1, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pruning_cases())
+def test_pruned_fill_equals_full_scan(case):
+    # budgets of 8 to 512 cells give m <= 64 several slabs with columns
+    # right of their squares, where the scans may stop early; step curves
+    # with and without noise, exact ties, +inf and a 1e6 offset
+    values, holes, budget, k = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_SLAB_BYTES", budget)
+        for source, loo in _sources(values, holes):
+            dp = fill_dp(source, k, loo=loo)
+            ref = full_scan_fill_dp(source, k, loo=loo)
+            assert np.array_equal(dp.costs, ref.costs), (loo, budget)
+            assert np.array_equal(dp.splits, ref.splits), (loo, budget)
+            assert dp.candidates <= ref.candidates
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("scale", [0.0, 0.01, 0.3])
+def test_pruned_fill_cuts_and_equals_full_scan(scale, offset, monkeypatch):
+    # a 4 KiB budget splits m = 64 into slabs of 8 to 22 rows; on step
+    # curves every source's scans stop early, with the full scan's bits
+    monkeypatch.setattr(solver, "_SLAB_BYTES", 4096)
+    m = 64
+    rng = np.random.default_rng(m)
+    values = _steps([[0.0, 5.0, 1.0, 2.0, 0.0], [1.0, 1.0, 0.0, 5.0, 2.0]],
+                    [9, 20, 33, 50, m], scale * rng.uniform(-1, 1, (2, m)))
+    for source, loo in _sources(values + offset, holes=(70, 300, 2000)):
+        for k in (3, 8, 16, m):
+            dp = fill_dp(source, k, loo=loo)
+            ref = full_scan_fill_dp(source, k, loo=loo)
+            assert np.array_equal(dp.costs, ref.costs), (loo, k)
+            assert np.array_equal(dp.splits, ref.splits), (loo, k)
+            if k == 8:
+                assert dp.candidates < ref.candidates, (source, loo)
