@@ -54,4 +54,4 @@ def greedy_agglomerative(table: CostTable, k: int) -> tuple[Segmentation, float]
         del starts[best_i + 1]
         del ends[best_i + 1]
     seg = segmentation_from_ends(ends, m)
-    return seg, partition_totals(table, [seg], CostKind.SSE)[0]
+    return seg, partition_totals(table, [seg])[0][0]

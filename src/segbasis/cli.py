@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import re
 import statistics
 import sys
@@ -23,9 +22,9 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .core import CostKind, FunctionalDataset, Segmentation, fit_model, reconstruct
-from .costs import CostTable, build_linear_table, build_sse_table
+from .costs import CostTable, build_linear_table, build_sse_table, partition_totals
 from .io import read_csv, write_result
-from .selection import SelectionStrategy, default_k_max, price_bases, select_k
+from .selection import SelectionStrategy, default_k_max, select_k
 from .solver import InfeasiblePartitionError, solve
 from .synth import SynthSpec, add_noise, generate
 
@@ -104,7 +103,9 @@ def parse_synth_config(text: str) -> SynthSpec:
 
 
 def _spec_source(spec: SynthSpec, seed: int) -> dict[str, Any]:
-    return {"kind": "synth", **dataclasses.asdict(spec), "seed": seed}
+    # vars holds exactly the spec's fields (no __slots__), and unlike
+    # dataclasses.asdict it does not deep-copy every bump
+    return {"kind": "synth", **vars(spec), "seed": seed}
 
 
 def _load_dataset(args: argparse.Namespace) -> tuple[FunctionalDataset, dict[str, Any]]:
@@ -153,10 +154,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
     try:
         seg, total, _ = solve(table, k, loo=kind is CostKind.LOO)
     except InfeasiblePartitionError:
-        seg, total = None, np.inf
+        seg = None
     t2 = time.perf_counter()
+    if seg is None:
+        totals = {"sse_total": np.inf, "loo_total": np.inf}
+    else:
+        (sse_total,), (loo_total,) = partition_totals(sse, [seg])
+        # the linear DP's own total; leave-one-out scaling is of SSE costs
+        totals = ({"objective_total": total, "sse_total": sse_total}
+                  if kind is CostKind.LINEAR
+                  else {"sse_total": sse_total, "loo_total": loo_total})
     # a fit reports its basis whatever its leave-one-out total: not scored
-    (totals,) = price_bases(sse, kind, [(seg, total)])
     doc: dict[str, Any] = {
         "command": "fit", "source": source, "cost": kind.value, "k": k,
         "records": [_row(k, seg, totals, scored=False)],

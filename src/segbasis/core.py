@@ -104,8 +104,9 @@ class PiecewiseModel:
 def new_dataset(grid, values) -> FunctionalDataset:
     """Validate raw grid/value arrays and build a :class:`FunctionalDataset`.
 
-    Rejects non-increasing grids, ragged value rows, and non-finite entries,
-    each with its own diagnostic.
+    Rejects non-increasing grids, ragged value rows, non-numeric values,
+    values of other than one or two dimensions and non-finite entries, each
+    with its own diagnostic.
     """
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 1 or g.size < 1:
@@ -113,11 +114,15 @@ def new_dataset(grid, values) -> FunctionalDataset:
     try:
         v = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise ValueError("ragged rows: value rows have unequal lengths") from exc
+        try:
+            np.asarray(values)  # refuses only nested rows of unequal lengths
+        except ValueError:
+            raise ValueError("ragged rows: value rows have unequal lengths") from exc
+        raise ValueError("non-numeric entry in values") from exc
     if v.ndim == 1:
         v = v.reshape(1, -1)
-    if v.ndim != 2 or v.dtype == object:
-        raise ValueError("ragged rows: value rows have unequal lengths")
+    if v.ndim != 2:
+        raise ValueError(f"values must be 1-d or 2-d, got {v.ndim}-d")
     m = g.size
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite entry in grid")

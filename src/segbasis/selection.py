@@ -16,11 +16,10 @@ the strategy only decides which cost the dynamic program minimizes and which
 one scores its partitions.  The costs come from the dataset itself or from a
 prebuilt SSE table, with the same bits.  From the dataset no m x m table is
 built at all: the dynamic program builds the SSE rows a slab at a time
-(``FULL_LOO``'s scales them), and the partitions' other totals are priced
-from their SSE entries.  A caller that needs both strategies can build the
-SSE table once and pass it to both sweeps.  :func:`price_bases` is the one
-rule for the totals a basis reports given the cost its dynamic program
-minimized, shared with ``fit``.
+(``FULL_LOO``'s scales them).  A caller that needs both strategies can build
+the SSE table once and pass it to both sweeps.  Both totals of every basis,
+the minimized one too, are priced in one :func:`costs.partition_totals`
+call, which sums each basis as the dynamic program does.
 """
 
 from __future__ import annotations
@@ -28,11 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
-from typing import Sequence
 
 import numpy as np
 
-from .core import CostKind, FunctionalDataset, Segmentation
+from .core import FunctionalDataset, Segmentation
 from .costs import CostTable, partition_totals
 from .solver import solve_all
 
@@ -81,30 +79,6 @@ def _pick(records: list[SelectionRecord]) -> tuple[int, bool]:
     return best_k, False
 
 
-def price_bases(sse: CostTable | FunctionalDataset, kind: CostKind,
-                bases: Sequence[tuple[Segmentation | None, float]]
-                ) -> list[dict[str, float]]:
-    """Totals each basis reports, given the ``objective`` its dynamic program
-    minimized over a table of ``kind``, and the SSE table of the same data
-    (or the dataset itself, when no SSE table is built).
-
-    The minimized cost is reported as is; the SSE kind adds the basis's
-    leave-one-out total and the others its SSE total, priced for all bases
-    at once.  The linear kind reports no leave-one-out total: the
-    per-segment inflation factor does not apply to it.  No basis (an
-    infeasible k) costs +inf either way.
-    """
-    scored = CostKind.LOO if kind is CostKind.SSE else CostKind.SSE
-    priced = iter(partition_totals(
-        sse, [seg for seg, _ in bases if seg is not None], scored))
-    name = {CostKind.SSE: "sse_total", CostKind.LOO: "loo_total",
-            CostKind.LINEAR: "objective_total"}[kind]
-    other = "loo_total" if scored is CostKind.LOO else "sse_total"
-    return [{"sse_total": np.inf, "loo_total": np.inf} if seg is None
-            else {name: objective, other: next(priced)}
-            for seg, objective in bases]
-
-
 def select_k(
     sse: CostTable | FunctionalDataset, strategy: SelectionStrategy, k_max: int
 ) -> SelectionReport:
@@ -115,14 +89,18 @@ def select_k(
     at a time, or a prebuilt SSE table of it; both give the same report.
 
     The strategy names the cost the dynamic program optimizes; the other one
-    only scores the optimal partitions.
+    only scores the optimal partitions.  Both totals of every basis are
+    priced by :func:`costs.partition_totals` in one call; a k without a
+    finite-cost basis scores +inf on both.
     """
-    standard = strategy is SelectionStrategy.STANDARD_THEN_LOO
-    results = solve_all(sse, k_max, loo=not standard)
-    totals = price_bases(sse, CostKind.SSE if standard else CostKind.LOO,
-                         [(res.segmentation, res.cost) for res in results])
-    records = [SelectionRecord(k=res.k, segmentation=res.segmentation, **t)
-               for res, t in zip(results, totals)]
+    results = solve_all(sse, k_max,
+                        loo=strategy is SelectionStrategy.FULL_LOO)
+    segs = [res.segmentation for res in results if res.feasible]
+    priced = zip(*partition_totals(sse, segs))
+    records = [SelectionRecord(res.k, res.segmentation,
+                               *(next(priced) if res.feasible
+                                 else (np.inf, np.inf)))
+               for res in results]
     selected, degenerate = _pick(records)
     return SelectionReport(strategy=strategy, records=tuple(records),
                            selected_k=selected, degenerate=degenerate)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from segbasis import (
-    CostKind,
     PiecewiseModel,
     Segmentation,
     build_sse_table,
@@ -40,6 +39,10 @@ def test_new_dataset_promotes_single_row():
         ([0.0, float("inf")], [[1.0, 2.0]], "non-finite entry in grid"),
         ([0.0, 1.0, 2.0], [[1.0, 2.0]], "does not match grid length"),
         ([], [[]], "non-empty"),
+        ([0.0, 1.0], "ab", "non-numeric entry in values"),
+        ([0.0, 1.0], [[1.0, 2.0], [3.0, "x"]], "non-numeric entry in values"),
+        ([0.0, 1.0], [[[1.0, 2.0]], [[3.0, 4.0]]], "1-d or 2-d, got 3-d"),
+        ([0.0], 1.0, "1-d or 2-d, got 0-d"),
     ],
 )
 def test_new_dataset_rejects(grid, values, message):
@@ -140,7 +143,7 @@ def test_segmentation_ends_fix_its_grid_size():
     ds = new_dataset(np.arange(7.0), np.random.default_rng(3).normal(size=(2, 7)))
     for source in (build_sse_table(ds), ds):
         with pytest.raises(ValueError, match="segmentation covers 4 points"):
-            partition_totals(source, [seg], CostKind.SSE)
+            partition_totals(source, [seg])
     with pytest.raises(ValueError, match="segmentation covers 4 points"):
         fit_model(ds, seg)
     model = PiecewiseModel(segmentation=seg, coefficients=np.zeros((2, 2)))

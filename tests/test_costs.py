@@ -5,7 +5,6 @@ import pytest
 from oracles import loo_table, partition_cost, prefix_oracle_cost, segment_cost
 
 from segbasis import (
-    CostKind,
     build_linear_table,
     build_sse_table,
     new_dataset,
@@ -170,9 +169,9 @@ def test_loo_totals_equal_loo_table_pricing(n, offset):
         assert np.inf in expected and np.isfinite(expected).any()
         assert [partition_cost(loo, seg) for seg in segs] == expected
         for seg, total in zip(segs, expected):
-            assert partition_totals(sse, [seg], CostKind.LOO) == [total]
-        assert partition_totals(sse, segs, CostKind.LOO) == expected
-        assert partition_totals(sse, [], CostKind.LOO) == []
+            assert partition_totals(sse, [seg])[1] == [total]
+        assert partition_totals(sse, segs)[1] == expected
+        assert partition_totals(sse, [])[1] == []
 
 
 @pytest.mark.parametrize("n", [1, 4, 124])
@@ -193,9 +192,9 @@ def test_table_free_sse_totals_equal_table_pricing(n):
             segs += _segs_of_each_count(rng, m)
             expected = [_right_to_left(sse, seg) for seg in segs]
             assert [partition_cost(sse, seg) for seg in segs] == expected
-            assert partition_totals(ds, segs, CostKind.SSE) == expected
-            assert partition_totals(sse, segs, CostKind.SSE) == expected
-    assert partition_totals(ds, [], CostKind.SSE) == []
+            assert partition_totals(ds, segs)[0] == expected
+            assert partition_totals(sse, segs)[0] == expected
+    assert partition_totals(ds, [])[0] == []
 
 
 def test_bulk_totals_keep_the_right_to_left_association():
@@ -257,10 +256,9 @@ def test_sse_kernel_takes_only_c_ordered_sums():
 def test_loo_totals_require_an_sse_table():
     loo = loo_table(build_sse_table(SAW))
     with pytest.raises(ValueError, match="expected an SSE table"):
-        partition_totals(loo, [segmentation_from_ends([3], 3)], CostKind.LOO)
+        partition_totals(loo, [segmentation_from_ends([3], 3)])
     with pytest.raises(ValueError, match="covers 2 points"):
-        partition_totals(build_sse_table(SAW), [segmentation_from_ends([2], 2)],
-                         CostKind.LOO)
+        partition_totals(build_sse_table(SAW), [segmentation_from_ends([2], 2)])
 
 
 def test_overflowing_interval_sums_are_an_input_error():
@@ -270,7 +268,7 @@ def test_overflowing_interval_sums_are_an_input_error():
     big = _dataset(np.repeat([[1.5e152, -1.5e152]], 200, axis=1))
     seg = segmentation_from_ends([200, 400], 400)
     for price in (build_sse_table, build_linear_table,
-                  lambda ds: partition_totals(ds, [seg], CostKind.SSE),
+                  lambda ds: partition_totals(ds, [seg]),
                   lambda ds: solver.fill_dp(ds, 2)):
         with pytest.raises(ValueError, match="too large for double-precision sums"):
             price(big)
@@ -319,15 +317,15 @@ def test_partition_totals_right_association():
     total = 0.0
     for s, e in reversed(seg.intervals()):
         total = float(t.values[s - 1, e - 1]) + total
-    assert partition_totals(t, [seg], CostKind.SSE) == [total]
-    assert partition_totals(ds, [seg], CostKind.SSE) == [total]
+    assert partition_totals(t, [seg])[0] == [total]
+    assert partition_totals(ds, [seg])[0] == [total]
 
 
 def test_partition_totals_m_mismatch():
     seg = segmentation_from_ends([3], 3)
     for source, name in ((build_sse_table(SAW), "table"), (SAW, "dataset")):
         with pytest.raises(ValueError, match=f"covers 3 points, {name} 4$"):
-            partition_totals(source, [seg], CostKind.SSE)
+            partition_totals(source, [seg])
 
 
 def test_linear_known_values():

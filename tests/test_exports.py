@@ -3,6 +3,8 @@ removed wrapper is among them or defined in any package module.  The names
 perfbench's tracer binds are kept."""
 
 import inspect
+import re
+from pathlib import Path
 
 import segbasis
 
@@ -10,10 +12,11 @@ import segbasis
 ORACLES = {"brute_force", "prefix_oracle_cost", "segment_cost", "SplitMix64",
            "loo_table", "per_row_read_csv", "partition_cost"}
 # select_k takes the SSE table, the strategy and k_max instead;
-# partition_totals(sse, [seg], CostKind.LOO) prices one leave-one-out total;
-# each command builds the plain dict that render_result serialises
+# partition_totals(sse, [seg]) prices a basis's SSE and leave-one-out totals;
+# each command builds the plain dict that render_result serialises, totals
+# included
 WRAPPERS = {"select_k_standard", "select_k_full_loo", "loo_partition_cost",
-            "ResultDocument"}
+            "ResultDocument", "price_bases"}
 
 
 def test_every_exported_name_resolves():
@@ -35,6 +38,15 @@ def test_no_module_defines_an_oracle():
         "baselines", "cli", "core", "costs", "io", "selection", "solver", "synth")]
     for module in modules:
         assert not {name for name in ORACLES | WRAPPERS if hasattr(module, name)}
+
+
+def test_only_cli_names_the_totals_of_a_document():
+    # the JSON keys of a record's totals are the schema's, and cli alone
+    # builds documents; the library hands totals over as plain floats
+    names = re.compile(r"""["'](sse_total|loo_total|objective_total)["']""")
+    spelled = {path.name for path in Path(segbasis.__file__).parent.glob("*.py")
+               if names.search(path.read_text())}
+    assert spelled == {"cli.py"}
 
 
 # Argument names and result attributes that perfbench's tracer reads from the

@@ -18,6 +18,7 @@ from segbasis import (
     fill_dp,
     generate,
     new_dataset,
+    partition_totals,
     solve,
     solve_all,
 )
@@ -593,3 +594,42 @@ def test_pruned_fill_cuts_and_equals_full_scan(scale, offset, monkeypatch):
             assert np.array_equal(dp.splits, ref.splits), (loo, k)
             if k == 8:
                 assert dp.candidates < ref.candidates, (source, loo)
+
+
+def _objectives_and_priced_totals(source, k_max, loo):
+    """F(k, 1) of every feasible k of one fill, and the SSE (or, with
+    ``loo``, leave-one-out) totals ``partition_totals`` prices for the bases
+    the fill backtracks, both as raw bits."""
+    dp = fill_dp(source, k_max, loo=loo)
+    objective = dp.costs[:, 0]
+    feasible = np.isfinite(objective)
+    segs = [backtrack(dp, k) for k in range(1, k_max + 1) if feasible[k - 1]]
+    priced = np.array(partition_totals(source, segs)[loo], dtype=float)
+    return objective[feasible].view(np.uint64), priced.view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pruning_cases())
+def test_fill_objective_is_the_priced_total_of_its_basis(case):
+    # reports price the minimized total too, so it must keep the fill's
+    # bits: tied and noisy step curves, a 1e6 offset, +inf holes and the
+    # leave-one-out singletons, at multi-slab budgets
+    values, holes, budget, k_max = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_SLAB_BYTES", budget)
+        for source, loo in _sources(values, holes):
+            if getattr(source, "kind", CostKind.SSE) is not CostKind.SSE:
+                continue  # linear totals are not priced from SSE entries
+            objective, priced = _objectives_and_priced_totals(source, k_max, loo)
+            assert np.array_equal(objective, priced), (loo, budget)
+
+
+@pytest.mark.parametrize("loo", [False, True])
+@pytest.mark.parametrize("n, m", [(124, 256), (4, 700)])
+def test_sweep_objectives_are_the_priced_totals_of_their_bases(n, m, loo):
+    # a default-size sweep in one slab, and a fine grid in several
+    ds = add_noise(generate(SynthSpec(n=n, m=m), 3), 0.04, 4)
+    for source in (ds, build_sse_table(ds)):
+        objective, priced = _objectives_and_priced_totals(source, 64, loo)
+        assert objective.size == 64
+        assert np.array_equal(objective, priced)
