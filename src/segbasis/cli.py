@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import re
-import statistics
 import sys
 import time
 from math import isfinite
@@ -270,6 +269,16 @@ def _bench_sample(dataset: FunctionalDataset, k: int) -> tuple[float, float]:
     return build_s * 1e3 / calls, dp_s * 1e3 / calls
 
 
+def _median(times: Sequence[float]) -> float:
+    """The middle of the sorted times, or the mean of the two middle ones
+    (``statistics`` would add to every command's import time)."""
+    ordered = sorted(times)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[half]
+    return (ordered[half - 1] + ordered[half]) / 2
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         m_list = [int(part) for part in args.m_list.split(",") if part.strip()]
@@ -297,8 +306,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             rows.append([m, args.n, args.k, str(rep), build_ms, dp_ms])
         build_times, dp_times = zip(*sample)
         rows.append([m, args.n, args.k, "median",
-                     statistics.median(build_times),
-                     statistics.median(dp_times)])
+                     _median(build_times), _median(dp_times)])
     out = sys.stdout if args.output is None else open(args.output, "w", newline="")
     try:
         writer = csv.writer(out)

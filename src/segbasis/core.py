@@ -112,13 +112,12 @@ def new_dataset(grid, values) -> FunctionalDataset:
     if g.ndim != 1 or g.size < 1:
         raise ValueError("grid must be a non-empty 1-d sequence")
     try:
-        v = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        try:
-            np.asarray(values)  # refuses only nested rows of unequal lengths
-        except ValueError:
-            raise ValueError("ragged rows: value rows have unequal lengths") from exc
-        raise ValueError("non-numeric entry in values") from exc
+        v = np.asarray(values)
+    except ValueError as exc:  # refused only for rows of unequal lengths
+        raise ValueError("ragged rows: value rows have unequal lengths") from exc
+    if v.dtype.kind not in "biuf":  # strings and objects would convert
+        raise ValueError("non-numeric entry in values")
+    v = v.astype(np.float64, copy=False)
     if v.ndim == 1:
         v = v.reshape(1, -1)
     if v.ndim != 2:

@@ -111,10 +111,10 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     much a cell (``BENCH_10.json``), and a full-width pass adds two
     contiguous arrays, which numpy runs as one flat loop.
 
-    A pass at p >= 3 stops its rows' scans where no later column can beat
-    their best, which is exact and keeps the full scan's bits.  The premise
-    is that every cost is >= 0 (:class:`costs.CostTable` checks it, and
-    built rows are clamped at 0), so F >= 0 too, and fl(a + x) >= a for
+    A pass at p >= 3 need scan its rows only up to where no later column can
+    beat their best, which is exact and keeps the full scan's bits.  The
+    premise is that every cost is >= 0 (:class:`costs.CostTable` checks it,
+    and built rows are clamped at 0), so F >= 0 too, and fl(a + x) >= a for
     x >= 0: no candidate is below its cost Q(j..l).  Each row's best is at
     most a real candidate of that row, the one at its split for p-1, summed
     with the same single addition as the scan's.  ``colmin[c]`` is the
@@ -122,14 +122,28 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     on, read from the computed entries, so float rows need not grow with l.
     From the first column whose ``colmin`` exceeds the largest of the rows'
     bounds on, every candidate is above its row's best and cannot be the
-    leftmost argmin, not even by a tie.  So the pass scans only the columns
-    before it, and the costs, splits and tie-break are the full scan's.  The
-    square and p = 2 are always scanned whole, and so is a fill whose rows
-    fit in one slab (m <= 256 at the default budget); a NaN cost reaches F
-    at p = 2 and raises.  ``colmin`` is made only once a bound is below
-    every entry of the slab's last column, and a slab stops bounding at its
+    leftmost argmin, not even by a tie: the pass needs only the ``need``
+    columns before it.  The square and p = 2 are always scanned whole, and
+    so is a fill whose rows fit in one slab (m <= 256 at the default
+    budget); a NaN cost reaches F at p = 2 and raises.  ``colmin`` is made
+    only once a bound is below every entry of the slab's last column (its
+    least entry is found once a slab), and a slab stops bounding at its
     first bound that keeps every column: on the n=32, m=512 ``bench`` data
     the bounds seldom cut, and an uncut bound costs its work for nothing.
+
+    A cut pass reads the slab's first ``held`` columns from one contiguous
+    b x ``held`` copy in a third slab-sized buffer, allocated at the fill's
+    first copy, so it adds two contiguous arrays of one shape, which numpy
+    runs as one flat loop; an add of ``slab[:r, :need]``, whose rows are w
+    apart, costs two to three times as much a cell.  The copy is remade
+    only when ``need`` rises above ``held`` or falls below 7/8 of it, and
+    otherwise the pass scans all ``held`` columns.  Scanning the extra
+    columns is exact by the bound above: each of them has a candidate above
+    its row's best, so it neither wins nor ties, and ``candidates`` stays at
+    most the full scan's.  A pass's flat argmin offsets index its candidate
+    block and the held columns alike, so one gather of the held columns
+    gives each row's Q(j..split), and the next pass's bound adds
+    F(p-1, split+1) to it.
 
     ``candidates`` counts the sums the fill evaluated.  Raises ValueError
     when a NaN in the costs reaches F (for example SSE costs whose sums
@@ -145,6 +159,7 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     slabs = _slabs(m)
     size = max((e - s) * (m - s) for s, e in slabs)
     slab_buf, buf = np.empty(size), np.empty(size)
+    held_buf = None  # made at the first recopy: many fills never cut
     arg = np.empty(m, dtype=np.intp)
     rows = np.arange(max(e - s for s, e in slabs))
     candidates = 0
@@ -153,36 +168,47 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
         slab = slab_buf[:b * w].reshape(b, w)
         write_slab(s, e, slab)
         F[0, s:e] = slab[:, -1]
-        starts = rows[:b] * w  # flat offset of each row
-        flat = starts - (s + 1)  # Q(s+i+1..l) is slab_buf[flat[i] + l]
+        cols, held = slab, w  # the slab's first `held` columns, contiguous
+        starts = rows[:b] * w  # flat offset of each row of `cols`
         bound, colmin = b < w, None
+        if bound:
+            last = F[0, s:e].min()
         for p in range(2, min(k_max, m - s) + 1):
             # candidate[j, l] = Q(j..l) + F(p-1, l+1); rows j > m-p+1 admit
             # no p-partition
             r = min(e, m - p + 1) - s
-            width = w
             if bound and p >= 3:
-                # the candidates at the splits l for p-1: slab entry
-                # (j, l) + F(p-1, l+1), in the scan's order of addition
-                l = L[p - 2, s:s + r]
-                best = (F[p - 2].take(l) + slab_buf.take(l + flat[:r])).max()
-                if colmin is None and best < F[0, s:e].min():
-                    # colmin[c]: the least slab entry in the columns
-                    # b+c..w-1, made once a bound is below the last one's
+                # the candidates at the splits for p-1, summed as the scan
+                # sums them
+                best = (F[p - 2].take(L[p - 2, s:s + r]) + q[:r]).max()
+                if colmin is None and best < last:
+                    # colmin[c]: the least slab entry in the columns b+c..w-1
                     colmin = np.minimum.accumulate(
                         slab[:, b:].min(axis=0)[::-1])[::-1]
+                need = w
                 if colmin is not None:
-                    width = b + int(colmin.searchsorted(best, side="right"))
-                bound = width < w  # else no later pass of the slab bounds
-            block = buf[:r * width].reshape(r, width)
-            np.copyto(block, F[p - 2, s + 1:s + 1 + width])
-            block += slab[:r, :width]
+                    need = b + int(colmin.searchsorted(best, side="right"))
+                bound = need < w  # else no later pass of the slab bounds
+                if need > held or 8 * need < 7 * held:
+                    held = need
+                    if held == w:
+                        cols = slab
+                    else:
+                        if held_buf is None:
+                            held_buf = np.empty(size)
+                        cols = held_buf[:b * held].reshape(b, held)
+                        np.copyto(cols, slab[:, :held])
+                    starts = rows[:b] * held
+            block = buf[:r * held].reshape(r, held)
+            np.copyto(block, F[p - 2, s + 1:s + 1 + held])
+            block += cols[:r]
             a = block.argmin(axis=1, out=arg[:r])  # first minimum: leftmost
             np.add(a, s + 1, out=L[p - 1, s:s + r])
-            # a full-width pass reuses the row offsets: no temporary
-            a += starts[:r] if width == w else rows[:r] * width
+            a += starts[:r]
             F[p - 1, s:s + r] = buf[a]
-            candidates += r * width
+            if bound:
+                q = cols.take(a)  # Q(j..split): block and cols share offsets
+            candidates += r * held
     F = F[:, :m]
     if np.isnan(F).any():
         raise ValueError("costs contain NaN (input values too large "

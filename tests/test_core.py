@@ -43,6 +43,9 @@ def test_new_dataset_promotes_single_row():
         ([0.0, 1.0], [[1.0, 2.0], [3.0, "x"]], "non-numeric entry in values"),
         ([0.0, 1.0], [[[1.0, 2.0]], [[3.0, 4.0]]], "1-d or 2-d, got 3-d"),
         ([0.0], 1.0, "1-d or 2-d, got 0-d"),
+        ([0.0, 1.0], [None, 1.0], "non-numeric entry in values"),
+        ([0.0, 1.0], ["1.5", "2"], "non-numeric entry in values"),
+        ([0.0, 1.0], [b"1", b"2"], "non-numeric entry in values"),
     ],
 )
 def test_new_dataset_rejects(grid, values, message):

@@ -596,6 +596,28 @@ def test_pruned_fill_cuts_and_equals_full_scan(scale, offset, monkeypatch):
                 assert dp.candidates < ref.candidates, (source, loo)
 
 
+def test_held_columns_shrink_and_grow_again(monkeypatch):
+    # a 1 KiB budget splits m = 128 into slabs of 1 to 11 rows.  In the
+    # leave-one-out fills the held columns shrink by more than 1/8, later
+    # passes scan them wider than they need, and the bounds then rise again:
+    # the slab of rows 95..97 holds 34 -> 26 -> 22 -> 19 columns, scans 26
+    # where 23 and 22 suffice, then regrows to 20, 23, 24 and 32; at k = m
+    # the slab of rows 11..12 holds 24 columns for 55 passes and must regrow
+    # to 82 of its 118, where a column past the 24th wins
+    monkeypatch.setattr(solver, "_SLAB_BYTES", 1024)
+    m = 128
+    noise = 0.01 * np.random.default_rng(2).uniform(-1, 1, (1, m))
+    values = _steps([[0.0, 2.0, 1.0, 0.0, 0.0, 5.0]], [31, 33, 34, 51, 92, m],
+                    noise)
+    for source, loo in _sources(values, holes=(10167, 13881, 16271)):
+        for k in (16, m):
+            dp = fill_dp(source, k, loo=loo)
+            ref = full_scan_fill_dp(source, k, loo=loo)
+            assert np.array_equal(dp.costs, ref.costs), (loo, k)
+            assert np.array_equal(dp.splits, ref.splits), (loo, k)
+            assert dp.candidates <= ref.candidates
+
+
 def _objectives_and_priced_totals(source, k_max, loo):
     """F(k, 1) of every feasible k of one fill, and the SSE (or, with
     ``loo``, leave-one-out) totals ``partition_totals`` prices for the bases
