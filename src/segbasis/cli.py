@@ -269,16 +269,6 @@ def _bench_sample(dataset: FunctionalDataset, k: int) -> tuple[float, float]:
     return build_s * 1e3 / calls, dp_s * 1e3 / calls
 
 
-def _median(times: Sequence[float]) -> float:
-    """The middle of the sorted times, or the mean of the two middle ones
-    (``statistics`` would add to every command's import time)."""
-    ordered = sorted(times)
-    half = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[half]
-    return (ordered[half - 1] + ordered[half]) / 2
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         m_list = [int(part) for part in args.m_list.split(",") if part.strip()]
@@ -306,7 +296,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             rows.append([m, args.n, args.k, str(rep), build_ms, dp_ms])
         build_times, dp_times = zip(*sample)
         rows.append([m, args.n, args.k, "median",
-                     _median(build_times), _median(dp_times)])
+                     float(np.median(build_times)), float(np.median(dp_times))])
     out = sys.stdout if args.output is None else open(args.output, "w", newline="")
     try:
         writer = csv.writer(out)
