@@ -249,11 +249,12 @@ def _sse_prefix(dataset: FunctionalDataset):
     """Each function centred on its mean, the prefix sums of each and those
     of all the squares, as :func:`_sse_block` reads them.  Raises if a cell
     could overflow: each |S1_i| is at most the span (``np.ptp``) of its
-    prefix sums and each |S2| at most the last, also left of the diagonal."""
+    prefix sums and each |S2| at most the last, also left of the diagonal,
+    and a leave-one-out entry is at most 4 times its SSE entry."""
     with np.errstate(over="ignore", invalid="ignore"):
         y = dataset.values - dataset.values.mean(axis=1, keepdims=True)
         p1, p2 = _prefix(y), _prefix((y * y).sum(axis=0))
-        _require_finite((np.ptp(p1, axis=-1) ** 2).sum() + p2[-1])
+        _require_finite(4.0 * ((np.ptp(p1, axis=-1) ** 2).sum() + p2[-1]))
     return y, p1, p2
 
 

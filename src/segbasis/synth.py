@@ -159,11 +159,17 @@ def add_noise(dataset: FunctionalDataset, sigma: float, seed: int) -> Functional
     """Add i.i.d. N(0, sigma^2) noise to every entry.
 
     Each function gets its own derived noise stream, applied left to right.
-    sigma = 0 returns the dataset unchanged.
+    sigma = 0 returns the dataset unchanged; a sigma so large that a noisy
+    value overflows raises ValueError.
     """
     if not (sigma >= 0 and math.isfinite(sigma)):
         raise ValueError("sigma must be nonnegative and finite")
     if sigma == 0:
         return dataset
     noise = _normals(seed, dataset.n, dataset.m)
-    return new_dataset(dataset.grid, dataset.values + sigma * noise)
+    try:
+        with np.errstate(over="raise"):
+            values = dataset.values + sigma * noise
+    except FloatingPointError:
+        raise ValueError(f"sigma {sigma!r} too large: a noisy value overflows") from None
+    return new_dataset(dataset.grid, values)

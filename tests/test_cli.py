@@ -186,6 +186,27 @@ def test_overflowing_interval_sums_are_an_input_error(tmp_path, capsys, argv):
     assert OVERFLOW in _one_error_line(captured.err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--segments", "2", "--cost", "sse"],
+    ["fit", "--segments", "2", "--cost", "loo"],
+    ["select", "--strategy", "standard"],
+    ["select", "--strategy", "full-loo"],
+])
+def test_overflowing_loo_costs_are_an_input_error(tmp_path, capsys, argv):
+    # every SSE sum is finite (the one-segment cost is 1.21e308), but a
+    # leave-one-out cost is up to 4 times its SSE cost: the two-point
+    # segments used to read +inf, so `fit --cost loo` said "infeasible",
+    # `select` "degenerate" and `fit --cost sse` reported an inf loo_total
+    a = 5.5e153
+    path = tmp_path / "alternating.csv"
+    path.write_text(",".join(repr(v) for v in (a, -a, a, -a)) + "\n")
+    out = tmp_path / "result.json"
+    code = main([*argv, "--input", str(path), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and not out.exists() and captured.out == ""
+    assert OVERFLOW in _one_error_line(captured.err)
+
+
 def test_table_too_large_to_allocate_is_an_input_error(tmp_path, step_csv,
                                                         capsys, monkeypatch):
     def build(dataset):
@@ -349,6 +370,16 @@ def test_experiment_nonfinite_synth_config(tmp_path, capsys, line, message):
     assert code == 1
     err = capsys.readouterr().err
     assert message in err and "non-finite entry" not in err
+
+
+def test_experiment_overflowing_noise_is_an_input_error(tmp_path, small_cfg,
+                                                       capsys):
+    # sigma is finite, but sigma times a normal draw above 1.8 is not
+    out = tmp_path / "result.json"
+    code = main(["experiment", "--synth", small_cfg, "--sigma", "1e308",
+                 "--output", str(out)])
+    assert code == 1 and not out.exists()
+    assert "sigma 1e+308 too large" in _one_error_line(capsys.readouterr().err)
 
 
 def test_experiment_noisy_clean_errors_differ(tmp_path, small_cfg):
@@ -523,6 +554,7 @@ def test_bench_stdout(capsys):
         (["bench", "--m-list", ""], "empty --m-list"),
         (["bench", "--m-list", "8", "--k", "9"], "k out of range"),
         (["bench", "--repeats", "0"], "repeats must be at least 1"),
+        (["bench", "--m-list", "4,-1", "--k", "1"], "m must be at least 2"),
     ],
 )
 def test_bench_input_errors(argv, message, capsys):

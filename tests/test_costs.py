@@ -5,10 +5,13 @@ import pytest
 from oracles import loo_table, partition_cost, prefix_oracle_cost, segment_cost
 
 from segbasis import (
+    SynthSpec,
     build_linear_table,
     build_sse_table,
+    generate,
     new_dataset,
     segmentation_from_ends,
+    solve_all,
 )
 from segbasis import costs, solver
 from segbasis.costs import partition_totals
@@ -274,6 +277,22 @@ def test_overflowing_interval_sums_are_an_input_error():
             price(big)
     # the centred values are what is summed: an offset of 1e150 is no error
     assert build_sse_table(_dataset(np.full((2, 400), 1e150))).values[0, -1] == 0.0
+
+
+def test_overflowing_loo_entries_are_an_input_error():
+    # every SSE sum of these 2 x 8 values is finite, but a leave-one-out
+    # entry is up to 4 times its SSE entry: the k = 4 sweep read its
+    # two-point segments as +inf and k = 4 as "infeasible", while the same
+    # values scaled by 2^-600 solve with ends (2, 4, 6, 8)
+    big = generate(SynthSpec(n=2, m=8, lo=-3.83e153, hi=3.83e153), 0)
+    seg = segmentation_from_ends([2, 4, 6, 8], 8)
+    for price in (build_sse_table, build_linear_table,
+                  lambda ds: partition_totals(ds, [seg]),
+                  lambda ds: solver.fill_dp(ds, 4, loo=True)):
+        with pytest.raises(ValueError, match="too large for double-precision sums"):
+            price(big)
+    small = _dataset(np.ldexp(big.values, -600))
+    assert solve_all(small, 4, loo=True)[-1].segmentation == seg
 
 
 def test_linear_grid_sums_are_bounded():

@@ -519,6 +519,15 @@ def test_fine_grid_fill_evaluates_at_most_half_the_full_scan(seed):
         assert fill_dp(ds, 64, loo=loo).candidates <= full // 2, loo
 
 
+def test_bench_fill_at_m512_scans_every_pass_whole():
+    # the n=32, m=512 `bench` fill at k=16, the m=512 side of acceptance 8's
+    # DP m-ratio: each slab's first bound keeps every column, so the slab
+    # stops bounding there.  Bounding on would stay exact but evaluate
+    # 2,020,462 sums, and the ratio's floor has tripped on unchanged code
+    table = build_sse_table(generate(SynthSpec(n=32, m=512), 0))
+    assert fill_dp(table, 16).candidates == _full_scan_count(512, 16) == 2_686_140
+
+
 def _steps(levels, ends, noise):
     """Curves constant between the 1-based ``ends`` (one row of ``levels``
     a curve) plus ``noise``: their long intervals cost far more than their
