@@ -305,19 +305,20 @@ def _loo_rows(sse_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Leave-one-out entries of a b x w block of SSE rows that starts on the
     diagonal (row r, column c is an interval of len c - r + 1), into ``out``.
 
-    The factor row (len/(len-1))^2 for len = 1-b..w comes from
-    :func:`_loo_scale` itself, and the block is multiplied by a Toeplitz
-    view of it (row stride back one length, column stride forward one).
-    The factor is +inf below len 2, and inf * 0 is NaN on the diagonal, so
-    the diagonal and the lower triangle are set to +inf where the factor is
-    after the multiply.
+    The rows must hold +inf left of the diagonal, as a :class:`CostTable`
+    and :func:`_blocked_rows` hold them.  The factor row (len/(len-1))^2
+    for len = 1-b..w comes from :func:`_loo_scale` itself, and the block is
+    multiplied by a Toeplitz view of it (row stride back one length, column
+    stride forward one).  The factor is +inf below len 2, so left of the
+    diagonal inf * inf stays +inf; on the diagonal a 0 entry gives
+    inf * 0 = NaN, so the diagonal alone is set to +inf after the multiply.
     """
     b, w = sse_rows.shape
     factor = _loo_scale(np.arange(1.0 - b, w + 1.0), np.ones(b + w))
     f = np.lib.stride_tricks.sliding_window_view(factor, w)[:0:-1]
     with np.errstate(invalid="ignore"):  # inf * 0 on the diagonal
         np.multiply(f, sse_rows, out=out)
-    np.copyto(out[:, :b], np.inf, where=f[:, :b] == np.inf)
+    np.fill_diagonal(out, np.inf)
     return out
 
 

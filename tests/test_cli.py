@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden import CASES, EXIT_CODES, GOLDEN, _render
 
 import segbasis
 from segbasis import main
@@ -577,6 +578,38 @@ def test_python_m_segbasis_matches_main(capsys):
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    builds = []
+    build = segbasis.cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(segbasis.cli, "build_parser", counted)
+
+    def call(argv, fresh):
+        if fresh:
+            segbasis.cli._shared_parser.cache_clear()
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    # each call on the reused parser answers as a call on a new one
+    for argv, code in ((["fit", "--input", "x.csv", "--frobnicate"], 64),
+                       (["--help"], 0),
+                       (["experiment", "--sigma", "-inf"], 1)):
+        expected = call(argv, fresh=True)
+        assert expected[0] == code
+        assert call(argv, fresh=False) == expected
+    assert len(builds) == 3
+    for name in sorted(CASES):
+        golden = (GOLDEN / f"{name}.json").read_bytes()
+        for _ in range(2):
+            assert _render(CASES[name], tmp_path, EXIT_CODES.get(name, 0)) == golden
+            assert capsys.readouterr() == ("", "")
+    assert len(builds) == 3
 
 
 def _bytes_for(tmp_path, argv, name):

@@ -5,6 +5,8 @@ import pytest
 from oracles import loo_table, partition_cost, prefix_oracle_cost, segment_cost
 
 from segbasis import (
+    CostKind,
+    CostTable,
     SynthSpec,
     build_linear_table,
     build_sse_table,
@@ -326,6 +328,41 @@ def test_loo_rows_scale_each_block_by_its_own_lengths():
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         assert np.all(got[np.tril_indices(b, 0, w)] == np.inf)
         assert np.isfinite(got[np.triu_indices(b, 1, w)]).all()
+
+
+def _loo_formula(sse: np.ndarray) -> np.ndarray:
+    """Leave-one-out entries one at a time from Python floats: f * f * Q
+    with f = len / (len - 1), and +inf on and below the diagonal."""
+    m = sse.shape[0]
+    out = np.full((m, m), np.inf)
+    for j in range(m):
+        for l in range(j + 1, m):
+            f = (l - j + 1.0) / (l - j)
+            out[j, l] = f * f * float(sse[j, l])
+    return out
+
+
+def test_loo_slabs_match_the_factor_formula():
+    m = 300  # two fill slabs, the bottom one square
+    rng = np.random.default_rng(31)
+    ds = generate(SynthSpec(n=3, m=m), 4)
+    sources = [(ds, build_sse_table(ds).values)]
+    for diagonal in (0.0, -0.0, 0.25):
+        values = rng.uniform(0.0, 2.0, size=(m, m))
+        values[rng.random((m, m)) < 0.05] = 0.0  # zero costs above the diagonal
+        np.fill_diagonal(values, diagonal)
+        values[np.tril_indices(m, -1)] = -1.0  # read as +inf by the table
+        table = CostTable(m=m, kind=CostKind.SSE, values=values)
+        sources.append((table, table.values))
+    blocks = solver._slabs(m) + [(0, 1), (150, 151), (m - 1, m), (0, m)]
+    assert len(solver._slabs(m)) > 1
+    for source, sse in sources:
+        expected = _loo_formula(sse)
+        slab = costs._row_slabs(source, loo=True)
+        for s, e in blocks:
+            got = slab(s, e, np.empty((e - s, m - s)))
+            assert np.array_equal(got.view(np.uint64),
+                                  expected[s:e, s:].view(np.uint64)), (s, e)
 
 
 def test_partition_totals_right_association():
