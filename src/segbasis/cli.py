@@ -173,7 +173,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         doc["infeasible"] = True
     else:
         if args.emit_coefficients:
-            doc["coefficients"] = fit_model(dataset, seg).coefficients.tolist()
+            doc["coefficients"] = fit_model(dataset, seg).coefficients
         if args.timing:
             doc["timing"] = {"build_ms": (t1 - t0) * 1e3,
                              "dp_ms": (t2 - t1) * 1e3}

@@ -118,7 +118,10 @@ def _jsonable(value: Any) -> Any:
     if kind is dict or isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        items = value.tolist()
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return items  # no infinity to spell: one conversion
+        return [_jsonable(v) for v in items]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):

@@ -18,12 +18,13 @@ partition is feasible iff its total is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, isqrt
+from math import inf, isfinite, isqrt, nextafter
 
 import numpy as np
 
 from .core import FunctionalDataset, Segmentation, _readonly
-from .costs import CostTable, _row_slabs
+from .costs import (CostTable, _data_prefix, _entries, _loo_scale, _row_slabs,
+                    _sse_error_bound, _sse_row)
 
 # Byte budget of the fill's contiguous row slab (and of its candidate
 # buffer): the slab is reused for every segment count while it stays in cache.
@@ -49,6 +50,7 @@ class DPTable:
     costs: np.ndarray  # (k_max, m) float
     splits: np.ndarray  # (k_max, m) int
     candidates: int  # candidate sums Q(j..l) + F(p-1, l+1) evaluated
+    slab_cells: int  # cost entries written into the fill's row slabs
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,32 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     columns alike, so one gather of the held columns gives each row's
     Q(j..split), and the next pass's bound adds F(p-1, split+1) to it.
 
+    A fill from a dataset also builds each slab above the bottom one only
+    out to the first column no pass can use, as a b x c array, c <= w; the
+    passes, ``colmin`` and ``held`` run on it unchanged.  The cut comes from
+    row e, the first row below the slab, which is done for every p: its
+    first segment ends at L = split(p, e), so Q(j..L) + F(p-1, L+1) is a
+    p-partition of row j's points and best(p, j) is at most it.  With delta
+    the written error bound of :func:`costs._sse_error_bound`, computed
+    entries satisfy Q(j..L) <= Q(s..L) + 2 delta for every row j >= s, and
+    a leave-one-out entry at L is scaled by at most row e-1's factor.  So
+    ``top``, the largest over p of Q(s..L) + 2 delta (scaled for
+    leave-one-out, rounded up) plus F(p-1, L+1), bounds every best of the
+    slab.  Below it, row e's SSE entries bound every slab row's entries:
+    Q(j..l) >= Q(e..l) - 2 delta for j < e, and a leave-one-out entry is
+    never below its SSE entry.  So from the first column whose suffix
+    minimum of row e's entries exceeds top + 2 delta, rounded up, every
+    candidate is above its row's best and neither wins nor ties: the cut is
+    exact as the passes' own is.  Rows s and e are priced whole, each once
+    and within delta, by :func:`costs._sse_row` from the prefix sums the
+    rows are built from; F(1, j) = Q(j..m), which a cut slab does not hold,
+    is priced for every row before the first slab by
+    :func:`costs._entries`, with the build's bits.  A slab is built whole when it is the bottom one or k_max exceeds the
+    points below it (row e has no split for some p), or when F(p, e) is
+    +inf for some p.  Fills from a table copy whole rows.  ``slab_cells``
+    counts the entries written into slabs, b x c a slab: on n=4, m=2048,
+    k=64 data about 75-80% of whole slabs.
+
     ``candidates`` counts the sums the fill evaluated.  Costs are >= 0 and
     never NaN, so every sum is finite or +inf.
     """
@@ -166,17 +194,44 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
                             default=0))
     arg = np.empty(m, dtype=np.intp)
     rows = np.arange(max(e - s for s, e in slabs))
-    candidates = 0
+    trim = not isinstance(table, CostTable) and len(slabs) > 1 and k_max > 1
+    if trim:
+        prefix = _data_prefix(table)
+        slack = 2.0 * _sse_error_bound(table)
+        passes = np.arange(k_max - 1)  # p - 2 for p = 2..k_max
+        # F(1, j) = Q(j..m) with the build's bits, as no slab holds them all
+        F[0, :m] = _entries(prefix, np.arange(1, m + 1), np.full(m, m))
+        if loo:
+            F[0, :m] = _loo_scale(m - np.arange(m, dtype=float), F[0, :m])
+    candidates = slab_cells = 0
+    row = None
     for s, e in slabs:
         b, w = e - s, m - s  # rows s..e-1 over the columns s..m-1
-        slab = slab_buf[:b * w].reshape(b, w)
+        c = w  # the slab's columns s..s+c-1 are built
+        if trim and k_max <= m - s:  # this slab, or the next, may cut
+            above, row = row, _sse_row(prefix, s + 1)  # rows e and s
+        if trim and k_max <= m - e and F[1:k_max, e].max() < inf:
+            # a bound on Q(j..L) for every row j of the slab at the ends L
+            # of row e's splits, from row s's entries
+            ends = L[1:k_max, e]
+            upper = np.nextafter(row[ends - s - 1] + slack, np.inf)
+            if loo:  # no row's factor at L exceeds row e-1's
+                upper = _loo_scale(ends - e + 1.0, upper)
+            top = (upper + F[passes, ends]).max()
+            # from column c on, every row's Q(j..l) exceeds top
+            least = np.minimum.accumulate(above[::-1])[::-1]
+            c = b + int(least.searchsorted(nextafter(top + slack, inf),
+                                           side="right"))
+        slab = slab_buf[:b * c].reshape(b, c)
         write_slab(s, e, slab)
-        F[0, s:e] = slab[:, -1]
-        cols, held = slab, w  # the slab's first `held` columns, contiguous
-        starts = rows[:b] * w  # flat offset of each row of `cols`
-        bound = b < w
+        if not trim:
+            F[0, s:e] = slab[:, -1]
+        slab_cells += b * c
+        cols, held = slab, c  # the slab's first `held` columns, contiguous
+        starts = rows[:b] * c  # flat offset of each row of `cols`
+        bound = b < c
         if bound:
-            # colmin[c]: the least slab entry in the columns b+c..w-1
+            # colmin[i]: the least slab entry in the columns b+i..c-1
             colmin = np.minimum.accumulate(slab[:, b:].min(axis=0)[::-1])[::-1]
         for p in range(2, min(k_max, m - s) + 1):
             # candidate[j, l] = Q(j..l) + F(p-1, l+1); rows j > m-p+1 admit
@@ -187,7 +242,7 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
                 # sums them
                 best = (F[p - 2].take(L[p - 2, s:s + r]) + q[:r]).max()
                 need = b + int(colmin.searchsorted(best, side="right"))
-                bound = need < w  # else no later pass of the slab bounds
+                bound = need < c  # else no later pass of the slab bounds
                 if need > held or 8 * need < 7 * held:
                     held = need
                     cols = held_buf[:b * held].reshape(b, held)
@@ -208,7 +263,7 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     # rows with no p-partition keep split 0
     np.copyto(L[1:], np.arange(1, m + 1), where=~np.isfinite(F[1:]) & (L[1:] > 0))
     return DPTable(k_max=k_max, m=m, costs=_readonly(F), splits=_readonly(L),
-                   candidates=candidates)
+                   candidates=candidates, slab_cells=slab_cells)
 
 
 def backtrack(dp: DPTable, k: int) -> Segmentation:

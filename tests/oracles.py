@@ -78,7 +78,8 @@ def full_scan_fill_dp(table, k_max: int, loo: bool = False) -> DPTable:
     """The slab-ordered dynamic program with every pass over the slab's full
     width: the library's fill before it stopped a row's scan early, whose
     costs and splits the pruned fill must equal bit for bit.
-    ``candidates`` counts every sum of the full scan."""
+    ``candidates`` counts every sum of the full scan and ``slab_cells``
+    every entry of its whole slabs."""
     m = table.m
     if not (1 <= k_max <= m):
         raise ValueError(f"k out of range: {k_max} not in 1..{m}")
@@ -90,10 +91,11 @@ def full_scan_fill_dp(table, k_max: int, loo: bool = False) -> DPTable:
     size = max((e - s) * (m - s) for s, e in slabs)
     slab_buf, buf = np.empty(size), np.empty(size)
     arg = np.empty(m, dtype=np.intp)
-    candidates = 0
+    candidates = slab_cells = 0
     for s, e in slabs:
         w = m - s  # rows s..e-1 over the columns s..m-1
         slab = slab_buf[:(e - s) * w].reshape(e - s, w)
+        slab_cells += (e - s) * w
         write_slab(s, e, slab)
         F[0, s:e] = slab[:, -1]
         starts = np.arange(0, (e - s) * w, w)  # flat offset of each row
@@ -117,7 +119,7 @@ def full_scan_fill_dp(table, k_max: int, loo: bool = False) -> DPTable:
     # rows with no p-partition keep split 0
     np.copyto(L[1:], np.arange(1, m + 1), where=~np.isfinite(F[1:]) & (L[1:] > 0))
     return DPTable(k_max=k_max, m=m, costs=_readonly(F), splits=_readonly(L),
-                   candidates=candidates)
+                   candidates=candidates, slab_cells=slab_cells)
 
 
 def prefix_oracle_cost(dataset: FunctionalDataset, j: int, l: int) -> float:

@@ -1,5 +1,8 @@
 """Cost tables: the prefix-sum SSE build, its oracles, and the transforms."""
 
+from fractions import Fraction
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from oracles import loo_table, partition_cost, prefix_oracle_cost, segment_cost
@@ -422,3 +425,79 @@ def test_linear_matches_lstsq_residuals():
                 coef, *_ = np.linalg.lstsq(A, y, rcond=None)
                 rss += float(((y - A @ coef) ** 2).sum())
             assert np.isclose(segment_cost(t, j, l), rss, rtol=1e-8, atol=1e-10)
+
+
+def _exact_sse(y):
+    """``Q(j, l)``: the exact SSE of the doubles ``y`` (one row a function)
+    over the 1-based points j..l, as a Fraction.  Every double is an
+    integer over a power of two, so over the largest denominator all
+    prefix sums are integers."""
+    values = [[Fraction(x) for x in row] for row in y.tolist()]
+    den = max(x.denominator for row in values for x in row)
+    ints = [[int(x * den) for x in row] for row in values]
+    p1 = [list(accumulate(row, initial=0)) for row in ints]
+    p2 = list(accumulate((sum(row[t] ** 2 for row in ints)
+                          for t in range(y.shape[1])), initial=0))
+
+    def q(j, l):
+        length = l - j + 1
+        s1 = sum((p[l] - p[j - 1]) ** 2 for p in p1)
+        return Fraction(length * (p2[l] - p2[j - 1]) - s1, length * den * den)
+
+    return q
+
+
+def _adversarial(name, n, m):
+    rng = np.random.default_rng([n, m])
+    noise = rng.normal(size=(n, m))
+    if name == "offset":  # 1e6 and 1e8 offsets
+        return noise + np.where(np.arange(n)[:, None] % 2, 1e8, 1e6)
+    if name == "large":
+        return 1e140 * noise
+    if name == "constant":
+        return np.repeat(np.resize([3.7, 1e8 + 0.1, -2.5e-3, 7.0], (n, 1)), m, axis=1)
+    if name == "tiny":  # squares below the smallest normal, or 0
+        return np.where(np.arange(n)[:, None] % 2, 1e-300, 1e-160) * noise
+    # steps and bumps on a long grid, with noise
+    t = np.linspace(0.0, 1.0, m)
+    return (np.sign(np.sin(7 * t)) + np.exp(-((t - 0.3) / 0.01) ** 2)
+            + 0.04 * noise + 1e6)
+
+
+@pytest.mark.parametrize("name, n, m", [
+    ("offset", 1, 48), ("offset", 4, 300), ("offset", 124, 64),
+    ("large", 4, 200), ("constant", 4, 300), ("constant", 124, 40),
+    ("tiny", 1, 60), ("tiny", 4, 300), ("curves", 4, 2048),
+    ("curves", 124, 256),
+])
+def test_sse_entries_are_within_the_written_bound(name, n, m):
+    # |Q^ - Q| <= delta against the exact SSE of the centred values, and
+    # Q^(j..l) >= Q^(e..l) - 2 delta for every j < e <= l of the table: the
+    # two facts the dataset fill's column cut rests on
+    ds = _dataset(_adversarial(name, n, m))
+    delta = costs._sse_error_bound(ds)
+    table = build_sse_table(ds).values
+    prefix = costs._sse_prefix(ds)
+    q = _exact_sse(prefix[0])
+    rng = np.random.default_rng(m)
+    if m * m * n <= 300_000:  # every interval
+        pairs = [(j, l) for j in range(1, m + 1) for l in range(j, m + 1)]
+    else:  # the ends, the short ones and a random sample
+        pairs = [(1, m), (1, 1), (m, m), (1, 2), (m - 1, m)]
+        pairs += [(j, j + 1) for j in range(1, m, max(1, m // 50))]
+        pairs += [tuple(sorted(p)) for p in rng.integers(1, m + 1, (1500, 2)).tolist()]
+    bound = Fraction(delta)
+    for j, l in pairs:
+        assert abs(Fraction(table[j - 1, l - 1]) - q(j, l)) <= bound, (j, l)
+    # the fill's cut prices whole rows another way, unclamped
+    for j in sorted({1, 2, m // 2, m}):
+        row = costs._sse_row(prefix, j)
+        for l in range(j, m + 1, max(1, m // 300)):
+            assert abs(Fraction(row[l - j]) - q(j, l)) <= bound, (j, l)
+    # the least entry above each row, column by column, against the row
+    above = np.minimum.accumulate(table, axis=0)[:-1]
+    below = table[1:]
+    upper = np.triu(np.ones((m - 1, m), dtype=bool), 1)
+    assert (above[upper] >= below[upper] - 2 * delta).all()
+    if name == "curves" and n == 4:  # small enough to cut by
+        assert 0 < delta < 1e-9 * prefix[2][-1]

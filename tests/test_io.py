@@ -213,6 +213,21 @@ def test_render_converts_numpy_scalars_and_arrays():
     }
 
 
+@pytest.mark.parametrize("values", [
+    [[0.1, -0.0, 1e-300, 5e-324], [1.7976931348623157e308, -2.5, 3.0, 1e16]],
+    [[0.5, math.inf], [-math.inf, 2.0]],
+    [1, 2, 3],
+])
+def test_render_of_an_array_equals_render_of_its_lists(values):
+    # a float array without infinities goes out through one tolist(); with
+    # them, and for other dtypes, entry by entry, with the same bytes
+    array = np.array(values)
+    assert render_result(_doc(coefficients=array)) == render_result(
+        _doc(coefficients=values))
+    with pytest.raises(ValueError):
+        render_result(_doc(coefficients=np.array([[1.0, math.nan]])))
+
+
 def test_write_result_to_file_and_stdout(tmp_path, capsys):
     doc = _doc()
     path = str(tmp_path / "out.json")

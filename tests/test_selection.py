@@ -12,6 +12,7 @@ from segbasis import (
     select_k,
     solve_all,
 )
+from segbasis import costs
 
 STANDARD = SelectionStrategy.STANDARD_THEN_LOO
 FULL_LOO = SelectionStrategy.FULL_LOO
@@ -183,3 +184,28 @@ def test_select_k_of_dataset_equals_select_k_of_its_table(offset):
             report = select_k(ds, strategy, 40)
             assert report == select_k(sse, strategy, 40)
             assert not report.degenerate
+
+
+def test_a_select_job_centres_its_data_once(monkeypatch):
+    # a sweep from the dataset builds its rows, cuts its slabs and prices
+    # its bases from one set of centred prefix sums; a table build centres
+    # afresh each time, so `bench`'s builds all do the same work
+    calls = []
+
+    def counted(dataset):
+        calls.append(dataset)
+        return sse_prefix(dataset)
+
+    sse_prefix = costs._sse_prefix
+    monkeypatch.setattr(costs, "_sse_prefix", counted)
+    ds = _dataset(np.random.default_rng(7).normal(size=(4, 700)))
+    for strategy in (STANDARD, FULL_LOO):
+        calls.clear()
+        fresh = _dataset(ds.values)
+        report = select_k(fresh, strategy, 64)
+        assert len(calls) == 1 and calls[0] is fresh, strategy
+        assert report == select_k(build_sse_table(fresh), strategy, 64)
+    calls.clear()
+    build_sse_table(ds)
+    build_sse_table(ds)
+    assert len(calls) == 2 and calls[0] is calls[1] is ds

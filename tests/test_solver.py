@@ -519,6 +519,97 @@ def test_fine_grid_fill_evaluates_at_most_half_the_full_scan(seed):
         assert fill_dp(ds, 64, loo=loo).candidates <= full // 2, loo
 
 
+def _untrimmed(m):
+    """Entries of an m-point fill's slabs when each is built whole."""
+    return sum((e - s) * (m - s) for s, e in _slabs(m))
+
+
+def _cut_case(name, m):
+    """Curves on which a dataset fill cuts its slabs short: the synthetic
+    default bumps, step curves (rounded to whole numbers: many exact ties),
+    long tiled steps and noisy spectra like perfbench's select-fine."""
+    rng = np.random.default_rng(m)
+    if name == "bumps":
+        return add_noise(generate(SynthSpec(n=4, m=m), 1), 0.04, 2).values
+    if name == "steps":
+        ends = [m // 7, m // 3, 4 * m // 9, 2 * m // 3, 4 * m // 5, m]
+        levels = [[0.0, 5.0, 1.0, 2.0, 0.0, 3.0], [1.0, 1.0, 0.0, 5.0, 2.0, 2.0]]
+        return np.round(_steps(levels, ends, 0.3 * rng.uniform(-1, 1, (2, m))))
+    if name == "tiled":
+        tile = np.repeat([0.0, 10.0, 10.0, 0.0], 50)
+        return np.resize(tile, m) + 0.5 * rng.normal(size=(3, m))
+    t = np.linspace(0.0, 1.0, m)
+    bumps = (np.exp(-((t - 0.4) / 0.02) ** 2)
+             - 0.5 * np.exp(-((t - 0.7) / 0.1) ** 2))
+    return bumps * rng.uniform(0.8, 1.2, (4, 1)) + 0.04 * rng.normal(size=(4, m))
+
+
+@pytest.mark.parametrize("name", ["bumps", "steps", "tiled", "spectra"])
+@pytest.mark.parametrize("slab_bytes, block_bytes", [
+    (16 * 1024, 8 * 1024), (16 * 1024, None), (None, None)])
+def test_dataset_fills_cut_their_slabs_and_equal_table_fills(
+        name, slab_bytes, block_bytes, monkeypatch):
+    # 16 KiB slabs split m = 600 into 101 slabs and the default into 4; an
+    # 8 KiB block budget builds a slab a few rows at a time.  The slabs above
+    # the bottom one are built short, and the fill keeps the bits of the
+    # table's fill and of the full scan of the table.  Periodic tiles are
+    # fitted so badly by two segments that the four default slabs of their
+    # fill keep every column
+    if slab_bytes is not None:
+        monkeypatch.setattr(solver, "_SLAB_BYTES", slab_bytes)
+    if block_bytes is not None:
+        monkeypatch.setattr(costs, "_BLOCK_BYTES", block_bytes)
+    m = 600
+    ds = _dataset(_cut_case(name, m))
+    table = build_sse_table(ds)
+    for loo in (False, True):
+        for k in (2, 16, 64):
+            dp = fill_dp(ds, k, loo=loo)
+            whole = fill_dp(table, k, loo=loo)
+            for ref in (whole, full_scan_fill_dp(table, k, loo=loo)):
+                assert np.array_equal(dp.costs, ref.costs), (loo, k)
+                assert np.array_equal(dp.splits, ref.splits), (loo, k)
+            assert whole.slab_cells == _untrimmed(m)
+            if slab_bytes is not None or name != "tiled":
+                assert dp.slab_cells < _untrimmed(m), (loo, k)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_slab_cuts_hold_for_short_leave_one_out_segments(seed, monkeypatch):
+    # noise whose scale changes every 4 points, in slabs of a few rows:
+    # row e's splits end close to it, where a shorter row's leave-one-out
+    # factor is well above the slab's first row's, and the cut must bound
+    # each row's factor to keep the table fill's bits
+    rng = np.random.default_rng(seed)
+    m = 120
+    scale = np.repeat(rng.choice([0.01, 1.0, 5.0], size=m // 4), 4)
+    ds = _dataset(rng.normal(size=(2, m)) * scale)
+    table = build_sse_table(ds)
+    cut = False
+    for budget in (128, 512):
+        monkeypatch.setattr(solver, "_SLAB_BYTES", budget)
+        for k in (3, 8):
+            for loo in (False, True):
+                dp = fill_dp(ds, k, loo=loo)
+                ref = fill_dp(table, k, loo=loo)
+                assert np.array_equal(dp.costs, ref.costs), (budget, k, loo)
+                assert np.array_equal(dp.splits, ref.splits), (budget, k, loo)
+                cut |= dp.slab_cells < _untrimmed(m)
+    assert cut
+
+
+def test_fine_grid_fills_build_a_fifth_fewer_slab_cells():
+    # the select-fine shape, n=4, m=2048, k=64, over seeds 0-3: built only
+    # out to the columns their passes can use, the slabs hold at least 20%
+    # fewer entries than whole ones (75-79% of them kept a seed)
+    datasets = [add_noise(generate(SynthSpec(n=4, m=2048), seed), 0.04, seed + 1)
+                for seed in range(4)]
+    for loo in (False, True):
+        cells = [fill_dp(ds, 64, loo=loo).slab_cells for ds in datasets]
+        assert max(cells) < _untrimmed(2048), loo
+        assert sum(cells) <= 0.8 * len(cells) * _untrimmed(2048), (loo, cells)
+
+
 def test_bench_fill_at_m512_scans_every_pass_whole():
     # the n=32, m=512 `bench` fill at k=16, the m=512 side of acceptance 8's
     # DP m-ratio: each slab's first bound keeps every column, so the slab
