@@ -78,8 +78,8 @@ def full_scan_fill_dp(table, k_max: int, loo: bool = False) -> DPTable:
     """The slab-ordered dynamic program with every pass over the slab's full
     width: the library's fill before it stopped a row's scan early, whose
     costs and splits the pruned fill must equal bit for bit.
-    ``candidates`` counts every sum of the full scan and ``slab_cells``
-    every entry of its whole slabs."""
+    ``candidates`` counts every sum of the full scan, ``slab_cells``
+    every entry of its whole slabs and ``passes`` its slab passes."""
     m = table.m
     if not (1 <= k_max <= m):
         raise ValueError(f"k out of range: {k_max} not in 1..{m}")
@@ -91,7 +91,7 @@ def full_scan_fill_dp(table, k_max: int, loo: bool = False) -> DPTable:
     size = max((e - s) * (m - s) for s, e in slabs)
     slab_buf, buf = np.empty(size), np.empty(size)
     arg = np.empty(m, dtype=np.intp)
-    candidates = slab_cells = 0
+    candidates = slab_cells = passes = 0
     for s, e in slabs:
         w = m - s  # rows s..e-1 over the columns s..m-1
         slab = slab_buf[:(e - s) * w].reshape(e - s, w)
@@ -111,6 +111,7 @@ def full_scan_fill_dp(table, k_max: int, loo: bool = False) -> DPTable:
             a += starts[:r]
             F[p - 1, s:s + r] = buf[a]
             candidates += r * w
+            passes += 1
     F = F[:, :m]
     if np.isnan(F).any():
         raise ValueError("costs contain NaN (input values too large "
@@ -119,7 +120,7 @@ def full_scan_fill_dp(table, k_max: int, loo: bool = False) -> DPTable:
     # rows with no p-partition keep split 0
     np.copyto(L[1:], np.arange(1, m + 1), where=~np.isfinite(F[1:]) & (L[1:] > 0))
     return DPTable(k_max=k_max, m=m, costs=_readonly(F), splits=_readonly(L),
-                   candidates=candidates, slab_cells=slab_cells)
+                   candidates=candidates, slab_cells=slab_cells, passes=passes)
 
 
 def prefix_oracle_cost(dataset: FunctionalDataset, j: int, l: int) -> float:

@@ -14,8 +14,10 @@ stages of its shape, so a drift of the host's speed lands on all of them.
 The segbasis timed is the one the interpreter imports: point ``PYTHONPATH``
 at the ``src`` of the checkout to measure.  Where the fill reports the
 entries it wrote into its row slabs (``DPTable.slab_cells``), the share of
-whole slabs they make is printed too.  The file name keeps pytest from
-collecting it.
+whole slabs they make is printed too, and where it reports its slab passes
+(``DPTable.passes``), the timed fill's median in ms and in µs a pass: the
+second tells a lower cost a pass from fewer passes.  The file name keeps
+pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def _shapes(tmp: Path) -> dict[str, dict[str, object]]:
             "select_k full-loo k=64": lambda: select_k(large, loo, 64),
             "partition_totals 64 bases": lambda: partition_totals(large, bases),
         },
-    }, {"select-fine": (fine, 64), "large n=124 m=1024": (large, 64)}
+    }, {"select-fine": (fine, 64, {False: "fill_dp sse", True: "fill_dp loo"}),
+        "large n=124 m=1024": (large, 64, {False: "fill_dp sse k=64"})}
 
 
 def main(argv: list[str]) -> int:
@@ -104,15 +107,25 @@ def main(argv: list[str]) -> int:
                 print(f"{shape:20s} {name:28s} {med:9.3f} ms "
                       f"[{q1:.3f}, {q3:.3f}]")
             if shape in fills:
-                dataset, k = fills[shape]
+                dataset, k, stage = fills[shape]
                 whole = sum((e - s) * (dataset.m - s) for s, e in _slabs(dataset.m))
                 for loo in (False, True):
-                    cells = getattr(fill_dp(dataset, k, loo=loo), "slab_cells", None)
+                    dp = fill_dp(dataset, k, loo=loo)
+                    cells = getattr(dp, "slab_cells", None)
                     if cells is not None:
                         share = cells / whole
                         report[shape][f"slab_cells_share loo={loo}"] = round(share, 4)
                         print(f"{shape:20s} {'slab cells, loo=' + str(loo):28s}"
                               f" {share:9.3f} of whole slabs")
+                    passes = getattr(dp, "passes", None)
+                    if passes and loo in stage:
+                        ms = statistics.median(times[stage[loo]])
+                        report[shape][f"fill loo={loo}"] = {
+                            "passes": passes, "ms_per_fill": round(ms, 3),
+                            "us_per_pass": round(1e3 * ms / passes, 3)}
+                        print(f"{shape:20s} {'passes, loo=' + str(loo):28s}"
+                              f" {passes:9d}: {ms:.3f} ms a fill,"
+                              f" {1e3 * ms / passes:.3f} us a pass")
     print(json.dumps({"repeats": repeats, "stages": report}))
     return 0
 

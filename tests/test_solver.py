@@ -19,6 +19,7 @@ from segbasis import (
     generate,
     new_dataset,
     partition_totals,
+    read_csv,
     solve,
     solve_all,
 )
@@ -617,6 +618,67 @@ def test_bench_fill_at_m512_scans_every_pass_whole():
     # 2,020,462 sums, and the ratio's floor has tripped on unchanged code
     table = build_sse_table(generate(SynthSpec(n=32, m=512), 0))
     assert fill_dp(table, 16).candidates == _full_scan_count(512, 16) == 2_686_140
+
+
+@pytest.mark.parametrize("source, k_max, work", [
+    # acceptance 8's `bench` tables at k=16: one 256 x 256 slab, and three
+    # slabs at m=512; both scan every pass whole
+    ("bench m=256", 16, (952_320, 65_536, 15)),
+    ("bench m=512", 16, (2_686_140, 181_124, 45)),
+    # the select shape from the data: 34 slabs of 63 passes, cut and bounded
+    ("select sse", 64, (44_255_001, 1_730_776, 2142)),
+    ("select loo", 64, (44_802_351, 1_732_840, 2142)),
+])
+def test_fills_do_the_work_pinned_for_them(source, k_max, work):
+    # candidates, slab cells and passes on fixed inputs: a change that makes
+    # a fill faster by doing less or more work shows here, not only in time
+    if source.startswith("bench"):
+        data = build_sse_table(generate(SynthSpec(n=32, m=int(source[-3:])), 0))
+    else:
+        data = add_noise(generate(SynthSpec(n=4, m=2048), 0), 0.04, 1)
+    dp = fill_dp(data, k_max, loo=source.endswith("loo"))
+    assert (dp.candidates, dp.slab_cells, dp.passes) == work
+    assert dp.passes == sum(min(k_max, dp.m - s) - 1 for s, _ in _slabs(dp.m))
+
+
+def test_split_rows_written_as_slab_offsets_keep_the_full_scans_bits(
+        tmp_path, monkeypatch):
+    # a slab's passes write each split as its offset from the slab's first
+    # column and the slab adds the offset back at its end.  A 64 B budget
+    # splits m = 8 into the slabs (6, 8), (4, 6), (3, 4), (2, 3), (1, 2)
+    # and (0, 1), so at k_max = m the rows that admit a p-partition fall
+    # inside the bottom slabs while they bound: rows 5 and 6 at p = 3, row 5
+    # alone at p = 4.  The curves are two runs, of 6 and 2 equal values
+    path = tmp_path / "runs.csv"
+    path.write_text("0,1,2,3,4,5,6,7\n0,0,0,0,0,0,1,1\n2,2,2,2,2,2,-1,-1\n")
+    ds = read_csv(str(path), has_grid_row=True)
+    sse = build_sse_table(ds)
+    holed = sse.values.copy()
+    holed[[0, 1], [7, 7]] = np.inf  # Q(1..8) and Q(2..8)
+    holed = CostTable(m=8, kind=CostKind.SSE, values=holed)
+    monkeypatch.setattr(solver, "_SLAB_BYTES", 64)
+    assert _slabs(8) == [(6, 8), (4, 6), (3, 4), (2, 3), (1, 2), (0, 1)]
+    # every fill builds its slabs whole (38 cells: 2x2 + 2x4 + 5 + 6 + 7 +
+    # 8, as k_max = m leaves no finished row below a slab for every p) and
+    # runs 1 + 3 + 4 + 5 + 6 + 7 = 26 passes.  The full scan evaluates 170
+    # sums: 2 + (8 + 8 + 4) + 4x5 + 5x6 + 6x7 + 7x8.  With SSE costs every
+    # row's best from p = 3 on is 0 (at most two runs remain), so a pass
+    # needs the columns up to the last one where a slab row's run ends:
+    # the square of (4, 6), 3, 4, 5 and 6 columns of the one-row slabs,
+    # 2 + (8 + 2x2 + 2) + (5 + 3x3) + (6 + 4x4) + (7 + 5x5) + (8 + 6x6) = 128.
+    # With leave-one-out costs row j's best at p = 3 reads F(2, 7), the two
+    # last points in two singletons, +inf: every slab stops bounding and
+    # scans whole
+    for source in (sse, ds, holed):
+        for loo, candidates in ((False, 128), (True, 170)):
+            dp = fill_dp(source, 8, loo=loo)
+            ref = full_scan_fill_dp(source, 8, loo=loo)
+            assert np.array_equal(dp.costs, ref.costs), loo
+            assert np.array_equal(dp.splits, ref.splits), loo
+            for p in range(2, 9):  # rows j > m-p+1 admit no p-partition
+                assert not dp.splits[p - 1, 9 - p:].any(), (loo, p)
+            assert (dp.candidates, dp.slab_cells, dp.passes) == (candidates, 38, 26)
+            assert (ref.candidates, ref.slab_cells, ref.passes) == (170, 38, 26)
 
 
 def _steps(levels, ends, noise):
