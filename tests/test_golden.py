@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from segbasis import main
+from segbasis import fill_dp, generate, main
+from segbasis.cli import parse_synth_config
+from segbasis.solver import _slabs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -25,6 +27,10 @@ ODD_M_CFG = (
 
 # the instance of acceptance 9, which runs every command on it
 ACC9_CFG = "n = 4\nm = 32\n"
+
+# few curves on a grid of several row slabs: a fit from the dataset builds
+# its upper slabs only out to the columns its passes can use
+SLABS_CFG = "n = 4\nm = 600\n"
 
 # three functions on a one-point grid: every score is infinite.  It is read by
 # a path relative to the work directory, so the document's source is stable.
@@ -54,6 +60,9 @@ CASES = {
     "acc9-fit-sse": ["fit", "--synth", "ACC9", "--seed", "5", "--segments", "6"],
     "acc9-fit-loo": ["fit", "--synth", "ACC9", "--seed", "5", "--segments", "6",
                      "--cost", "loo"],
+    "slabs-fit-sse": ["fit", "--synth", "SLABS", "--segments", "24"],
+    "slabs-fit-loo": ["fit", "--synth", "SLABS", "--segments", "24",
+                      "--cost", "loo"],
     "acc9-fit-linear": ["fit", "--synth", "ACC9", "--seed", "5",
                         "--segments", "6", "--cost", "linear",
                         "--emit-coefficients"],
@@ -103,7 +112,7 @@ EXIT_CODES = {"acc9-fit-loo-infeasible": 2, "select-one-column-degenerate": 2}
 
 
 def _render(argv: list[str], workdir: Path, expected_code: int = 0) -> bytes:
-    configs = {"CFG": ODD_M_CFG, "ACC9": ACC9_CFG}
+    configs = {"CFG": ODD_M_CFG, "ACC9": ACC9_CFG, "SLABS": SLABS_CFG}
     for name, text in configs.items():
         (workdir / f"{name}.cfg").write_text(text)
     (workdir / "one-column.csv").write_text(ONE_COLUMN_CSV)
@@ -125,6 +134,19 @@ def _render(argv: list[str], workdir: Path, expected_code: int = 0) -> bytes:
 def test_output_matches_golden(tmp_path, name):
     expected = (GOLDEN / f"{name}.json").read_bytes()
     assert _render(CASES[name], tmp_path, EXIT_CODES.get(name, 0)) == expected
+
+
+@pytest.mark.parametrize("loo", [False, True])
+def test_slabs_fits_cut_their_upper_slabs(tmp_path, loo):
+    # the slabs-fit-* cases pin a fit whose fill from the dataset builds
+    # fewer entries than its whole row slabs hold
+    cfg = tmp_path / "SLABS.cfg"
+    cfg.write_text(SLABS_CFG)
+    dataset = generate(parse_synth_config(str(cfg)), 0)
+    m = dataset.m
+    assert len(_slabs(m)) > 1
+    whole = sum((e - s) * (m - s) for s, e in _slabs(m))
+    assert fill_dp(dataset, 24, loo=loo).slab_cells < whole
 
 
 if __name__ == "__main__":
