@@ -270,10 +270,10 @@ def _sse_prefix(dataset: FunctionalDataset):
 
 def _data_prefix(dataset: FunctionalDataset):
     """:func:`_sse_prefix` of ``dataset``, made once and kept on it, so a
-    select job's fill, its slab cuts and its pricing read one set of
-    centred prefix sums.  The dataset's arrays are read-only, so the sums
-    stay its own.  The table builds centre afresh, so what ``bench`` times
-    does not depend on what ran before it."""
+    fit's or select's fill, its slab cuts, a linear table and the pricing
+    read one set of centred prefix sums.  The dataset's arrays are
+    read-only, so the sums stay its own.  The SSE table build centres
+    afresh, so what ``bench`` times does not depend on what ran before it."""
     kept = vars(dataset)
     if "_sse_prefix" not in kept:
         kept["_sse_prefix"] = _sse_prefix(dataset)
@@ -445,7 +445,7 @@ def build_linear_table(dataset: FunctionalDataset) -> CostTable:
     of the centred grid t and functions y_i.  Intervals of length 1 or 2 are
     exactly interpolated, so their cost is pinned to 0.
     """
-    y, py, pyy = _sse_prefix(dataset)
+    y, py, pyy = _data_prefix(dataset)
     with np.errstate(over="ignore", invalid="ignore"):
         t = dataset.grid - dataset.grid.mean()
         pt, ptt, pty = _prefix(t), _prefix(t * t), _prefix(y * t)

@@ -1,6 +1,6 @@
 """In-process stage medians of the benchmark's workload shapes.
 
-    PYTHONPATH=src python tests/stage_times.py [REPEATS]
+    PYTHONPATH=src python tests/stage_times.py [REPEATS] [BASE_SRC]
 
 Times the library calls each workload's jobs are made of, REPEATS times
 each (default 15), and prints one line a stage with its median and
@@ -9,19 +9,33 @@ shapes are perfbench's: ``fit-default`` (n=124, m=256), ``select-fine``
 (n=4, m=2048, k_max=64) and ``experiment-noisy`` (n=124, m=256, k_max=64),
 plus the north star's large size (n=124, m=1024).  The inputs come from the
 library's own synthetic generator with noise, so nothing is read from disk
-outside the ``read_csv`` stage.  A stage's calls alternate with the other
-stages of its shape, so a drift of the host's speed lands on all of them.
+outside the ``read_csv`` stage.  A ``fit-default`` stage runs on a fresh
+copy of its dataset each call, so it centres the data as a fit job does.
+A stage's calls alternate with the other stages of its shape, so a drift of
+the host's speed lands on all of them.
+
 The segbasis timed is the one the interpreter imports: point ``PYTHONPATH``
-at the ``src`` of the checkout to measure.  Where the fill reports the
-entries it wrote into its row slabs (``DPTable.slab_cells``), the share of
-whole slabs they make is printed too, and where it reports its slab passes
-(``DPTable.passes``), the timed fill's median in ms and in µs a pass: the
-second tells a lower cost a pass from fewer passes.  The file name keeps
-pytest from collecting it.
+at the ``src`` of the checkout to measure.  With ``BASE_SRC``, the ``src``
+of a second checkout, both are imported into this one process and fed the
+same inputs, and each stage's calls alternate between them, the first of a
+pair taking turns.  A line then gives the base's median, the imported
+checkout's median and the pairs in which the imported one was faster: the
+host's speed drifts 10-25% between processes, too much for separate runs to
+resolve a change of a few percent.  On a 2-vCPU x86-64 VM, stages whose code
+is the same on both sides read medians within 2% of each other and won 8 to
+20 of 31 pairs; with 11 repeats the medians differed by up to 12%.
+
+Where the fill reports the entries it wrote into its row slabs
+(``DPTable.slab_cells``), the share of whole slabs they make is printed
+too, and where it reports its slab passes (``DPTable.passes``), the timed
+fill's median in ms and in µs a pass: the second tells a lower cost a pass
+from fewer passes.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
 import statistics
 import sys
@@ -29,103 +43,154 @@ import tempfile
 import time
 from pathlib import Path
 
-from segbasis import (SelectionStrategy, SynthSpec, add_noise, build_linear_table,
-                      build_sse_table, fill_dp, fit_model, generate, io,
-                      partition_totals, select_k, solve)
-from segbasis.solver import _slabs
+import segbasis
 
 
-def _data(n: int, m: int, seed: int = 3):
-    return add_noise(generate(SynthSpec(n=n, m=m), seed), 0.04, seed + 1)
+def _load(src: str):
+    """The segbasis package under ``src``, imported beside the one already
+    imported: each package's modules keep their own names bound, so the
+    first one's entries are put back in ``sys.modules`` afterwards."""
+    ours = {name: mod for name, mod in sys.modules.items()
+            if name.partition(".")[0] == "segbasis"}
+    for name in ours:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        return importlib.import_module("segbasis")
+    finally:
+        sys.path.remove(src)
+        for name in [n for n in sys.modules if n.partition(".")[0] == "segbasis"]:
+            del sys.modules[name]
+        sys.modules.update(ours)
 
 
-def _shapes(tmp: Path) -> dict[str, dict[str, object]]:
-    """Each shape's stages: name -> zero-argument call."""
-    fit = _data(124, 256)
-    path = tmp / "fit.csv"
-    io.write_csv(fit, str(path))
-    fit_table = build_sse_table(fit)
-    seg, _, _ = solve(fit_table, 32)
-    fit_doc = {"command": "fit", "coefficients": fit_model(fit, seg).coefficients}
+def _inputs(tmp: Path) -> dict[str, object]:
+    """The shapes' datasets, made once by the imported segbasis, and the
+    ``fit-default`` CSV."""
+    def data(n: int, m: int, seed: int = 3):
+        return segbasis.add_noise(segbasis.generate(segbasis.SynthSpec(n=n, m=m), seed),
+                                  0.04, seed + 1)
 
-    fine = _data(4, 2048)
-    noisy = _data(124, 256)
-    noisy_table = build_sse_table(noisy)
-    std, loo = SelectionStrategy.STANDARD_THEN_LOO, SelectionStrategy.FULL_LOO
-    large = _data(124, 1024)
-    large_table = build_sse_table(large)
-    bases = [rec.segmentation for rec in select_k(large_table, std, 64).records]
+    raw = {"fit": data(124, 256), "fine": data(4, 2048), "noisy": data(124, 256),
+           "large": data(124, 1024), "csv": tmp / "fit.csv"}
+    segbasis.io.write_csv(raw["fit"], str(raw["csv"]))
+    return raw
+
+
+def _shapes(sb, raw: dict[str, object]):
+    """Each shape's stages for the package ``sb``: name -> zero-argument
+    call, and the fills whose slab cells and passes are reported."""
+    fit, fine, noisy, large = (sb.new_dataset(raw[key].grid, raw[key].values)
+                               for key in ("fit", "fine", "noisy", "large"))
+    path = str(raw["csv"])
+    fresh = dataclasses.replace  # a copy that holds none of fit's kept sums
+    seg, _, _ = sb.solve(fit, 32)
+    fit_doc = {"command": "fit", "coefficients": sb.fit_model(fit, seg).coefficients}
+
+    noisy_table = sb.build_sse_table(noisy)
+    std, loo = sb.SelectionStrategy.STANDARD_THEN_LOO, sb.SelectionStrategy.FULL_LOO
+    large_table = sb.build_sse_table(large)
+    bases = [rec.segmentation for rec in sb.select_k(large_table, std, 64).records]
     return {
         "fit-default": {
-            "read_csv": lambda: io.read_csv(str(path), has_grid_row=True),
-            "build_sse_table": lambda: build_sse_table(fit),
-            "solve k=16": lambda: solve(fit_table, 16),
-            "build_linear_table": lambda: build_linear_table(fit),
-            "render k=32 coefficients": lambda: io.render_result(fit_doc),
+            "read_csv": lambda: sb.io.read_csv(path, has_grid_row=True),
+            "solve sse k=16": lambda: sb.solve(fresh(fit), 16),
+            "solve loo k=16": lambda: sb.solve(fresh(fit), 16, loo=True),
+            "build_linear_table": lambda: sb.build_linear_table(fresh(fit)),
+            "render k=32 coefficients": lambda: sb.io.render_result(fit_doc),
         },
         "select-fine": {
-            "fill_dp sse": lambda: fill_dp(fine, 64),
-            "fill_dp loo": lambda: fill_dp(fine, 64, loo=True),
-            "select_k standard": lambda: select_k(fine, std, 64),
-            "select_k full-loo": lambda: select_k(fine, loo, 64),
+            "fill_dp sse": lambda: sb.fill_dp(fine, 64),
+            "fill_dp loo": lambda: sb.fill_dp(fine, 64, loo=True),
+            "select_k standard": lambda: sb.select_k(fine, std, 64),
+            "select_k full-loo": lambda: sb.select_k(fine, loo, 64),
         },
         "experiment-noisy": {
-            "build_sse_table": lambda: build_sse_table(noisy),
-            "select_k standard": lambda: select_k(noisy_table, std, 64),
-            "select_k full-loo": lambda: select_k(noisy_table, loo, 64),
+            "build_sse_table": lambda: sb.build_sse_table(noisy),
+            "select_k standard": lambda: sb.select_k(noisy_table, std, 64),
+            "select_k full-loo": lambda: sb.select_k(noisy_table, loo, 64),
         },
         "large n=124 m=1024": {
-            "build_sse_table": lambda: build_sse_table(large),
-            "solve k=16": lambda: solve(large_table, 16),
-            "fill_dp sse k=64": lambda: fill_dp(large, 64),
-            "select_k full-loo k=64": lambda: select_k(large, loo, 64),
-            "partition_totals 64 bases": lambda: partition_totals(large, bases),
+            "build_sse_table": lambda: sb.build_sse_table(large),
+            "solve k=16": lambda: sb.solve(large_table, 16),
+            "fill_dp sse k=64": lambda: sb.fill_dp(large, 64),
+            "select_k full-loo k=64": lambda: sb.select_k(large, loo, 64),
+            "partition_totals 64 bases": lambda: sb.partition_totals(large, bases),
         },
     }, {"select-fine": (fine, 64, {False: "fill_dp sse", True: "fill_dp loo"}),
         "large n=124 m=1024": (large, 64, {False: "fill_dp sse k=64"})}
 
 
+def _quartiles(ms: list[float]) -> dict[str, object]:
+    q1, med, q3 = statistics.quantiles(ms, n=4)
+    return {"p50_ms": round(med, 3), "iqr_ms": [round(q1, 3), round(q3, 3)]}
+
+
+def _fill_counts(sb, shape: str, fill, times, report, label: str) -> None:
+    """Slab cells and passes of ``shape``'s fills, set against the timed
+    fill's median (``times``)."""
+    dataset, k, stage = fill
+    whole = sum((e - s) * (dataset.m - s) for s, e in sb.solver._slabs(dataset.m))
+    for loo in (False, True):
+        dp = sb.fill_dp(dataset, k, loo=loo)
+        cells = getattr(dp, "slab_cells", None)
+        if cells is not None:
+            share = cells / whole
+            report[f"slab_cells_share loo={loo}{label}"] = round(share, 4)
+            print(f"{shape:20s} {f'slab cells, loo={loo}{label}':28s}"
+                  f" {share:9.3f} of whole slabs")
+        passes = getattr(dp, "passes", None)
+        if passes and loo in stage:
+            ms = statistics.median(times[stage[loo]])
+            report[f"fill loo={loo}{label}"] = {
+                "passes": passes, "ms_per_fill": round(ms, 3),
+                "us_per_pass": round(1e3 * ms / passes, 3)}
+            print(f"{shape:20s} {f'passes, loo={loo}{label}':28s}"
+                  f" {passes:9d}: {ms:.3f} ms a fill,"
+                  f" {1e3 * ms / passes:.3f} us a pass")
+
+
 def main(argv: list[str]) -> int:
     repeats = int(argv[0]) if argv else 15
+    packages = {"": segbasis}
+    if len(argv) > 1:
+        packages[" base"] = _load(argv[1])
     report: dict[str, dict[str, object]] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        shapes, fills = _shapes(Path(tmp))
-        for shape, stages in shapes.items():
-            times: dict[str, list[float]] = {name: [] for name in stages}
-            for name, call in stages.items():
-                call()  # warm-up, not reported
+        raw = _inputs(Path(tmp))
+        built = {label: _shapes(sb, raw) for label, sb in packages.items()}
+        for shape in built[""][0]:
+            stages = {label: shapes[shape] for label, (shapes, _) in built.items()}
+            times = {label: {name: [] for name in stages[""]} for label in stages}
+            for calls in stages.values():
+                for call in calls.values():
+                    call()  # warm-up, not reported
+            order = list(stages)
             for _ in range(repeats):
-                for name, call in stages.items():
-                    t0 = time.perf_counter()
-                    call()
-                    times[name].append((time.perf_counter() - t0) * 1e3)
+                for name in stages[""]:
+                    for label in order:
+                        t0 = time.perf_counter()
+                        stages[label][name]()
+                        times[label][name].append((time.perf_counter() - t0) * 1e3)
+                order.reverse()
             report[shape] = {}
-            for name, ms in times.items():
-                q1, med, q3 = statistics.quantiles(ms, n=4)
-                report[shape][name] = {"p50_ms": round(med, 3),
-                                       "iqr_ms": [round(q1, 3), round(q3, 3)]}
-                print(f"{shape:20s} {name:28s} {med:9.3f} ms "
-                      f"[{q1:.3f}, {q3:.3f}]")
-            if shape in fills:
-                dataset, k, stage = fills[shape]
-                whole = sum((e - s) * (dataset.m - s) for s, e in _slabs(dataset.m))
-                for loo in (False, True):
-                    dp = fill_dp(dataset, k, loo=loo)
-                    cells = getattr(dp, "slab_cells", None)
-                    if cells is not None:
-                        share = cells / whole
-                        report[shape][f"slab_cells_share loo={loo}"] = round(share, 4)
-                        print(f"{shape:20s} {'slab cells, loo=' + str(loo):28s}"
-                              f" {share:9.3f} of whole slabs")
-                    passes = getattr(dp, "passes", None)
-                    if passes and loo in stage:
-                        ms = statistics.median(times[stage[loo]])
-                        report[shape][f"fill loo={loo}"] = {
-                            "passes": passes, "ms_per_fill": round(ms, 3),
-                            "us_per_pass": round(1e3 * ms / passes, 3)}
-                        print(f"{shape:20s} {'passes, loo=' + str(loo):28s}"
-                              f" {passes:9d}: {ms:.3f} ms a fill,"
-                              f" {1e3 * ms / passes:.3f} us a pass")
+            for name, ms in times[""].items():
+                report[shape][name] = _quartiles(ms)
+                med, (q1, q3) = report[shape][name]["p50_ms"], report[shape][name]["iqr_ms"]
+                if len(packages) == 1:
+                    print(f"{shape:20s} {name:28s} {med:9.3f} ms [{q1:.3f}, {q3:.3f}]")
+                    continue
+                base = times[" base"][name]
+                won = sum(a < b for a, b in zip(ms, base))
+                report[shape][name]["base"] = _quartiles(base)
+                report[shape][name]["pairs_won"] = won
+                print(f"{shape:20s} {name:28s} base {statistics.median(base):9.3f}"
+                      f" ms, this {med:9.3f} ms, faster in {won}/{repeats}")
+            for label, sb in packages.items():
+                fills = built[label][1]
+                if shape in fills:
+                    _fill_counts(sb, shape, fills[shape], times[label],
+                                 report[shape], label)
     print(json.dumps({"repeats": repeats, "stages": report}))
     return 0
 

@@ -95,7 +95,7 @@ def test_fit_timing_is_opt_in(tmp_path, step_csv):
     base = ["fit", "--input", step_csv, "--grid-row", "--segments", "2"]
     assert "timing" not in _run_json(tmp_path, base)
     timed = _run_json(tmp_path, [*base, "--timing"])
-    assert set(timed["timing"]) == {"build_ms", "dp_ms"}
+    assert set(timed["timing"]) == {"total_ms"}
 
 
 def test_fit_k_out_of_range(tmp_path, step_csv, capsys):
@@ -214,10 +214,11 @@ def test_table_too_large_to_allocate_is_an_input_error(tmp_path, step_csv,
         raise MemoryError("Unable to allocate 8.00 EiB for an array with shape "
                           "(1073741824, 1073741824) and data type float64")
 
-    monkeypatch.setattr(segbasis.cli, "build_sse_table", build)
+    # a linear fit still builds its m x m table
+    monkeypatch.setattr(segbasis.cli, "build_linear_table", build)
     out = tmp_path / "result.json"
     code = main(["fit", "--input", step_csv, "--grid-row", "--segments", "2",
-                 "--output", str(out)])
+                 "--cost", "linear", "--output", str(out)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.splitlines() == [
@@ -448,34 +449,56 @@ def test_loo_fill_only_where_minimized(tmp_path, small_cfg, monkeypatch,
     calls = _count_calls(monkeypatch)
     doc = _run_json(tmp_path, [*argv, "--synth", small_cfg])
     # no command builds the leave-one-out table: where it is minimized the
-    # fill scales the SSE rows a slab at a time; a select fills from the
-    # dataset and a linear fit prices its SSE total, neither with the SSE
-    # table
+    # fill scales the SSE rows a slab at a time; a select and an SSE or
+    # leave-one-out fit fill from the dataset, and a linear fit prices its
+    # SSE total, none with the SSE table
     linear = "linear" in argv
-    tableless = linear or argv[0] == "select"
-    assert calls == Counter(build_sse_table=0 if tableless else 1,
-                            fill_dp=1, loo_fill_dp=loo_fills)
+    assert calls == Counter(build_sse_table=0, fill_dp=1,
+                            loo_fill_dp=loo_fills)
     total = "sse_total" if linear else "loo_total"
     assert all(np.isfinite(row[total]) for row in doc["records"][:2])
 
 
-@pytest.mark.parametrize("strategy", ["standard", "full-loo"])
-def test_select_holds_no_cost_table(tmp_path, strategy):
-    # one m x m table at n=4, m=2048 is 8 m^2 B = 32 MiB; a select builds
-    # the SSE rows a slab at a time and stays far below it
+@pytest.mark.parametrize("argv", [
+    ["select", "--max-segments", "4", "--strategy", "standard"],
+    ["select", "--max-segments", "4", "--strategy", "full-loo"],
+    ["fit", "--segments", "4", "--cost", "sse"],
+    ["fit", "--segments", "4", "--cost", "loo"],
+], ids=["standard", "full-loo", "fit-sse", "fit-loo"])
+def test_select_holds_no_cost_table(tmp_path, argv):
+    # one m x m table at n=4, m=2048 is 8 m^2 B = 32 MiB; a select and an
+    # SSE or leave-one-out fit build the SSE rows a slab at a time and stay
+    # far below it
     path = tmp_path / "fine.csv"
     np.savetxt(path, np.random.default_rng(2048).normal(size=(4, 2048)),
                delimiter=",")
     out = tmp_path / "result.json"
     tracemalloc.start()
     try:
-        code = main(["select", "--input", str(path), "--max-segments", "4",
-                     "--strategy", strategy, "--output", str(out)])
+        code = main([*argv, "--input", str(path), "--output", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and len(json.loads(out.read_text())["records"]) == 4
+    records = json.loads(out.read_text())["records"]
+    assert code == 0 and len(records) == (4 if argv[0] == "select" else 1)
     assert peak < 8 << 20, peak
+
+
+@pytest.mark.parametrize("cost", ["sse", "loo", "linear"])
+def test_a_fit_centres_its_data_once(tmp_path, small_cfg, monkeypatch, cost):
+    # the fill, its slab cuts, a linear table and the pricing all read the
+    # dataset's one set of centred prefix sums
+    calls = []
+
+    def counted(dataset):
+        calls.append(dataset)
+        return sse_prefix(dataset)
+
+    sse_prefix = segbasis.costs._sse_prefix
+    monkeypatch.setattr(segbasis.costs, "_sse_prefix", counted)
+    _run_json(tmp_path, ["fit", "--synth", small_cfg, "--segments", "4",
+                         "--cost", cost])
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- synth config
