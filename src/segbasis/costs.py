@@ -33,7 +33,12 @@ of the centred values (:func:`_sse_error_bound`, after Chan, Golub &
 LeVeque 1983 and Higham 2002): about 1e-10 of the data's total of squares
 at n=4, m=2048.  It makes "an interval's SSE never falls when points are
 added" hold for computed entries up to 2 delta, which lets the fill from a
-dataset skip columns of a row before the row is built.
+dataset skip columns of a row before the row is built.  delta also covers
+the entries :func:`_entries` prices, one at a time or many, which have the
+table's bits.  The Gram-form screen of :func:`_screen_rows`, one matrix
+product a slab, never exceeds max(Q - delta, 0), Q the exact SSE, by a
+second written bound, so a fill from many functions can screen its rows
+and price exactly only the entries its passes can pick.
 """
 
 from __future__ import annotations
@@ -54,6 +59,12 @@ from .core import CostKind, FunctionalDataset, Segmentation, _readonly
 # 256 KiB), larger ones spill the cache: 1 MiB built fastest from n=4,
 # m=2048 to n=124, m=256, and the table does not depend on b.
 _BLOCK_BYTES = 1 << 20
+
+# Byte budget of the interval sums :func:`_entries` gathers at once.  Above
+# glibc's default mmap threshold of 128 KiB each temporary is mapped and
+# faulted in afresh, which made a call of 256 entries at n=124 take twice as
+# long as three calls below the budget.
+_GATHER_BYTES = 120 * 1024
 
 
 @dataclass(frozen=True)
@@ -231,12 +242,21 @@ def _blocked_rows(n: int, m: int, n_tensors: int, pinned: int, fill):
 def _sse_kernel(d, lens, sq, q) -> None:
     """S2 - sum_i S1_i^2 / len in place in ``q``, which holds the S2 sums,
     from the n x b x w interval sums ``d`` of each function; ``sq`` is b x w
-    scratch.  ``d`` must be C-ordered: ``einsum`` then adds the functions
-    in sequence, so an entry's bits do not depend on the block it is in.
-    Another order would change the last bit of some entries, so it raises."""
+    scratch.  ``d`` must be C-ordered: ``einsum`` then sums the functions
+    of every cell in one order, so an entry's bits do not depend on the
+    block it is in.  Another layout would change the last bit of some
+    entries, so it raises.  A lone cell is summed beside a copy of itself:
+    alone, ``einsum`` adds its functions in another order, which changed
+    the last bit of about half the entries of an n=124 dataset priced one
+    by one."""
     if not d.flags.c_contiguous:
         raise ValueError("interval sums must be C-ordered")
-    np.einsum("ibl,ibl->bl", d, d, out=sq)
+    if sq.size == 1:
+        both, pair = np.concatenate((d, d), axis=2), np.empty((1, 2))
+        np.einsum("ibl,ibl->bl", both, both, out=pair)
+        sq[...] = pair[:, :1]
+    else:
+        np.einsum("ibl,ibl->bl", d, d, out=sq)
     sq /= lens
     q -= sq
 
@@ -326,19 +346,31 @@ def _sse_error_bound(dataset: FunctionalDataset) -> float:
     return float(rel * 2.0 ** -53 * p2[-1] + 2 * (n * m + n + 2) * 2.0 ** -1074)
 
 
-def _entries(prefix, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _entries(dataset: FunctionalDataset, s: np.ndarray, e: np.ndarray) -> np.ndarray:
     """SSE entries Q(s..e) of 1-based intervals (``s`` and ``e`` of one
-    length) from :func:`_sse_prefix`'s sums.
+    length) from the dataset's :func:`_data_prefix` sums.
 
     The interval sums are gathered as one row of entries, with the same one
     subtraction each as the table's, and priced by the table's own
-    :func:`_sse_kernel` (``np.take`` gathers in C order, as the kernel
-    needs).  So each entry has the bits of ``build_sse_table(dataset)``,
-    clamped at 0 and pinned to 0 at length 1 like it.
+    :func:`_sse_kernel`.  So each entry has the bits of
+    ``build_sse_table(dataset)``, clamped at 0 and pinned to 0 at length 1
+    like it.  The sums are gathered as whole rows of a transposed copy of
+    the prefix sums, kept on the dataset beside them, and transposed to the
+    C order the kernel needs, at most ``_GATHER_BYTES`` of them at once: the
+    kernel's order does not depend on how many entries are priced together.
     """
-    _, p1, p2 = prefix
-    d = np.take(p1, e, axis=1)
-    d -= np.take(p1, s - 1, axis=1)
+    step = max(1, _GATHER_BYTES // (8 * dataset.n))
+    if s.size > step:
+        return np.concatenate([_entries(dataset, s[a:a + step], e[a:a + step])
+                               for a in range(0, s.size, step)])
+    _, p1, p2 = _data_prefix(dataset)
+    kept = vars(dataset)
+    if "_prefix_rows" not in kept:
+        kept["_prefix_rows"] = np.ascontiguousarray(p1.T)
+    rows = kept["_prefix_rows"]
+    d = rows.take(e, axis=0)
+    d -= rows.take(s - 1, axis=0)
+    d = np.ascontiguousarray(d.T)
     q = p2[e] - p2[s - 1]
     _sse_kernel(d[:, None], e - s + 1.0, np.empty((1, q.size)), q[None])
     np.maximum(q, 0.0, out=q)
@@ -367,7 +399,7 @@ def _sse_entries(dataset: FunctionalDataset, s: np.ndarray, e: np.ndarray) -> np
     """
     key, inverse = np.unique(s * (dataset.m + 1) + e, return_inverse=True)
     s, e = np.divmod(key, dataset.m + 1)
-    return _entries(_data_prefix(dataset), s, e)[inverse]
+    return _entries(dataset, s, e)[inverse]
 
 
 def _sse_rows(dataset: FunctionalDataset, prefix):
@@ -377,6 +409,68 @@ def _sse_rows(dataset: FunctionalDataset, prefix):
     the table's rows."""
     _, p1, p2 = prefix
     return _blocked_rows(dataset.n, dataset.m, 1, 1, partial(_sse_block, p1, p2))
+
+
+def _screen_rows(dataset: FunctionalDataset, prefix):
+    """``rows(s, e, out)``: lower bounds Lo <= Q^ of the SSE entries of the
+    rows s..e-1 over the columns s..c-1 into the (e-s) x (c-s) array
+    ``out``, from one matrix product (a screen for the dynamic program).
+
+    With P the n x (m+1) prefix sums of :func:`_sse_prefix`, d_a the sum of
+    P_ia^2 and G = P^T P, sum_i S1_i(j..l)^2 = d_l + d_(j-1) - 2 G[j-1, l].
+    A block of rows is one GEMM of two views of P, G[j-1, l]; -2 G + d'_l +
+    d'_(j-1) is multiplied by 1/len to V, and Lo = (p2[l] - V) - (p2[j-1] +
+    2 delta), clamped at 0 and +inf left of the diagonal.  d' is d times
+    w = 1 + (6n + 26) u: the screen sits (w - 1)(d_l + d_(j-1))/len + 2 delta
+    below the Gram form, delta the bound of :func:`_sse_error_bound`.
+
+    Lo <= max(Q - delta, 0) <= Q^, with Q the exact SSE and u = 2^-53, to
+    first order (Higham 2002, ch. 3: every bound holds in any order of
+    summation, so BLAS blocking and threads cannot break it).  Let
+    D = d_l + d_(j-1), D' = d'_l + d'_(j-1) and W the exact
+    sum_i (P_il - P_i(j-1))^2 of the stored sums:
+
+    * the computed d is within n u d of the exact one, so D' exceeds D by
+      at least (w - 1 - (n + 1) u) D;
+    * G's n terms sum in absolute value to at most D/2 (Cauchy-Schwarz),
+      so with the two additions the computed -2 G + D' is within
+      (n + 5) u D' <= 2 (n + 2) u D' of D' - 2 G = W + (D' - D);
+    * the reciprocal and the product with it add 2 u, the three
+      subtractions u (T + |V|) each, T the total of squares, |V| <= 2 D'/len;
+    * the stored sums put sum_i S1_i^2 / len and S2 within
+      (4m sqrt(m) + 2n + 2m) u T of their exact values, as in
+      :func:`_sse_error_bound`.
+
+    Summed, Lo <= Q - 2 delta + (2n + 2m + 4 + 4m sqrt(m)) u T
+    - (w - 1 - (3n + 13) u) D/len before the clamp, and delta exceeds the
+    u T term twice over: so Lo <= Q - delta.  Doubling (3n + 13) u covers
+    the second-order terms, and the second delta the products that
+    underflow.  Every partial sum stays finite: ptp(P_i)^2 <= m T_i, so the
+    prefix check of :func:`_sse_prefix` bounds 2 D' with room.  The
+    leave-one-out screen scales Lo by the factor of :func:`_loo_rows`;
+    rounding is monotone, so it stays at most the leave-one-out entry.
+    """
+    _, p1, p2 = prefix
+    n, m = p1.shape[0], p1.shape[1] - 1
+    d = np.einsum("ia,ia->a", p1, p1) * (1.0 + (6 * n + 26) * 2.0 ** -53)
+    shift = p2 + 2.0 * _sse_error_bound(dataset)
+    rel = np.arange(1.0 - m, m + 1.0)  # interval lengths, as in _blocked_rows
+    inv, floor = (sliding_window_view(row, m)[m::-1] for row in (
+        np.divide(1.0, rel, out=np.zeros_like(rel), where=rel >= 1),
+        np.where(rel >= 1, 0.0, np.inf)))
+
+    def rows(s: int, e: int, out: np.ndarray) -> np.ndarray:
+        b, c = out.shape
+        np.matmul(p1[:, s:e].T, p1[:, s + 1:s + 1 + c], out=out)
+        out *= -2.0
+        out += d[s + 1:s + 1 + c]
+        out += d[s:e, None]
+        out *= inv[:b, :c]
+        np.subtract(p2[s + 1:s + 1 + c], out, out=out)
+        out -= shift[s:e, None]
+        return np.maximum(out, floor[:b, :c], out=out)
+
+    return rows
 
 
 def build_sse_table(dataset: FunctionalDataset) -> CostTable:
@@ -411,7 +505,8 @@ def _loo_rows(sse_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_slabs(source: CostTable | FunctionalDataset, loo: bool):
+def _row_slabs(source: CostTable | FunctionalDataset, loo: bool,
+               screen: bool = False):
     """``slab(s, e, out)``: the cost rows s..e-1 over the columns s..c-1
     into the (e-s) x (c-s) array ``out``, the one way the dynamic program
     reads its costs.
@@ -420,13 +515,15 @@ def _row_slabs(source: CostTable | FunctionalDataset, loo: bool):
     left of the diagonal, as :class:`CostTable` holds them), or a dataset,
     whose SSE rows are built by :func:`_sse_rows`, the table build's own
     path, so they equal the table's rows bit for bit without the m x m
-    table.  A dataset's slab may stop at any column c: the fill builds only
-    the columns its passes can use (see :func:`solver.fill_dp`).  With
-    ``loo`` the SSE rows are scaled by :func:`_loo_rows`, so the fill reads
-    leave-one-out costs without a leave-one-out table.
+    table.  With ``screen`` a dataset's rows are instead the lower bounds of
+    :func:`_screen_rows`.  A dataset's slab may stop at any column c: the
+    fill builds only the columns its passes can use (see
+    :func:`solver.fill_dp`).  With ``loo`` the SSE rows are scaled by
+    :func:`_loo_rows`, so the fill reads leave-one-out costs without a
+    leave-one-out table.
     """
     if isinstance(source, FunctionalDataset):
-        build = _sse_rows(source, _data_prefix(source))
+        build = (_screen_rows if screen else _sse_rows)(source, _data_prefix(source))
         return (lambda s, e, out: _loo_rows(build(s, e, out), out)) if loo else build
     if loo and source.kind is not CostKind.SSE:
         raise ValueError(f"expected an SSE table, got {source.kind.value}")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from math import inf, isfinite, isqrt, nextafter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import FunctionalDataset, Segmentation, _readonly
 from .costs import (CostTable, _data_prefix, _entries, _loo_scale, _row_slabs,
@@ -29,6 +30,10 @@ from .costs import (CostTable, _data_prefix, _entries, _loo_scale, _row_slabs,
 # Byte budget of the fill's contiguous row slab (and of its candidate
 # buffer): the slab is reused for every segment count while it stays in cache.
 _SLAB_BYTES = 512 * 1024
+
+# The fewest functions at which a fill from a dataset screens its rows
+# instead of building them (see fill_dp); measured in BENCH_26.json.
+_SCREEN_N = 48
 
 
 class InfeasiblePartitionError(ValueError):
@@ -52,6 +57,7 @@ class DPTable:
     candidates: int  # candidate sums Q(j..l) + F(p-1, l+1) evaluated
     slab_cells: int  # cost entries written into the fill's row slabs
     passes: int  # slab passes run: one a slab and segment count p >= 2
+    priced: int  # exact entries priced outside the row build, each once
 
 
 @dataclass(frozen=True)
@@ -198,13 +204,37 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     counts the entries written into slabs, b x c a slab: on n=4, m=2048,
     k=64 data about 75-80% of whole slabs.
 
+    A fill from a dataset of at least ``_SCREEN_N`` functions screens its
+    rows instead of building them: each slab holds lower bounds Lo <= Q^ of
+    its entries from :func:`costs._screen_rows`, one matrix product a slab,
+    and a cache of the same shape holds the exact entries priced so far,
+    NaN until then.  A pass scans Lo + F(p-1, l+1) as it would scan the
+    entries and takes each row's leftmost argmin l~.  It prices Q^(j..l~)
+    with the build's bits (:func:`costs._entries`) unless cached, so U =
+    Q^(j..l~) + F(p-1, l~+1) is the full scan's sum at l~.  Rounding is
+    monotone, so no column's sum is below its screened sum: a column whose
+    screened sum exceeds U neither wins nor ties.  A second argmin, with
+    l~ masked, finds each row's least other screened sum; where it is at
+    most U, every such column is priced and the leftmost least sum wins.
+    So F and the splits keep the full scan's bits.  ``colmin`` is made
+    from Lo, still a lower bound, and ``q`` holds the exact entry at each
+    split, so the cuts of passes and slabs hold unchanged; F(1, .) is
+    priced for every row, as in a cut fill.  ``priced`` counts the entries
+    :func:`costs._entries` priced: F(1, .), and each slab's cells at most
+    once.  On noisy data a pass prices only argmins not priced before; on
+    constant curves, where every candidate ties, a pass prices every
+    column it scans, and the fill at most its ``slab_cells``.  Below the
+    crossover, which ``BENCH_26.json`` measures, the exact rows are built.
+
     ``candidates`` counts the sums the fill evaluated.  Costs are >= 0 and
     never NaN, so every sum is finite or +inf.
     """
     m = table.m
     if not (1 <= k_max <= m):
         raise ValueError(f"k out of range: {k_max} not in 1..{m}")
-    write_slab = _row_slabs(table, loo)  # +inf left of the diagonal
+    data = not isinstance(table, CostTable)
+    screen = data and table.n >= _SCREEN_N
+    write_slab = _row_slabs(table, loo, screen)  # +inf left of the diagonal
     F = np.full((k_max, m + 1), np.inf, dtype=np.float64)
     L = np.zeros((k_max, m), dtype=np.int64)
     L[0, :] = m
@@ -215,15 +245,45 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
                             default=0))
     rows = np.arange(max(e - s for s, e in slabs))
     flat_buf, q_buf = np.empty(rows.size, dtype=np.intp), np.empty(rows.size)
-    trim = not isinstance(table, CostTable) and len(slabs) > 1 and k_max > 1
+    trim = data and len(slabs) > 1 and k_max > 1
+    priced = 0
+    if trim or screen:
+        def price(j: np.ndarray, l: np.ndarray) -> np.ndarray:
+            """Q(j..l) of 1-based intervals with the build's bits."""
+            q = _entries(table, j, l)
+            return _loo_scale(l - j + 1.0, q) if loo else q
+
+        # F(1, j) = Q(j..m), as a cut slab holds no column m, nor a screen
+        # an exact entry
+        F[0, :m] = price(np.arange(1, m + 1), np.full(m, m))
+        priced = m
     if trim:
         prefix = _data_prefix(table)
         slack = 2.0 * _sse_error_bound(table)
         prior = np.arange(k_max - 1)  # p - 2 for p = 2..k_max
-        # F(1, j) = Q(j..m) with the build's bits, as no slab holds them all
-        F[0, :m] = _entries(prefix, np.arange(1, m + 1), np.full(m, m))
-        if loo:
-            F[0, :m] = _loo_scale(m - np.arange(m, dtype=float), F[0, :m])
+    if screen:
+        # each slab's exact entries, NaN until priced; known ones are +inf
+        # left of the diagonal and, at length 1, 0 (SSE) or +inf (LOO)
+        cache_buf = np.empty(size)
+        u_buf, second_buf = np.empty(rows.size), np.empty(rows.size)
+        cflat_buf, next_buf = np.empty_like(flat_buf), np.empty_like(flat_buf)
+        rel = np.arange(1 - m, m + 1)
+        known = sliding_window_view(np.where(
+            rel > 1, np.nan, np.where(rel == 1, np.inf if loo else 0.0, np.inf)),
+            m)[m::-1]
+
+        def exact(cells: np.ndarray, j: np.ndarray, l: np.ndarray) -> np.ndarray:
+            """The slab's exact entries at the flat offsets ``cells``, of
+            rows ``j`` and columns ``l`` from its first, priced where the
+            cache holds none yet."""
+            nonlocal priced
+            qv = cache.take(cells)
+            miss = np.flatnonzero(np.isnan(qv))
+            if miss.size:
+                qv[miss] = price(s + 1 + j[miss], s + 1 + l[miss])
+                cache.put(cells[miss], qv[miss])
+                priced += miss.size
+            return qv
     candidates = slab_cells = passes = 0
     row = None
     for s, e in slabs:
@@ -245,8 +305,12 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
                                            side="right"))
         slab = slab_buf[:b * c].reshape(b, c)
         write_slab(s, e, slab)
-        if not trim:
+        if not (trim or screen):
             F[0, s:e] = slab[:, -1]
+        if screen:
+            cache = cache_buf[:b * c].reshape(b, c)
+            np.copyto(cache, known[:b, :c])
+            cstarts = rows[:b] * c
         slab_cells += b * c
         bound = b < c
         if bound:
@@ -268,6 +332,9 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
                 r = rows_p
                 f_r, splits_r = f_rows[:, :r], splits[:, :r]
                 flat, q = flat_buf[:r], q_buf[:r]
+                if screen:
+                    cflat, cstarts_r, nxt = cflat_buf[:r], cstarts[:r], next_buf[:r]
+                    u, second, rows_r = u_buf[:r], second_buf[:r], rows[:r]
                 block = None
             if bound and p >= 3:
                 # the candidates at the splits for p-1, summed as the scan
@@ -289,10 +356,33 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
             block += cols_r
             split = block.argmin(axis=1, out=splits_r[p - 1])  # leftmost minimum
             np.add(split, starts_r, out=flat)  # flat offsets in block
-            buf.take(flat, out=f_r[p - 1], mode="clip")
-            if bound:  # Q(j..split): block and cols share offsets
-                cols.take(flat, out=q, mode="clip")
             candidates += r * held
+            if not screen:
+                buf.take(flat, out=f_r[p - 1], mode="clip")
+                if bound:  # Q(j..split): block and cols share offsets
+                    cols.take(flat, out=q, mode="clip")
+                continue
+            # the exact entry and sum at each row's screened argmin
+            q = exact(np.add(split, cstarts_r, out=cflat), rows_r, split)
+            f_prev, total = f_next[p - 2], f_r[p - 1]
+            np.add(q, f_prev.take(split, out=u, mode="clip"), out=total)
+            # another column whose screened sum is <= U may tie or win: a
+            # second argmin, with the first masked, finds each row's least
+            buf.put(flat, np.inf)
+            np.add(block.argmin(axis=1, out=nxt), starts_r, out=nxt)
+            buf.take(nxt, out=second, mode="clip")
+            tied = np.flatnonzero((second <= total) & (second < np.inf))
+            if tied.size:
+                # price them all; with the argmin, the leftmost least sum wins
+                ri, li = np.nonzero(block[tied] <= total[tied, None])
+                ri = np.concatenate((tied[ri], tied))
+                li = np.concatenate((li, split[tied]))
+                qv = exact(ri * c + li, ri, li)
+                sums = qv + f_prev.take(li)
+                order = np.lexsort((li, sums, ri))
+                first = order[np.r_[True, np.diff(ri[order]) != 0]]
+                won = ri[first]
+                split[won], total[won], q[won] = li[first], sums[first], qv[first]
         splits[1:] += s + 1
         passes += kk - 1
     F = F[:, :m]
@@ -300,7 +390,8 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     # rows with no p-partition keep split 0
     np.copyto(L[1:], np.arange(1, m + 1), where=~np.isfinite(F[1:]) & (L[1:] > 0))
     return DPTable(k_max=k_max, m=m, costs=_readonly(F), splits=_readonly(L),
-                   candidates=candidates, slab_cells=slab_cells, passes=passes)
+                   candidates=candidates, slab_cells=slab_cells, passes=passes,
+                   priced=priced)
 
 
 def backtrack(dp: DPTable, k: int) -> Segmentation:

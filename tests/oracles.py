@@ -120,7 +120,8 @@ def full_scan_fill_dp(table, k_max: int, loo: bool = False) -> DPTable:
     # rows with no p-partition keep split 0
     np.copyto(L[1:], np.arange(1, m + 1), where=~np.isfinite(F[1:]) & (L[1:] > 0))
     return DPTable(k_max=k_max, m=m, costs=_readonly(F), splits=_readonly(L),
-                   candidates=candidates, slab_cells=slab_cells, passes=passes)
+                   candidates=candidates, slab_cells=slab_cells, passes=passes,
+                   priced=0)
 
 
 def prefix_oracle_cost(dataset: FunctionalDataset, j: int, l: int) -> float:

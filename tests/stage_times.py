@@ -7,7 +7,11 @@ each (default 15), and prints one line a stage with its median and
 quartiles in milliseconds, then one JSON object of the same numbers.  The
 shapes are perfbench's: ``fit-default`` (n=124, m=256), ``select-fine``
 (n=4, m=2048, k_max=64) and ``experiment-noisy`` (n=124, m=256, k_max=64),
-plus the north star's large size (n=124, m=1024).  The inputs come from the
+plus the north star's large size (n=124, m=1024) and n=32, m=256 next to
+the fewest functions at which a fill screens its rows
+(``solver._SCREEN_N``), timed both as the library runs it and screened.
+A stage that sets the crossover runs as the library runs it in a checkout
+that has none.  The inputs come from the
 library's own synthetic generator with noise, so nothing is read from disk
 outside the ``read_csv`` stage.  A ``fit-default`` stage runs on a fresh
 copy of its dataset each call, so it centres the data as a fit job does.
@@ -27,7 +31,8 @@ is the same on both sides read medians within 2% of each other and won 8 to
 
 Where the fill reports the entries it wrote into its row slabs
 (``DPTable.slab_cells``), the share of whole slabs they make is printed
-too, and where it reports its slab passes (``DPTable.passes``), the timed
+too, with the exact entries it priced outside its row build
+(``DPTable.priced``), and where it reports its slab passes (``DPTable.passes``), the timed
 fill's median in ms and in µs a pass: the second tells a lower cost a pass
 from fewer passes.  The file name keeps pytest from collecting it.
 """
@@ -72,16 +77,32 @@ def _inputs(tmp: Path) -> dict[str, object]:
                                   0.04, seed + 1)
 
     raw = {"fit": data(124, 256), "fine": data(4, 2048), "noisy": data(124, 256),
-           "large": data(124, 1024), "csv": tmp / "fit.csv"}
+           "large": data(124, 1024), "cross": data(32, 256), "csv": tmp / "fit.csv"}
     segbasis.io.write_csv(raw["fit"], str(raw["csv"]))
     return raw
+
+
+def _screened(sb, call):
+    """``call`` with the screen crossover of ``sb`` at 1, so every fill
+    from a dataset screens its rows; unchanged where there is none."""
+    def run():
+        crossover = getattr(sb.solver, "_SCREEN_N", None)
+        if crossover is None:
+            return call()
+        sb.solver._SCREEN_N = 1
+        try:
+            return call()
+        finally:
+            sb.solver._SCREEN_N = crossover
+    return run
 
 
 def _shapes(sb, raw: dict[str, object]):
     """Each shape's stages for the package ``sb``: name -> zero-argument
     call, and the fills whose slab cells and passes are reported."""
-    fit, fine, noisy, large = (sb.new_dataset(raw[key].grid, raw[key].values)
-                               for key in ("fit", "fine", "noisy", "large"))
+    fit, fine, noisy, large, cross = (
+        sb.new_dataset(raw[key].grid, raw[key].values)
+        for key in ("fit", "fine", "noisy", "large", "cross"))
     path = str(raw["csv"])
     fresh = dataclasses.replace  # a copy that holds none of fit's kept sums
     seg, _, _ = sb.solve(fit, 32)
@@ -96,6 +117,8 @@ def _shapes(sb, raw: dict[str, object]):
             "read_csv": lambda: sb.io.read_csv(path, has_grid_row=True),
             "solve sse k=16": lambda: sb.solve(fresh(fit), 16),
             "solve loo k=16": lambda: sb.solve(fresh(fit), 16, loo=True),
+            "solve sse k=32": lambda: sb.solve(fresh(fit), 32),
+            "solve loo k=32": lambda: sb.solve(fresh(fit), 32, loo=True),
             "build_linear_table": lambda: sb.build_linear_table(fresh(fit)),
             "render k=32 coefficients": lambda: sb.io.render_result(fit_doc),
         },
@@ -110,6 +133,12 @@ def _shapes(sb, raw: dict[str, object]):
             "select_k standard": lambda: sb.select_k(noisy_table, std, 64),
             "select_k full-loo": lambda: sb.select_k(noisy_table, loo, 64),
         },
+        "crossover n=32 m=256": {
+            "solve sse k=16": lambda: sb.solve(fresh(cross), 16),
+            "solve sse k=16 screened": _screened(sb, lambda: sb.solve(fresh(cross), 16)),
+            "solve sse k=32": lambda: sb.solve(fresh(cross), 32),
+            "solve sse k=32 screened": _screened(sb, lambda: sb.solve(fresh(cross), 32)),
+        },
         "large n=124 m=1024": {
             "build_sse_table": lambda: sb.build_sse_table(large),
             "solve k=16": lambda: sb.solve(large_table, 16),
@@ -117,7 +146,8 @@ def _shapes(sb, raw: dict[str, object]):
             "select_k full-loo k=64": lambda: sb.select_k(large, loo, 64),
             "partition_totals 64 bases": lambda: sb.partition_totals(large, bases),
         },
-    }, {"select-fine": (fine, 64, {False: "fill_dp sse", True: "fill_dp loo"}),
+    }, {"fit-default": (fit, 32, {False: "solve sse k=32", True: "solve loo k=32"}),
+        "select-fine": (fine, 64, {False: "fill_dp sse", True: "fill_dp loo"}),
         "large n=124 m=1024": (large, 64, {False: "fill_dp sse k=64"})}
 
 
@@ -137,8 +167,10 @@ def _fill_counts(sb, shape: str, fill, times, report, label: str) -> None:
         if cells is not None:
             share = cells / whole
             report[f"slab_cells_share loo={loo}{label}"] = round(share, 4)
+            priced = getattr(dp, "priced", None)
+            report[f"priced loo={loo}{label}"] = priced
             print(f"{shape:20s} {f'slab cells, loo={loo}{label}':28s}"
-                  f" {share:9.3f} of whole slabs")
+                  f" {share:9.3f} of whole slabs, {priced} entries priced")
         passes = getattr(dp, "passes", None)
         if passes and loo in stage:
             ms = statistics.median(times[stage[loo]])

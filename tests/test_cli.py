@@ -484,6 +484,27 @@ def test_select_holds_no_cost_table(tmp_path, argv):
     assert peak < 8 << 20, peak
 
 
+@pytest.mark.parametrize("cost", ["sse", "loo"])
+def test_a_screened_fit_peaks_no_higher_than_a_linear_fit(tmp_path, cost):
+    # at the default size, n=124 and m=256, an SSE or leave-one-out fit
+    # screens its rows: the screen's matrices and the exact-entry cache
+    # keep its traced peak at or below the linear fit's
+    path = tmp_path / "default.csv"
+    np.savetxt(path, np.random.default_rng(124).normal(size=(124, 256)),
+               delimiter=",")
+    peaks = {}
+    for run in (cost, "linear"):
+        tracemalloc.start()
+        try:
+            code = main(["fit", "--input", str(path), "--segments", "32",
+                         "--cost", run, "--output", str(tmp_path / "out.json")])
+            peaks[run] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[cost] <= peaks["linear"], peaks
+
+
 @pytest.mark.parametrize("cost", ["sse", "loo", "linear"])
 def test_a_fit_centres_its_data_once(tmp_path, small_cfg, monkeypatch, cost):
     # the fill, its slab cuts, a linear table and the pricing all read the

@@ -501,3 +501,56 @@ def test_sse_entries_are_within_the_written_bound(name, n, m):
     assert (above[upper] >= below[upper] - 2 * delta).all()
     if name == "curves" and n == 4:  # small enough to cut by
         assert 0 < delta < 1e-9 * prefix[2][-1]
+
+
+def test_entries_priced_alone_have_the_tables_bits():
+    # every interval of an n=124, m=64 dataset priced on its own: alone,
+    # einsum would sum a cell's functions in another order than a block's,
+    # and the last bit of about half of them would differ from the table's
+    m = 64
+    ds = _dataset(np.random.default_rng(124).normal(size=(124, m)) + 3.0)
+    table = build_sse_table(ds).values
+    alone = np.full((m, m), np.inf)
+    for j in range(1, m + 1):
+        for l in range(j, m + 1):
+            alone[j - 1, l - 1] = costs._entries(ds, np.array([j]), np.array([l]))[0]
+    assert np.array_equal(alone.view(np.uint64), table.view(np.uint64))
+
+
+@pytest.mark.parametrize("name, n, m", [
+    ("offset", 1, 48), ("offset", 4, 300), ("offset", 124, 64),
+    ("large", 4, 200), ("constant", 4, 300), ("constant", 124, 40),
+    ("tiny", 1, 60), ("tiny", 4, 300), ("curves", 4, 2048),
+    ("curves", 124, 256),
+])
+def test_screen_rows_are_lower_bounds_within_the_written_bound(name, n, m):
+    # Lo <= max(Q - delta, 0) <= Q^ against the exact SSE of the centred values,
+    # so no candidate the screen drops can win or tie; Q - Lo <= 2 eps with
+    # eps = 2 delta + (w - 1)(d_l + d_(j-1))/len, so the screen is not
+    # vacuous; and the leave-one-out screen stays at or below the
+    # leave-one-out entries
+    ds = _dataset(_adversarial(name, n, m))
+    delta = costs._sse_error_bound(ds)
+    prefix = costs._data_prefix(ds)
+    lo = costs._screen_rows(ds, prefix)(0, m, np.empty((m, m)))
+    table = build_sse_table(ds)
+    assert (lo <= table.values).all()
+    loo = costs._loo_rows(lo, np.empty((m, m)))
+    assert (loo <= loo_table(table).values).all()
+    q = _exact_sse(prefix[0])
+    p1 = prefix[1]
+    d = [Fraction(x) for x in np.einsum("ia,ia->a", p1, p1).tolist()]
+    widen = Fraction(6 * n + 26, 2 ** 53)  # w - 1
+    rng = np.random.default_rng(m)
+    if m * m * n <= 300_000:  # every interval
+        pairs = [(j, l) for j in range(1, m + 1) for l in range(j, m + 1)]
+    else:  # the ends, the short ones and a random sample
+        pairs = [(1, m), (1, 1), (m, m), (1, 2), (m - 1, m)]
+        pairs += [(j, j + 1) for j in range(1, m, max(1, m // 50))]
+        pairs += [tuple(sorted(p)) for p in rng.integers(1, m + 1, (1500, 2)).tolist()]
+    delta = Fraction(delta)
+    for j, l in pairs:
+        exact, low = q(j, l), Fraction(lo[j - 1, l - 1])
+        assert low <= max(exact - delta, 0), (j, l)
+        eps = 2 * delta + widen * (d[l] + d[j - 1]) / (l - j + 1)
+        assert exact - low <= 2 * eps, (j, l)

@@ -282,7 +282,9 @@ def test_loo_fill_equals_fill_of_loo_table(m, name):
 def test_dataset_fills_do_not_depend_on_block_budget(n, offset, monkeypatch):
     # budgets of one and of three full-width rows of n functions build each
     # slab of the dataset's SSE rows in several blocks; the default budget
-    # is the last
+    # is the last.  A fill of n >= _SCREEN_N functions screens its rows
+    # instead of building them, so the crossover is set above n here
+    monkeypatch.setattr(solver, "_SCREEN_N", n + 1)
     m = 300
     ds = _dataset(np.random.default_rng(n).normal(size=(n, m)) + offset)
     sse = build_sse_table(ds)
@@ -817,3 +819,84 @@ def test_sweep_objectives_are_the_priced_totals_of_their_bases(n, m, loo):
         objective, priced = _objectives_and_priced_totals(source, 64, loo)
         assert objective.size == 64
         assert np.array_equal(objective, priced)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pruning_cases())
+def test_screened_fill_equals_full_scan(case):
+    # the screen at every n: step curves with and without noise, exact ties,
+    # constant runs, a 1e6 offset and leave-one-out counts past m/2, in one
+    # slab and in several, keep the full scan's bits
+    values, _, budget, k = case
+    ds = _dataset(values)
+    table = build_sse_table(ds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_SCREEN_N", 1)
+        mp.setattr(solver, "_SLAB_BYTES", budget)
+        for loo in (False, True):
+            dp = fill_dp(ds, k, loo=loo)
+            ref = full_scan_fill_dp(table, k, loo=loo)
+            assert np.array_equal(dp.costs, ref.costs), (loo, budget)
+            assert np.array_equal(dp.splits, ref.splits), (loo, budget)
+            assert dp.candidates <= ref.candidates
+
+
+@pytest.mark.parametrize("name", ["bumps", "steps", "tiled", "spectra"])
+def test_screened_fills_cut_their_slabs_and_equal_the_full_scan(name, monkeypatch):
+    # a screened fill cuts its slabs as a built one does: 16 KiB slabs
+    # split m = 600 into 101, each screened only out to the columns its
+    # passes can use
+    monkeypatch.setattr(solver, "_SCREEN_N", 1)
+    monkeypatch.setattr(solver, "_SLAB_BYTES", 16 * 1024)
+    m = 600
+    ds = _dataset(_cut_case(name, m))
+    table = build_sse_table(ds)
+    for loo in (False, True):
+        for k in (2, 16, 64):
+            dp = fill_dp(ds, k, loo=loo)
+            ref = full_scan_fill_dp(table, k, loo=loo)
+            assert np.array_equal(dp.costs, ref.costs), (loo, k)
+            assert np.array_equal(dp.splits, ref.splits), (loo, k)
+            assert dp.slab_cells < _untrimmed(m), (loo, k)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.02, 1.0])
+@pytest.mark.parametrize("n, m", [(124, 256), (124, 700), (4, 256)])
+def test_fills_screen_from_the_crossover_on(n, m, sigma):
+    # the default size screens its rows and prices only the cells its
+    # passes pick; n=4 builds them, and prices no cell in one slab
+    ds = generate(SynthSpec(n=n, m=m), 5)
+    if sigma:
+        ds = add_noise(ds, sigma, 6)
+    table = build_sse_table(ds)
+    for loo in (False, True):
+        for k in (8, 32, 64):
+            dp = fill_dp(ds, k, loo=loo)
+            ref = full_scan_fill_dp(table, k, loo=loo)
+            assert np.array_equal(dp.costs, ref.costs), (loo, k)
+            assert np.array_equal(dp.splits, ref.splits), (loo, k)
+            if n >= solver._SCREEN_N:
+                assert m < dp.priced < dp.slab_cells // 8, (loo, k)
+            elif len(_slabs(m)) == 1:
+                assert dp.priced == 0
+
+
+@pytest.mark.parametrize("n, m, screen_n", [(4, 250, 1), (124, 64, None)])
+def test_tied_screens_price_each_cell_at_most_once(n, m, screen_n, monkeypatch):
+    # constant curves: every entry is 0 and every candidate ties, the
+    # screen's worst case, in which a pass prices every column it scans.
+    # Each slab prices a cell at most once, so a fill prices at most its
+    # slab cells, F(1, .) included
+    if screen_n is not None:
+        monkeypatch.setattr(solver, "_SCREEN_N", screen_n)
+    levels = np.resize([3.7, 1e8 + 0.1, -2.5e-3, 7.0], (n, 1))
+    ds = _dataset(np.repeat(levels, m, axis=1))
+    table = build_sse_table(ds)
+    for budget in (solver._SLAB_BYTES, 16 * 1024):
+        monkeypatch.setattr(solver, "_SLAB_BYTES", budget)
+        for loo in (False, True):
+            dp = fill_dp(ds, 32, loo=loo)
+            ref = full_scan_fill_dp(table, 32, loo=loo)
+            assert np.array_equal(dp.costs, ref.costs), (budget, loo)
+            assert np.array_equal(dp.splits, ref.splits), (budget, loo)
+            assert m < dp.priced <= dp.slab_cells, (budget, loo)
