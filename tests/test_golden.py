@@ -63,6 +63,10 @@ CASES = {
     "slabs-fit-sse": ["fit", "--synth", "SLABS", "--segments", "24"],
     "slabs-fit-loo": ["fit", "--synth", "SLABS", "--segments", "24",
                       "--cost", "loo"],
+    "slabs-fit-linear": ["fit", "--synth", "SLABS", "--segments", "24",
+                         "--cost", "linear"],
+    "default-fit-linear": ["fit", "--synth", "default", "--segments", "16",
+                           "--cost", "linear", "--emit-coefficients"],
     "acc9-fit-linear": ["fit", "--synth", "ACC9", "--seed", "5",
                         "--segments", "6", "--cost", "linear",
                         "--emit-coefficients"],
