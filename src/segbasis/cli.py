@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .core import CostKind, FunctionalDataset, Segmentation, fit_model, reconstruct
-from .costs import build_linear_table, build_sse_table, partition_totals
+from .costs import build_sse_table, partition_totals
 from .io import read_csv, write_result
 from .selection import SelectionStrategy, default_k_max, select_k
 from .solver import InfeasiblePartitionError, solve
@@ -144,11 +144,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise ValueError(f"k out of range: need 1 <= k <= {dataset.m}, got {k}")
     kind = CostKind(args.cost)
     t0 = time.perf_counter()
-    # SSE and leave-one-out costs are filled and priced from the dataset,
-    # as select does: no m x m table
-    costs = build_linear_table(dataset) if kind is CostKind.LINEAR else dataset
-    try:
-        seg, total, _ = solve(costs, k, loo=kind is CostKind.LOO)
+    try:  # filled and priced from the dataset, as select is: no m x m table
+        seg, total, _ = solve(dataset, k, kind)
     except InfeasiblePartitionError:
         seg = None
     if seg is None:
@@ -387,8 +384,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
-        # MemoryError: too large an m x m table, which a linear fit,
-        # experiment and bench still allocate
+        # MemoryError: an allocation that fails outside the m x m cost
+        # tables of experiment and bench, whose failure is a ValueError
         print(f"segbasis: error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,10 +19,11 @@ summed over all functions.  Three kinds of cost are supported:
 Both table builds are O(n m^2) arithmetic done a block of start rows at a
 time: one ``einsum`` sums an n x b x m tensor of interval sums over
 functions.  The SSE rule is written once, in :func:`_sse_kernel`, and the
-leave-one-out rule once, in :func:`_loo_scale`.  One row builder,
-:func:`_sse_rows`, makes both the whole SSE table and, through
-:func:`_row_slabs`, the row slabs the dynamic program reads from a dataset,
-so a table-free fill has the table's bits.  :func:`partition_totals` prices
+leave-one-out rule once, in :func:`_loo_scale`.  One row builder a cost,
+:func:`_sse_rows` or :func:`_linear_rows`, makes both the whole table and,
+through :func:`_row_slabs`, the row slabs the dynamic program reads from a
+dataset, so a table-free fill has the table's bits; :func:`_entries` and
+:func:`_linear_entries` price single entries with them too.  :func:`partition_totals` prices
 both the SSE and the leave-one-out totals of given segmentations from one
 gather of their SSE entries, with or without the SSE table.  Without it,
 the fill's rows, its pricing and the totals read one set of centred prefix
@@ -38,7 +39,9 @@ the entries :func:`_entries` prices, one at a time or many, which have the
 table's bits.  The Gram-form screen of :func:`_screen_rows`, one matrix
 product a slab, never exceeds max(Q - delta, 0), Q the exact SSE, by a
 second written bound, so a fill from many functions can screen its rows
-and price exactly only the entries its passes can pick.
+and price exactly only the entries its passes can pick.  Its linear screen
+subtracts a third written bound on the slope term (:func:`_slope_screen`),
+so linear fills screen too, and no fill holds an m x m table.
 """
 
 from __future__ import annotations
@@ -239,16 +242,14 @@ def _blocked_rows(n: int, m: int, n_tensors: int, pinned: int, fill):
     return rows
 
 
-def _sse_kernel(d, lens, sq, q) -> None:
-    """S2 - sum_i S1_i^2 / len in place in ``q``, which holds the S2 sums,
-    from the n x b x w interval sums ``d`` of each function; ``sq`` is b x w
-    scratch.  ``d`` must be C-ordered: ``einsum`` then sums the functions
-    of every cell in one order, so an entry's bits do not depend on the
-    block it is in.  Another layout would change the last bit of some
-    entries, so it raises.  A lone cell is summed beside a copy of itself:
-    alone, ``einsum`` adds its functions in another order, which changed
-    the last bit of about half the entries of an n=124 dataset priced one
-    by one."""
+def _square_sums(d, sq) -> None:
+    """sum_i d_i^2 of the n x b x w interval sums ``d`` into the b x w
+    ``sq``.  ``d`` must be C-ordered: ``einsum`` then sums the functions of
+    every cell in one order, so a sum's bits do not depend on the block it
+    is in.  Another layout would change the last bit of some sums, so it
+    raises.  A lone cell is summed beside a copy of itself: alone,
+    ``einsum`` adds its functions in another order, which changed the last
+    bit of about half the entries of an n=124 dataset priced one by one."""
     if not d.flags.c_contiguous:
         raise ValueError("interval sums must be C-ordered")
     if sq.size == 1:
@@ -257,6 +258,13 @@ def _sse_kernel(d, lens, sq, q) -> None:
         sq[...] = pair[:, :1]
     else:
         np.einsum("ibl,ibl->bl", d, d, out=sq)
+
+
+def _sse_kernel(d, lens, sq, q) -> None:
+    """S2 - sum_i S1_i^2 / len in place in ``q``, which holds the S2 sums,
+    from the n x b x w interval sums ``d`` of each function (C-ordered, see
+    :func:`_square_sums`); ``sq`` is b x w scratch."""
+    _square_sums(d, sq)
     sq /= lens
     q -= sq
 
@@ -364,18 +372,30 @@ def _entries(dataset: FunctionalDataset, s: np.ndarray, e: np.ndarray) -> np.nda
         return np.concatenate([_entries(dataset, s[a:a + step], e[a:a + step])
                                for a in range(0, s.size, step)])
     _, p1, p2 = _data_prefix(dataset)
-    kept = vars(dataset)
-    if "_prefix_rows" not in kept:
-        kept["_prefix_rows"] = np.ascontiguousarray(p1.T)
-    rows = kept["_prefix_rows"]
-    d = rows.take(e, axis=0)
-    d -= rows.take(s - 1, axis=0)
-    d = np.ascontiguousarray(d.T)
+    d = _interval_columns(_prefix_rows(dataset, p1), s, e)
     q = p2[e] - p2[s - 1]
     _sse_kernel(d[:, None], e - s + 1.0, np.empty((1, q.size)), q[None])
     np.maximum(q, 0.0, out=q)
     q[e == s] = 0.0
     return q
+
+
+def _prefix_rows(dataset: FunctionalDataset, p1: np.ndarray) -> np.ndarray:
+    """A transposed copy of the prefix sums ``p1``, one row a prefix index,
+    made once and kept on the dataset beside them."""
+    kept = vars(dataset)
+    if "_prefix_rows" not in kept:
+        kept["_prefix_rows"] = np.ascontiguousarray(p1.T)
+    return kept["_prefix_rows"]
+
+
+def _interval_columns(rows: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The interval sums p[:, e] - p[:, s-1] of prefix sums p, given as
+    ``rows`` = p.T, as a C-ordered n x N array, each with one subtraction
+    as the tables' builds make it: gathered as whole rows of ``rows``."""
+    d = rows.take(e, axis=0)
+    d -= rows.take(s - 1, axis=0)
+    return np.ascontiguousarray(d.T)
 
 
 def _sse_row(prefix, j: int) -> np.ndarray:
@@ -411,10 +431,13 @@ def _sse_rows(dataset: FunctionalDataset, prefix):
     return _blocked_rows(dataset.n, dataset.m, 1, 1, partial(_sse_block, p1, p2))
 
 
-def _screen_rows(dataset: FunctionalDataset, prefix):
-    """``rows(s, e, out)``: lower bounds Lo <= Q^ of the SSE entries of the
-    rows s..e-1 over the columns s..c-1 into the (e-s) x (c-s) array
-    ``out``, from one matrix product (a screen for the dynamic program).
+def _screen_rows(dataset: FunctionalDataset, prefix, linear: bool = False):
+    """``rows(s, e, out)``: lower bounds Lo <= Q^ of the SSE entries, or with
+    ``linear`` of the linear entries, of the rows s..e-1 over the columns
+    s..c-1 into the (e-s) x (c-s) array ``out``, from matrix products (a
+    screen for the dynamic program).  The linear screen is the SSE screen
+    less the bound of :func:`_slope_screen` on the slope term, pinned to 0
+    at lengths 1 and 2 like the entries, and made a few rows at a time.
 
     With P the n x (m+1) prefix sums of :func:`_sse_prefix`, d_a the sum of
     P_ia^2 and G = P^T P, sum_i S1_i(j..l)^2 = d_l + d_(j-1) - 2 G[j-1, l].
@@ -452,25 +475,166 @@ def _screen_rows(dataset: FunctionalDataset, prefix):
     """
     _, p1, p2 = prefix
     n, m = p1.shape[0], p1.shape[1] - 1
-    d = np.einsum("ia,ia->a", p1, p1) * (1.0 + (6 * n + 26) * 2.0 ** -53)
+    sq = np.einsum("ia,ia->a", p1, p1)
+    d = sq * (1.0 + (6 * n + 26) * 2.0 ** -53)
     shift = p2 + 2.0 * _sse_error_bound(dataset)
     rel = np.arange(1.0 - m, m + 1.0)  # interval lengths, as in _blocked_rows
-    inv, floor = (sliding_window_view(row, m)[m::-1] for row in (
+    inv, floor, short = (sliding_window_view(row, m)[m::-1] for row in (
         np.divide(1.0, rel, out=np.zeros_like(rel), where=rel >= 1),
-        np.where(rel >= 1, 0.0, np.inf)))
+        np.where(rel >= 1, 0.0, np.inf), (rel >= 1) & (rel <= 2)))
+    slope, cells = _slope_screen(dataset, p1, sq) if linear else (None, 0)
+    if linear and slope is None:  # the bound's sums could overflow
+        return _linear_rows(dataset, prefix)
 
     def rows(s: int, e: int, out: np.ndarray) -> np.ndarray:
         b, c = out.shape
-        np.matmul(p1[:, s:e].T, p1[:, s + 1:s + 1 + c], out=out)
-        out *= -2.0
-        out += d[s + 1:s + 1 + c]
-        out += d[s:e, None]
-        out *= inv[:b, :c]
-        np.subtract(p2[s + 1:s + 1 + c], out, out=out)
-        out -= shift[s:e, None]
-        return np.maximum(out, floor[:b, :c], out=out)
+        ends = slice(s + 1, s + 1 + c)
+        h = max(1, cells // c) if linear else b
+        for r in range(0, b, h):
+            o = out[r:r + h]
+            a, v = slice(s + r, s + r + o.shape[0]), slice(r, r + o.shape[0])
+            np.matmul(p1[:, a].T, p1[:, ends], out=o)
+            o *= -2.0
+            o += d[ends]
+            o += d[a, None]
+            if linear:
+                bound = slope(a, ends, v, o)
+            o *= inv[v, :c]
+            np.subtract(p2[ends], o, out=o)
+            o -= shift[a, None]
+            if linear:
+                o -= bound
+            np.maximum(o, floor[v, :c], out=o)
+        if linear:  # lengths 1 and 2 are pinned to 0
+            np.copyto(out[:, :b + 2], 0.0, where=short[:b, :min(c, b + 2)])
+        return out
 
     return rows
+
+
+def _sums(p: np.ndarray, a: slice, ends: slice, out: np.ndarray) -> np.ndarray:
+    """``out[r, c]`` = p[ends][c] - p[a][r] of the 1-d prefix sums ``p``, with
+    the one subtraction of :func:`_interval_sums`."""
+    np.copyto(out, p[ends])
+    out -= p[a, None]
+    return out
+
+
+def _slope_screen(dataset: FunctionalDataset, p1: np.ndarray, sq: np.ndarray):
+    """``(slope, cells)``: ``slope(a, ends, v, wide)`` bounds the slope term
+    sum_i Cty_i^2 / Ctt of :func:`build_linear_table` from above, for the
+    cells of the start prefix indices ``a`` and end prefix indices ``ends``
+    (slices; ``v`` the rows' offsets in the slab), from four matrix
+    products.  ``wide`` holds the SSE screen's -2 G + d'_l + d'_(j-1) of
+    those cells.  The bound is written into one of three scratch arrays of
+    ``cells`` cells and returned.  ``slope`` is None when the bound's sums
+    could overflow; the screen is then the built rows.
+
+    With Y = P the n x (m+1) prefix sums of :func:`_sse_prefix` (sq their
+    column sums of squares d), T those of y*t and for one cell
+    b_i = Y_il - Y_i(j-1), a_i = T_il - T_i(j-1), the build computes
+    c = St/len and Ctt^ elementwise and Cty^_i = (a_i - c b_i) rounded.
+    The screen computes c and Ctt^ with the same operations, so with their
+    bits, and with them S = sum_i (a_i - c b_i)^2 = A - 2 c B + c^2 C:
+    A = sum_i a_i^2 = dT_l + dT_(j-1) - 2 T^T T, B = sum_i a_i b_i =
+    h_l + h_(j-1) - (T^T Y + Y^T T) and C = sum_i b_i^2 (``wide``), with
+    dT and h = sum_i T_ia Y_ia made once a fill.  Let rT_a and rY_a be
+    the square roots of dT_a and d_a and Z = rT_l + rT_(j-1)
+    + |c| (rY_l + rY_(j-1)); |A|, |B|, |C| <= Z^2 (Cauchy-Schwarz).  To
+    first order in u = 2^-53, in any order of summation (Higham 2002,
+    ch. 3):
+
+    * the build: |Cty^_i - (a_i - c b_i)| <= 3 u (|a_i| + |c| |b_i|),
+      whose 2-norm over i is at most 3 u Z, and sqrt(S) <= Z; the sum of
+      n squares adds n u.  So sq^ <= S + (n + 6) u Z^2;
+    * the screen: A within (n + 2) u (rT_l + rT_(j-1))^2, B within
+      (n + 3) u (rT_l + rT_(j-1)) (rY_l + rY_(j-1)) and ``wide`` within
+      (8n + 32) u (rY_l + rY_(j-1))^2 of C (its widening (6n + 26) u
+      included); the products with c and the two sums add the rest, so
+      S^ = (A - 2 c B) + c (c C) is within (8n + 36) u Z^2 of S.
+
+    So sq^ <= S^ + (9n + 42) u Z^2, and ``slope`` returns
+    (S^ + kappa Z^2 + eta) / Ctt^ with kappa twice (9n + 42) u: the second
+    half covers the second-order terms and the rounding of the bound
+    itself while (9n + 44)^2 u < 1/2 (any n below 2^24).  eta =
+    (5n + 8)(1 + max|t|)^2 2^-1074 covers the products that underflow:
+    each adds at most 2^-1075, at most 5n + 5 of them, scaled by at most
+    (1 + |c|)^2.  sqrt(kappa) and sqrt(eta)/2 are folded into rT and rY
+    once, so Z^2 costs one square.  The bound is at least sq^ and Ctt^ is
+    the build's, so rounding, which is monotone, keeps it at least the
+    build's Cty^2/Ctt^, and the SSE screen less it at most the build's
+    entry before its clamp; after the clamp and the pins, Lo <= Q^.
+
+    Dividing by the build's own Ctt^, not an exact Ctt, is what bounds the
+    1/Ctt amplification at short lengths: an error in Ctt would enter as
+    S/Ctt^2, unbounded as grid points draw together, and Ctt^ <= 0 is +inf
+    in both, so the term is 0 there as in the build.  What is amplified is
+    only the width kappa Z^2/Ctt^ of the screen: at length 3 on a grid of
+    spacing h, Ctt is about 2 h^2, and near-duplicate points can make the
+    width exceed the entry.  The screen then reads 0 there, and the fill
+    prices the cell only if it can tie a row's best.
+
+    Every partial sum is at most 8 (max rT + max|t| max rY)^2; where that
+    is not finite, ``slope`` is None.
+    """
+    t, pt, ptt, pty = _linear_prefix(dataset)
+    n, m = p1.shape[0], p1.shape[1] - 1
+    c_max = float(np.abs(t).max())
+    dt = np.einsum("ai,ai->a", pty, pty)
+    rt, ry = np.sqrt(dt), np.sqrt(sq)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(8.0 * (rt.max() + c_max * ry.max()) ** 2):
+            return None, 0
+    h = np.einsum("ai,ia->a", pty, p1)
+    root_kappa = (2.0 * (9 * n + 42) * 2.0 ** -53) ** 0.5
+    half_eta = 0.5 * ((5 * n + 8) * 2.0 ** -1074) ** 0.5 * (1.0 + c_max)
+    rt, ry = rt * root_kappa + half_eta, ry * root_kappa
+    rel = np.arange(1.0 - m, m + 1.0)
+    lens = sliding_window_view(np.where(rel >= 1, rel, np.inf), m)[m::-1]
+    cells = max(m, _BLOCK_BYTES // 128)
+    scratch = np.empty((3, cells))
+
+    def slope(a: slice, ends: slice, v: slice, wide: np.ndarray) -> np.ndarray:
+        shape = wide.shape
+        st, g, z = (x[:wide.size].reshape(shape) for x in scratch)
+        lv = lens[v, :shape[1]]
+        c = np.divide(_sums(pt, a, ends, st), lv, out=st)  # the build's bits
+        # B^ = (h_l - (T^T Y + Y^T T)) + h_(j-1)
+        np.matmul(pty[a], p1[:, ends], out=g)
+        np.matmul(p1[:, a].T, pty[ends].T, out=z)
+        z += g
+        np.subtract(h[ends], z, out=z)
+        z += h[a, None]
+        # A^ = -2 T^T T + dT_l + dT_(j-1), then S^ = (A^ - 2 c B^) + c (c C^)
+        np.matmul(pty[a], pty[ends].T, out=g)
+        g *= -2.0
+        g += dt[ends]
+        g += dt[a, None]
+        z *= c
+        z *= 2.0
+        g -= z
+        np.multiply(c, wide, out=z)
+        z *= c
+        g += z
+        # + kappa Z^2 + eta
+        np.abs(c, out=c)
+        np.add(ry[ends], ry[a, None], out=z)
+        z *= c
+        z += rt[ends]
+        z += rt[a, None]
+        z *= z
+        g += z
+        # over Ctt^, made with the build's operations, so with its bits
+        _sums(pt, a, ends, st)
+        np.multiply(st, st, out=z)
+        z /= lv
+        ctt = _sums(ptt, a, ends, st)
+        ctt -= z
+        np.copyto(ctt, np.inf, where=ctt <= 0.0)
+        g /= ctt
+        return g
+
+    return slope, cells
 
 
 def build_sse_table(dataset: FunctionalDataset) -> CostTable:
@@ -480,8 +644,19 @@ def build_sse_table(dataset: FunctionalDataset) -> CostTable:
     lower triangle is +inf.
     """
     m = dataset.m
-    table = _sse_rows(dataset, _sse_prefix(dataset))(0, m, np.empty((m, m)))
+    table = _sse_rows(dataset, _sse_prefix(dataset))(0, m, _table_array(m))
     return CostTable(m=m, kind=CostKind.SSE, values=_readonly(table))
+
+
+def _table_array(m: int) -> np.ndarray:
+    """An uninitialised m x m array for a cost table: the one allocation of
+    an m x m array in the library.  A failure to allocate it is an input
+    error naming m and its 8 m^2 bytes."""
+    try:
+        return np.empty((m, m))
+    except MemoryError:
+        raise ValueError(f"a cost table for m={m} points needs {8 * m * m} "
+                         "bytes, more than can be allocated") from None
 
 
 def _loo_rows(sse_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -505,32 +680,129 @@ def _loo_rows(sse_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_slabs(source: CostTable | FunctionalDataset, loo: bool,
-               screen: bool = False):
-    """``slab(s, e, out)``: the cost rows s..e-1 over the columns s..c-1
-    into the (e-s) x (c-s) array ``out``, the one way the dynamic program
-    reads its costs.
+def _row_slabs(source: CostTable | FunctionalDataset,
+               cost: CostKind = CostKind.SSE, screen: bool = False):
+    """``slab(s, e, out)``: the rows s..e-1 of ``cost`` over the columns
+    s..c-1 into the (e-s) x (c-s) array ``out``, the one way the dynamic
+    program reads its costs.
 
     ``source`` is a cost table, whose rows are copied whole (c = m, +inf
     left of the diagonal, as :class:`CostTable` holds them), or a dataset,
-    whose SSE rows are built by :func:`_sse_rows`, the table build's own
-    path, so they equal the table's rows bit for bit without the m x m
-    table.  With ``screen`` a dataset's rows are instead the lower bounds of
-    :func:`_screen_rows`.  A dataset's slab may stop at any column c: the
-    fill builds only the columns its passes can use (see
-    :func:`solver.fill_dp`).  With ``loo`` the SSE rows are scaled by
-    :func:`_loo_rows`, so the fill reads leave-one-out costs without a
-    leave-one-out table.
+    whose rows are built by :func:`_sse_rows` or :func:`_linear_rows`, the
+    table builds' own paths, so they equal the table's rows bit for bit
+    without the m x m table.  With ``screen`` a dataset's rows are instead
+    the lower bounds of :func:`_screen_rows`.  A dataset's slab may stop at
+    any column c: the fill builds only the columns its passes can use (see
+    :func:`solver.fill_dp`).  Leave-one-out rows are SSE rows scaled by
+    :func:`_loo_rows`, so the fill reads them without a leave-one-out
+    table.  A table must hold ``cost``, or SSE costs for leave-one-out.
     """
+    loo, linear = cost is CostKind.LOO, cost is CostKind.LINEAR
     if isinstance(source, FunctionalDataset):
-        build = (_screen_rows if screen else _sse_rows)(source, _data_prefix(source))
+        prefix = _data_prefix(source)
+        if screen:
+            build = _screen_rows(source, prefix, linear)
+        else:
+            build = (_linear_rows if linear else _sse_rows)(source, prefix)
         return (lambda s, e, out: _loo_rows(build(s, e, out), out)) if loo else build
-    if loo and source.kind is not CostKind.SSE:
-        raise ValueError(f"expected an SSE table, got {source.kind.value}")
+    if source.kind is not cost and not (loo and source.kind is CostKind.SSE):
+        raise ValueError(f"expected {'a linear' if linear else 'an SSE'} "
+                         f"table, got {source.kind.value}")
     values = source.values
-    if loo:
+    if loo and source.kind is CostKind.SSE:
         return lambda s, e, out: _loo_rows(values[s:e, s:], out)
     return lambda s, e, out: np.copyto(out, values[s:e, s:])
+
+
+def _linear_prefix(dataset: FunctionalDataset):
+    """The centred grid t and the prefix sums of t, t^2 and each function's
+    y*t (y centred, from :func:`_data_prefix`), made once and kept on the
+    dataset like the centred sums.  The sums of y*t are kept transposed,
+    one row of n a prefix index, as the screen's matrix products and the
+    pricing's gathers read them.  Raises if a linear cell could
+    overflow."""
+    kept = vars(dataset)
+    if "_linear_prefix" not in kept:
+        y, py, _ = _data_prefix(dataset)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = dataset.grid - dataset.grid.mean()
+            pt, ptt = _prefix(t), _prefix(t * t)
+            pty = np.zeros((dataset.m + 1, dataset.n))
+            np.cumsum((y * t).T, axis=0, out=pty[1:])
+            # as in _sse_prefix, |St| <= ptp(pt), also in the empty cells
+            # left of the diagonal; there the lengths read +inf and St/len
+            # is 0, and elsewhere St/len is a mean of t, so |Cty_i| <=
+            # ptp(pty_i) + max|t| ptp(py_i)
+            st, ty, y1 = np.ptp(pt), np.ptp(pty, axis=0), np.ptp(py, axis=-1)
+            _require_finite(st * st, ptt[-1],
+                            ((ty + np.abs(t).max() * y1) ** 2).sum())
+        kept["_linear_prefix"] = t, pt, ptt, pty
+    return kept["_linear_prefix"]
+
+
+def _linear_block(p1, p2, pt, ptt, pty, s, e, lens, tensors, sq, q) -> None:
+    """Block fill of linear costs (see :func:`build_linear_table`) from the
+    prefix sums of :func:`_sse_prefix` and :func:`_linear_prefix`;
+    ``tensors`` keep Sy and Cty.  Every step but the two sums over the
+    functions is elementwise."""
+    _sse_block(p1, p2, s, e, lens, tensors, sq, q)
+    dy, dty = tensors
+    st = _interval_sums(pt, s, e, np.empty(sq.shape))
+    ctt = _interval_sums(ptt, s, e, np.empty(sq.shape)) - st * st / lens
+    np.copyto(ctt, np.inf, where=ctt <= 0.0)  # no slope to fit
+    dy *= st / lens
+    _interval_sums(pty, s, e, dty)
+    dty -= dy
+    _square_sums(dty, sq)
+    q -= sq / ctt
+
+
+def _linear_rows(dataset: FunctionalDataset, prefix):
+    """The linear row builder of ``dataset`` (see :func:`_blocked_rows`),
+    from its :func:`_sse_prefix` and :func:`_linear_prefix`: the one path by
+    which both the linear table and the dynamic program's linear row slabs
+    are made, so a slab has the bits of the table's rows."""
+    _, p1, p2 = prefix
+    _, pt, ptt, pty = _linear_prefix(dataset)
+    return _blocked_rows(dataset.n, dataset.m, 2, 2,
+                         partial(_linear_block, p1, p2, pt, ptt, pty.T))
+
+
+def _linear_entries(dataset: FunctionalDataset, s: np.ndarray,
+                    e: np.ndarray) -> np.ndarray:
+    """Linear entries of 1-based intervals with the bits of
+    ``build_linear_table(dataset)``, as :func:`_entries` prices SSE entries.
+
+    Only the two sums over the functions depend on the layout of the
+    interval sums, and both are taken by :func:`_square_sums` over a
+    C-ordered n x 1 x N array, with the lone-cell pairing.  Every other
+    step, St, Ctt, St/len, the +inf of Ctt <= 0, the clamp and the pins at
+    lengths 1 and 2, is elementwise, so repeating it cell by cell gives the
+    table's bits.
+    """
+    step = max(1, _GATHER_BYTES // (8 * dataset.n))
+    if s.size > step:
+        return np.concatenate([_linear_entries(dataset, s[a:a + step],
+                                               e[a:a + step])
+                               for a in range(0, s.size, step)])
+    _, p1, p2 = _data_prefix(dataset)
+    _, pt, ptt, pty = _linear_prefix(dataset)
+    lens = e - s + 1.0
+    dy = _interval_columns(_prefix_rows(dataset, p1), s, e)
+    q = p2[e] - p2[s - 1]
+    sq = np.empty((1, q.size))
+    _sse_kernel(dy[:, None], lens, sq, q[None])
+    st = pt[e] - pt[s - 1]
+    ctt = (ptt[e] - ptt[s - 1]) - st * st / lens
+    ctt[ctt <= 0.0] = np.inf
+    dy *= st / lens
+    dty = _interval_columns(pty, s, e)
+    dty -= dy
+    _square_sums(dty[:, None], sq)
+    q -= sq[0] / ctt
+    np.maximum(q, 0.0, out=q)
+    q[lens <= 2.0] = 0.0
+    return q
 
 
 def build_linear_table(dataset: FunctionalDataset) -> CostTable:
@@ -542,30 +814,6 @@ def build_linear_table(dataset: FunctionalDataset) -> CostTable:
     of the centred grid t and functions y_i.  Intervals of length 1 or 2 are
     exactly interpolated, so their cost is pinned to 0.
     """
-    y, py, pyy = _data_prefix(dataset)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = dataset.grid - dataset.grid.mean()
-        pt, ptt, pty = _prefix(t), _prefix(t * t), _prefix(y * t)
-        # as in _sse_prefix, |St| <= ptp(pt), also in the empty cells left of
-        # the diagonal; there the lengths read +inf and St/len is 0, and
-        # elsewhere St/len is a mean of t, so |Cty_i| <= ptp(pty_i) +
-        # max|t| ptp(py_i)
-        st, ty, y1 = (np.ptp(p, axis=-1) for p in (pt, pty, py))
-        _require_finite(st * st, ptt[-1],
-                        ((ty + np.abs(t).max() * y1) ** 2).sum())
-
-    def fill(s, e, lens, tensors, sq, q):
-        _sse_block(py, pyy, s, e, lens, tensors, sq, q)
-        dy, dty = tensors
-        st = _interval_sums(pt, s, e, np.empty(sq.shape))
-        ctt = _interval_sums(ptt, s, e, np.empty(sq.shape)) - st * st / lens
-        np.copyto(ctt, np.inf, where=ctt <= 0.0)  # no slope to fit
-        dy *= st / lens
-        _interval_sums(pty, s, e, dty)
-        dty -= dy
-        np.einsum("ibl,ibl->bl", dty, dty, out=sq)
-        q -= sq / ctt
-
     m = dataset.m
-    table = _blocked_rows(dataset.n, m, 2, 2, fill)(0, m, np.empty((m, m)))
+    table = _linear_rows(dataset, _data_prefix(dataset))(0, m, _table_array(m))
     return CostTable(m=m, kind=CostKind.LINEAR, values=_readonly(table))

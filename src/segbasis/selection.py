@@ -30,7 +30,7 @@ from math import isfinite
 
 import numpy as np
 
-from .core import FunctionalDataset, Segmentation
+from .core import CostKind, FunctionalDataset, Segmentation
 from .costs import CostTable, partition_totals
 from .solver import solve_all
 
@@ -93,8 +93,8 @@ def select_k(
     priced by :func:`costs.partition_totals` in one call; a k without a
     finite-cost basis scores +inf on both.
     """
-    results = solve_all(sse, k_max,
-                        loo=strategy is SelectionStrategy.FULL_LOO)
+    results = solve_all(sse, k_max, CostKind.LOO
+                        if strategy is SelectionStrategy.FULL_LOO else CostKind.SSE)
     segs = [res.segmentation for res in results if res.feasible]
     priced = zip(*partition_totals(sse, segs))
     records = [SelectionRecord(res.k, res.segmentation,

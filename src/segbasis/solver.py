@@ -23,16 +23,17 @@ from math import inf, isfinite, isqrt, nextafter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import FunctionalDataset, Segmentation, _readonly
-from .costs import (CostTable, _data_prefix, _entries, _loo_scale, _row_slabs,
-                    _sse_error_bound, _sse_row)
+from .core import CostKind, FunctionalDataset, Segmentation, _readonly
+from .costs import (CostTable, _data_prefix, _entries, _linear_entries,
+                    _loo_scale, _row_slabs, _sse_error_bound, _sse_row)
 
 # Byte budget of the fill's contiguous row slab (and of its candidate
 # buffer): the slab is reused for every segment count while it stays in cache.
 _SLAB_BYTES = 512 * 1024
 
 # The fewest functions at which a fill from a dataset screens its rows
-# instead of building them (see fill_dp); measured in BENCH_26.json.
+# instead of building them, for every cost (see fill_dp); measured in
+# BENCH_26.json.
 _SCREEN_N = 48
 
 
@@ -89,7 +90,7 @@ def _slabs(m: int) -> list[tuple[int, int]]:
 
 
 def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
-            loo: bool = False) -> DPTable:
+            cost: CostKind = CostKind.SSE) -> DPTable:
     """Fill F and the split records for all segment counts up to ``k_max``.
 
     The table is swept in row slabs from the bottom up, and each slab runs
@@ -100,14 +101,15 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     budget was kept after a sweep of 256 KiB to 1 MiB on a host with 2 MiB
     of L2 a core (``BENCH_10.json``).
 
-    ``table`` is a cost table or, for SSE costs, the dataset itself.  Each
-    slab is written once into a contiguous buffer of its rows over the
+    ``cost`` is what the fill minimizes, and ``table`` a cost table of it
+    (an SSE table also serves leave-one-out costs) or the dataset itself.
+    Each slab is written once into a contiguous buffer of its rows over the
     columns s..m-1 by :func:`costs._row_slabs`: a copy of the table's rows,
-    or the dataset's SSE rows built by the table build's own row path, so
-    the fill of a dataset equals the fill of ``build_sse_table(dataset)`` bit
-    for bit and never holds an m x m table.  With ``loo`` the SSE rows are
-    scaled by :func:`costs._loo_rows`, so the fill minimizes leave-one-out
-    costs without a leave-one-out table, from an SSE table or the dataset.
+    or the dataset's SSE or linear rows built by the table build's own row
+    path, so the fill of a dataset equals the fill of its table bit for bit
+    and never holds an m x m table.  Leave-one-out rows are SSE rows scaled
+    by :func:`costs._loo_rows`, so the fill minimizes leave-one-out costs
+    without a leave-one-out table, from an SSE table or the dataset.
     Building the rows in the fill is faster than building the table first
     at n=4, m=2048, k=64: it spares the first touch of a 32 MiB table and a
     second pass over each of its rows (``BENCH_12.json``).
@@ -198,19 +200,23 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     and within delta, by :func:`costs._sse_row` from the prefix sums the
     rows are built from; F(1, j) = Q(j..m), which a cut slab does not hold,
     is priced for every row before the first slab by
-    :func:`costs._entries`, with the build's bits.  A slab is built whole when it is the bottom one or k_max exceeds the
-    points below it (row e has no split for some p), or when F(p, e) is
-    +inf for some p.  Fills from a table copy whole rows.  ``slab_cells``
+    :func:`costs._entries`, with the build's bits.  A slab is built whole
+    when it is the bottom one or k_max exceeds the points below it (row e
+    has no split for some p), or when F(p, e) is +inf for some p, and every
+    linear slab is built whole: the cut rests on the SSE bound delta.
+    Fills from a table copy whole rows.  ``slab_cells``
     counts the entries written into slabs, b x c a slab: on n=4, m=2048,
     k=64 data about 75-80% of whole slabs.
 
     A fill from a dataset of at least ``_SCREEN_N`` functions screens its
-    rows instead of building them: each slab holds lower bounds Lo <= Q^ of
-    its entries from :func:`costs._screen_rows`, one matrix product a slab,
-    and a cache of the same shape holds the exact entries priced so far,
-    NaN until then.  A pass scans Lo + F(p-1, l+1) as it would scan the
+    rows instead of building them, for every cost: each slab holds lower
+    bounds Lo <= Q^ of its entries from :func:`costs._screen_rows`, one
+    matrix product a slab (four for linear costs), and a cache of the same
+    shape holds the exact entries priced so far, NaN until then, and 0 at
+    the lengths whose entries are pinned.  A pass scans Lo + F(p-1, l+1) as it would scan the
     entries and takes each row's leftmost argmin l~.  It prices Q^(j..l~)
-    with the build's bits (:func:`costs._entries`) unless cached, so U =
+    with the build's bits (:func:`costs._entries` or
+    :func:`costs._linear_entries`) unless cached, so U =
     Q^(j..l~) + F(p-1, l~+1) is the full scan's sum at l~.  Rounding is
     monotone, so no column's sum is below its screened sum: a column whose
     screened sum exceeds U neither wins nor ties.  A second argmin, with
@@ -219,9 +225,8 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     So F and the splits keep the full scan's bits.  ``colmin`` is made
     from Lo, still a lower bound, and ``q`` holds the exact entry at each
     split, so the cuts of passes and slabs hold unchanged; F(1, .) is
-    priced for every row, as in a cut fill.  ``priced`` counts the entries
-    :func:`costs._entries` priced: F(1, .), and each slab's cells at most
-    once.  On noisy data a pass prices only argmins not priced before; on
+    priced for every row, as in a cut fill.  ``priced`` counts the exact
+    entries priced: F(1, .), and each slab's cells at most once.  On noisy data a pass prices only argmins not priced before; on
     constant curves, where every candidate ties, a pass prices every
     column it scans, and the fill at most its ``slab_cells``.  Below the
     crossover, which ``BENCH_26.json`` measures, the exact rows are built.
@@ -234,7 +239,8 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
         raise ValueError(f"k out of range: {k_max} not in 1..{m}")
     data = not isinstance(table, CostTable)
     screen = data and table.n >= _SCREEN_N
-    write_slab = _row_slabs(table, loo, screen)  # +inf left of the diagonal
+    loo, linear = cost is CostKind.LOO, cost is CostKind.LINEAR
+    write_slab = _row_slabs(table, cost, screen)  # +inf left of the diagonal
     F = np.full((k_max, m + 1), np.inf, dtype=np.float64)
     L = np.zeros((k_max, m), dtype=np.int64)
     L[0, :] = m
@@ -245,12 +251,12 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
                             default=0))
     rows = np.arange(max(e - s for s, e in slabs))
     flat_buf, q_buf = np.empty(rows.size, dtype=np.intp), np.empty(rows.size)
-    trim = data and len(slabs) > 1 and k_max > 1
+    trim = data and not linear and len(slabs) > 1 and k_max > 1
     priced = 0
     if trim or screen:
         def price(j: np.ndarray, l: np.ndarray) -> np.ndarray:
             """Q(j..l) of 1-based intervals with the build's bits."""
-            q = _entries(table, j, l)
+            q = (_linear_entries if linear else _entries)(table, j, l)
             return _loo_scale(l - j + 1.0, q) if loo else q
 
         # F(1, j) = Q(j..m), as a cut slab holds no column m, nor a screen
@@ -263,14 +269,15 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
         prior = np.arange(k_max - 1)  # p - 2 for p = 2..k_max
     if screen:
         # each slab's exact entries, NaN until priced; known ones are +inf
-        # left of the diagonal and, at length 1, 0 (SSE) or +inf (LOO)
+        # left of the diagonal and, at length 1, 0 (SSE) or +inf (LOO), and
+        # linear ones 0 at lengths 1 and 2
         cache_buf = np.empty(size)
         u_buf, second_buf = np.empty(rows.size), np.empty(rows.size)
         cflat_buf, next_buf = np.empty_like(flat_buf), np.empty_like(flat_buf)
         rel = np.arange(1 - m, m + 1)
-        known = sliding_window_view(np.where(
-            rel > 1, np.nan, np.where(rel == 1, np.inf if loo else 0.0, np.inf)),
-            m)[m::-1]
+        known = np.where(rel > (2 if linear else 1), np.nan, np.where(
+            rel < 1, np.inf, np.inf if loo else 0.0))
+        known = sliding_window_view(known, m)[m::-1]
 
         def exact(cells: np.ndarray, j: np.ndarray, l: np.ndarray) -> np.ndarray:
             """The slab's exact entries at the flat offsets ``cells``, of
@@ -421,15 +428,14 @@ def backtrack(dp: DPTable, k: int) -> Segmentation:
 
 
 def solve(table: CostTable | FunctionalDataset, k: int,
-          loo: bool = False) -> tuple[Segmentation, float, DPTable]:
-    """Optimal partition of the table's index range into exactly k segments,
-    under the leave-one-out transform of the SSE costs with ``loo``; the
-    table may be the dataset itself for SSE costs (see :func:`fill_dp`).
+          cost: CostKind = CostKind.SSE) -> tuple[Segmentation, float, DPTable]:
+    """Optimal partition of the table's index range into exactly k segments
+    under ``cost``, from a table or the dataset itself (see :func:`fill_dp`).
 
     Raises :class:`InfeasiblePartitionError` when every k-partition has
     infinite cost (leave-one-out costs with k > m/2).
     """
-    dp = fill_dp(table, k, loo=loo)
+    dp = fill_dp(table, k, cost)
     total = float(dp.costs[k - 1, 0])
     if not isfinite(total):
         raise InfeasiblePartitionError(
@@ -439,15 +445,14 @@ def solve(table: CostTable | FunctionalDataset, k: int,
 
 
 def solve_all(table: CostTable | FunctionalDataset, k_max: int,
-              loo: bool = False) -> list[SolveResult]:
-    """Optima for every segment count 1..k_max from a single DP fill of a
-    table or a dataset (see :func:`fill_dp`), under the leave-one-out
-    transform of the SSE costs with ``loo``.
+              cost: CostKind = CostKind.SSE) -> list[SolveResult]:
+    """Optima for every segment count 1..k_max under ``cost`` from a single
+    DP fill of a table or a dataset (see :func:`fill_dp`).
 
     Infinite-cost counts are flagged (segmentation None), not omitted, and
     never backtracked.
     """
-    dp = fill_dp(table, k_max, loo=loo)
+    dp = fill_dp(table, k_max, cost)
     out = []
     for k, total in enumerate(dp.costs[:, 0].tolist(), start=1):
         if isfinite(total):

@@ -74,7 +74,7 @@ def loo_table(sse: CostTable) -> CostTable:
     return CostTable(m=sse.m, kind=CostKind.LOO, values=_readonly(out))
 
 
-def full_scan_fill_dp(table, k_max: int, loo: bool = False) -> DPTable:
+def full_scan_fill_dp(table, k_max: int, cost: CostKind = CostKind.SSE) -> DPTable:
     """The slab-ordered dynamic program with every pass over the slab's full
     width: the library's fill before it stopped a row's scan early, whose
     costs and splits the pruned fill must equal bit for bit.
@@ -83,7 +83,7 @@ def full_scan_fill_dp(table, k_max: int, loo: bool = False) -> DPTable:
     m = table.m
     if not (1 <= k_max <= m):
         raise ValueError(f"k out of range: {k_max} not in 1..{m}")
-    write_slab = _row_slabs(table, loo)  # +inf left of the diagonal
+    write_slab = _row_slabs(table, cost)  # +inf left of the diagonal
     F = np.full((k_max, m + 1), np.inf, dtype=np.float64)
     L = np.zeros((k_max, m), dtype=np.int64)
     L[0, :] = m

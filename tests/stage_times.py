@@ -9,7 +9,9 @@ shapes are perfbench's: ``fit-default`` (n=124, m=256), ``select-fine``
 (n=4, m=2048, k_max=64) and ``experiment-noisy`` (n=124, m=256, k_max=64),
 plus the north star's large size (n=124, m=1024) and n=32, m=256 next to
 the fewest functions at which a fill screens its rows
-(``solver._SCREEN_N``), timed both as the library runs it and screened.
+(``solver._SCREEN_N``), timed both as the library runs it and screened,
+for SSE and linear costs.  ``fit-default`` times SSE, leave-one-out and
+linear solves from the data, and ``build_linear_table`` for reference.
 A stage that sets the crossover runs as the library runs it in a checkout
 that has none.  The inputs come from the
 library's own synthetic generator with noise, so nothing is read from disk
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import json
 import statistics
 import sys
@@ -82,6 +85,19 @@ def _inputs(tmp: Path) -> dict[str, object]:
     return raw
 
 
+def _cost_call(sb, name: str, source, k: int, cost: str):
+    """``sb.<name>(source, k)`` under ``cost`` ("sse", "loo" or "linear") in
+    a checkout whose fills take a cost selector; in one whose fills take a
+    ``loo`` flag instead, a linear call fills from the linear table, as
+    that checkout's ``fit`` did."""
+    call = getattr(sb, name)
+    if "cost" in inspect.signature(call).parameters:
+        return call(source, k, sb.CostKind(cost))
+    if cost == "linear":
+        return call(sb.build_linear_table(source), k)
+    return call(source, k, loo=cost == "loo")
+
+
 def _screened(sb, call):
     """``call`` with the screen crossover of ``sb`` at 1, so every fill
     from a dataset screens its rows; unchanged where there is none."""
@@ -106,6 +122,9 @@ def _shapes(sb, raw: dict[str, object]):
     path = str(raw["csv"])
     fresh = dataclasses.replace  # a copy that holds none of fit's kept sums
     seg, _, _ = sb.solve(fit, 32)
+
+    def solve(dataset, k, cost):
+        return lambda: _cost_call(sb, "solve", fresh(dataset), k, cost)
     fit_doc = {"command": "fit", "coefficients": sb.fit_model(fit, seg).coefficients}
 
     noisy_table = sb.build_sse_table(noisy)
@@ -115,16 +134,19 @@ def _shapes(sb, raw: dict[str, object]):
     return {
         "fit-default": {
             "read_csv": lambda: sb.io.read_csv(path, has_grid_row=True),
-            "solve sse k=16": lambda: sb.solve(fresh(fit), 16),
-            "solve loo k=16": lambda: sb.solve(fresh(fit), 16, loo=True),
-            "solve sse k=32": lambda: sb.solve(fresh(fit), 32),
-            "solve loo k=32": lambda: sb.solve(fresh(fit), 32, loo=True),
+            "solve sse k=16": solve(fit, 16, "sse"),
+            "solve loo k=16": solve(fit, 16, "loo"),
+            "solve sse k=32": solve(fit, 32, "sse"),
+            "solve loo k=32": solve(fit, 32, "loo"),
+            "solve linear k=8": solve(fit, 8, "linear"),
+            "solve linear k=16": solve(fit, 16, "linear"),
+            "solve linear k=32": solve(fit, 32, "linear"),
             "build_linear_table": lambda: sb.build_linear_table(fresh(fit)),
             "render k=32 coefficients": lambda: sb.io.render_result(fit_doc),
         },
         "select-fine": {
             "fill_dp sse": lambda: sb.fill_dp(fine, 64),
-            "fill_dp loo": lambda: sb.fill_dp(fine, 64, loo=True),
+            "fill_dp loo": lambda: _cost_call(sb, "fill_dp", fine, 64, "loo"),
             "select_k standard": lambda: sb.select_k(fine, std, 64),
             "select_k full-loo": lambda: sb.select_k(fine, loo, 64),
         },
@@ -134,21 +156,27 @@ def _shapes(sb, raw: dict[str, object]):
             "select_k full-loo": lambda: sb.select_k(noisy_table, loo, 64),
         },
         "crossover n=32 m=256": {
-            "solve sse k=16": lambda: sb.solve(fresh(cross), 16),
-            "solve sse k=16 screened": _screened(sb, lambda: sb.solve(fresh(cross), 16)),
-            "solve sse k=32": lambda: sb.solve(fresh(cross), 32),
-            "solve sse k=32 screened": _screened(sb, lambda: sb.solve(fresh(cross), 32)),
+            "solve sse k=16": solve(cross, 16, "sse"),
+            "solve sse k=16 screened": _screened(sb, solve(cross, 16, "sse")),
+            "solve sse k=32": solve(cross, 32, "sse"),
+            "solve sse k=32 screened": _screened(sb, solve(cross, 32, "sse")),
+            "solve linear k=16": solve(cross, 16, "linear"),
+            "solve linear k=16 screened": _screened(sb, solve(cross, 16, "linear")),
+            "solve linear k=32": solve(cross, 32, "linear"),
+            "solve linear k=32 screened": _screened(sb, solve(cross, 32, "linear")),
         },
         "large n=124 m=1024": {
             "build_sse_table": lambda: sb.build_sse_table(large),
             "solve k=16": lambda: sb.solve(large_table, 16),
             "fill_dp sse k=64": lambda: sb.fill_dp(large, 64),
             "select_k full-loo k=64": lambda: sb.select_k(large, loo, 64),
+            "solve linear k=16": solve(large, 16, "linear"),
             "partition_totals 64 bases": lambda: sb.partition_totals(large, bases),
         },
-    }, {"fit-default": (fit, 32, {False: "solve sse k=32", True: "solve loo k=32"}),
-        "select-fine": (fine, 64, {False: "fill_dp sse", True: "fill_dp loo"}),
-        "large n=124 m=1024": (large, 64, {False: "fill_dp sse k=64"})}
+    }, {"fit-default": (fit, 32, {"sse": "solve sse k=32", "loo": "solve loo k=32",
+                                  "linear": "solve linear k=32"}),
+        "select-fine": (fine, 64, {"sse": "fill_dp sse", "loo": "fill_dp loo"}),
+        "large n=124 m=1024": (large, 64, {"sse": "fill_dp sse k=64"})}
 
 
 def _quartiles(ms: list[float]) -> dict[str, object]:
@@ -161,23 +189,23 @@ def _fill_counts(sb, shape: str, fill, times, report, label: str) -> None:
     fill's median (``times``)."""
     dataset, k, stage = fill
     whole = sum((e - s) * (dataset.m - s) for s, e in sb.solver._slabs(dataset.m))
-    for loo in (False, True):
-        dp = sb.fill_dp(dataset, k, loo=loo)
+    for cost in ("sse", "loo", "linear"):
+        dp = _cost_call(sb, "fill_dp", dataset, k, cost)
         cells = getattr(dp, "slab_cells", None)
         if cells is not None:
             share = cells / whole
-            report[f"slab_cells_share loo={loo}{label}"] = round(share, 4)
+            report[f"slab_cells_share {cost}{label}"] = round(share, 4)
             priced = getattr(dp, "priced", None)
-            report[f"priced loo={loo}{label}"] = priced
-            print(f"{shape:20s} {f'slab cells, loo={loo}{label}':28s}"
+            report[f"priced {cost}{label}"] = priced
+            print(f"{shape:20s} {f'slab cells, {cost}{label}':28s}"
                   f" {share:9.3f} of whole slabs, {priced} entries priced")
         passes = getattr(dp, "passes", None)
-        if passes and loo in stage:
-            ms = statistics.median(times[stage[loo]])
-            report[f"fill loo={loo}{label}"] = {
+        if passes and cost in stage:
+            ms = statistics.median(times[stage[cost]])
+            report[f"fill {cost}{label}"] = {
                 "passes": passes, "ms_per_fill": round(ms, 3),
                 "us_per_pass": round(1e3 * ms / passes, 3)}
-            print(f"{shape:20s} {f'passes, loo={loo}{label}':28s}"
+            print(f"{shape:20s} {f'passes, {cost}{label}':28s}"
                   f" {passes:9d}: {ms:.3f} ms a fill,"
                   f" {1e3 * ms / passes:.3f} us a pass")
 

@@ -20,6 +20,7 @@ from conftest import record_acceptance
 from oracles import brute_force, loo_table, partition_cost, prefix_oracle_cost
 
 from segbasis import (
+    CostKind,
     InfeasiblePartitionError,
     build_linear_table,
     build_sse_table,
@@ -98,15 +99,16 @@ def test_solver_matches_exhaustive_search():
         for table in (sse, loo, lin):
             # the LOO optimum also from the SSE table, scaled in the fill as
             # every command runs it
-            runs = [(loo, False), (sse, True)] if table is loo else [(table, False)]
+            runs = ([(loo, CostKind.LOO), (sse, CostKind.LOO)] if table is loo
+                    else [(table, table.kind)])
             for k in range(1, min(6, ds.m) + 1):
                 expected, expected_cost = brute_force(table, k)
-                for source, scaled in runs:
+                for source, cost_kind in runs:
                     if expected is None:
                         with pytest.raises(InfeasiblePartitionError):
-                            solve(source, k, loo=scaled)
+                            solve(source, k, cost_kind)
                         continue
-                    seg, cost, _ = solve(source, k, loo=scaled)
+                    seg, cost, _ = solve(source, k, cost_kind)
                     assert seg == expected
                     assert abs(cost - expected_cost) <= 1e-9
                     compared += 1
@@ -207,7 +209,7 @@ def test_baseline_dominance():
 def test_full_loo_segments_have_at_least_two_points():
     finite = 0
     for ds, _, loo, _ in small_suite_tables():
-        for res in solve_all(loo, ds.m):
+        for res in solve_all(loo, ds.m, CostKind.LOO):
             if res.segmentation is not None:
                 assert min(res.segmentation.lengths) >= 2
                 finite += 1

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, document shapes, determinism."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from test_golden import CASES, EXIT_CODES, GOLDEN, _render
 
 import segbasis
-from segbasis import main
+from segbasis import CostKind, main
 from segbasis.cli import _parse_bumps, parse_synth_config
 
 STEP_CSV = "0,1,2,3\n0,0,1,1\n"
@@ -208,22 +209,26 @@ def test_overflowing_loo_costs_are_an_input_error(tmp_path, capsys, argv):
     assert OVERFLOW in _one_error_line(captured.err)
 
 
-def test_table_too_large_to_allocate_is_an_input_error(tmp_path, step_csv,
+def test_table_too_large_to_allocate_is_an_input_error(tmp_path, small_cfg,
                                                         capsys, monkeypatch):
-    def build(dataset):
-        raise MemoryError("Unable to allocate 8.00 EiB for an array with shape "
-                          "(1073741824, 1073741824) and data type float64")
+    # experiment still builds its m x m SSE table: an allocation of it that
+    # fails is an input error naming m and its 8 m^2 bytes
+    empty = np.empty
 
-    # a linear fit still builds its m x m table
-    monkeypatch.setattr(segbasis.cli, "build_linear_table", build)
+    def refused(shape, *args, **kwargs):
+        if shape == (16, 16):
+            raise MemoryError("Unable to allocate 2.00 KiB for an array with "
+                              "shape (16, 16) and data type float64")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refused)
     out = tmp_path / "result.json"
-    code = main(["fit", "--input", step_csv, "--grid-row", "--segments", "2",
-                 "--cost", "linear", "--output", str(out)])
+    code = main(["experiment", "--synth", small_cfg, "--output", str(out)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.splitlines() == [
-        "segbasis: error: Unable to allocate 8.00 EiB for an array with shape "
-        "(1073741824, 1073741824) and data type float64"]
+        "segbasis: error: a cost table for m=16 points needs 2048 bytes, "
+        "more than can be allocated"]
     assert not out.exists() and captured.out == ""
 
 
@@ -414,7 +419,8 @@ def _count_calls(monkeypatch) -> Counter:
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            calls["loo_" + name] += bool(kwargs.get("loo"))
+            cost = inspect.signature(fn).bind(*args, **kwargs).arguments.get("cost")
+            calls["loo_" + name] += cost is CostKind.LOO
             return fn(*args, **kwargs)
         return wrapper
 
@@ -464,11 +470,12 @@ def test_loo_fill_only_where_minimized(tmp_path, small_cfg, monkeypatch,
     ["select", "--max-segments", "4", "--strategy", "full-loo"],
     ["fit", "--segments", "4", "--cost", "sse"],
     ["fit", "--segments", "4", "--cost", "loo"],
-], ids=["standard", "full-loo", "fit-sse", "fit-loo"])
+    ["fit", "--segments", "4", "--cost", "linear"],
+], ids=["standard", "full-loo", "fit-sse", "fit-loo", "fit-linear"])
 def test_select_holds_no_cost_table(tmp_path, argv):
-    # one m x m table at n=4, m=2048 is 8 m^2 B = 32 MiB; a select and an
-    # SSE or leave-one-out fit build the SSE rows a slab at a time and stay
-    # far below it
+    # one m x m table at n=4, m=2048 is 8 m^2 B = 32 MiB; a select and a
+    # fit of any cost build their rows a slab at a time and stay far below
+    # it
     path = tmp_path / "fine.csv"
     np.savetxt(path, np.random.default_rng(2048).normal(size=(4, 2048)),
                delimiter=",")
@@ -484,25 +491,24 @@ def test_select_holds_no_cost_table(tmp_path, argv):
     assert peak < 8 << 20, peak
 
 
-@pytest.mark.parametrize("cost", ["sse", "loo"])
+@pytest.mark.parametrize("cost", ["sse", "loo", "linear"])
 def test_a_screened_fit_peaks_no_higher_than_a_linear_fit(tmp_path, cost):
-    # at the default size, n=124 and m=256, an SSE or leave-one-out fit
-    # screens its rows: the screen's matrices and the exact-entry cache
-    # keep its traced peak at or below the linear fit's
+    # at the default size, n=124 and m=256, a fit of every cost screens its
+    # rows: the screen's matrices, its scratch and the exact-entry cache
+    # keep its traced peak at or below 3.59 MiB, the peak of a k=32 linear
+    # fit that built its 0.5 MiB table
     path = tmp_path / "default.csv"
     np.savetxt(path, np.random.default_rng(124).normal(size=(124, 256)),
                delimiter=",")
-    peaks = {}
-    for run in (cost, "linear"):
-        tracemalloc.start()
-        try:
-            code = main(["fit", "--input", str(path), "--segments", "32",
-                         "--cost", run, "--output", str(tmp_path / "out.json")])
-            peaks[run] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-    assert peaks[cost] <= peaks["linear"], peaks
+    tracemalloc.start()
+    try:
+        code = main(["fit", "--input", str(path), "--segments", "32",
+                     "--cost", cost, "--output", str(tmp_path / "out.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 3.59 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("cost", ["sse", "loo", "linear"])

@@ -293,11 +293,11 @@ def test_overflowing_loo_entries_are_an_input_error():
     seg = segmentation_from_ends([2, 4, 6, 8], 8)
     for price in (build_sse_table, build_linear_table,
                   lambda ds: partition_totals(ds, [seg]),
-                  lambda ds: solver.fill_dp(ds, 4, loo=True)):
+                  lambda ds: solver.fill_dp(ds, 4, CostKind.LOO)):
         with pytest.raises(ValueError, match="too large for double-precision sums"):
             price(big)
     small = _dataset(np.ldexp(big.values, -600))
-    assert solve_all(small, 4, loo=True)[-1].segmentation == seg
+    assert solve_all(small, 4, CostKind.LOO)[-1].segmentation == seg
 
 
 def test_linear_grid_sums_are_bounded():
@@ -361,7 +361,7 @@ def test_loo_slabs_match_the_factor_formula():
     assert len(solver._slabs(m)) > 1
     for source, sse in sources:
         expected = _loo_formula(sse)
-        slab = costs._row_slabs(source, loo=True)
+        slab = costs._row_slabs(source, CostKind.LOO)
         for s, e in blocks:
             got = slab(s, e, np.empty((e - s, m - s)))
             assert np.array_equal(got.view(np.uint64),
@@ -554,3 +554,152 @@ def test_screen_rows_are_lower_bounds_within_the_written_bound(name, n, m):
         assert low <= max(exact - delta, 0), (j, l)
         eps = 2 * delta + widen * (d[l] + d[j - 1]) / (l - j + 1)
         assert exact - low <= 2 * eps, (j, l)
+
+
+def test_linear_entries_priced_alone_and_in_batches_have_the_tables_bits():
+    # every interval of an n=124, m=64 dataset on an uneven grid, priced on
+    # its own and in batches of every size class, against the linear table
+    m = 64
+    rng = np.random.default_rng(64)
+    ds = _dataset(rng.normal(size=(124, m)) + 3.0,
+                  grid=np.cumsum(rng.uniform(0.1, 2.0, m)))
+    table = build_linear_table(ds).values
+    j, l = np.triu_indices(m)
+    want = table[j, l].view(np.uint64)
+    alone = [costs._linear_entries(ds, np.array([a + 1]), np.array([b + 1]))[0]
+             for a, b in zip(j, l)]
+    assert np.array_equal(np.array(alone).view(np.uint64), want)
+    for size in (2, 7, 120, j.size):
+        got = np.concatenate([costs._linear_entries(ds, j[a:a + size] + 1,
+                                                    l[a:a + size] + 1)
+                              for a in range(0, j.size, size)])
+        assert np.array_equal(got.view(np.uint64), want), size
+
+
+def _linear_case(name, n, m):
+    """Grid and values on which the linear screen is checked: near-duplicate
+    grid points (tiny computed Ctt, and Ctt <= 0 where it cancels), large
+    offsets of grid and values, constant curves, exact lines, values whose
+    products underflow, and noisy bumps."""
+    rng = np.random.default_rng([n, m, len(name)])
+    grid = np.cumsum(rng.uniform(0.2, 1.0, m))
+    noise = rng.normal(size=(n, m))
+    if name == "neardup":  # clusters of points 1e-9 and 1e-13 apart
+        grid = np.sort(np.concatenate([
+            np.linspace(0.0, 1.0, m - 12),
+            0.37 + 1e-9 * np.arange(6), 0.81 + 1e-13 * np.arange(6)]))
+        return grid, noise
+    if name == "offset":
+        return grid + 1e6, noise + np.where(np.arange(n)[:, None] % 2, 1e8, 1e6)
+    if name == "constant":
+        return grid, np.repeat(np.resize([3.7, 1e8 + 0.1, -2.5e-3, 7.0], (n, 1)),
+                               m, axis=1)
+    if name == "lines":
+        return grid, rng.normal(size=(n, 1)) * grid + rng.normal(size=(n, 1))
+    if name == "tiny":
+        return grid, np.where(np.arange(n)[:, None] % 2, 1e-300, 1e-160) * noise
+    if name == "large":
+        return grid, 1e140 * noise
+    t = np.linspace(0.0, 1.0, m)
+    return t, (np.exp(-((t - 0.3) / 0.02) ** 2) * rng.uniform(0.8, 1.2, (n, 1))
+               + 0.02 * noise)
+
+
+def _exact_slope(prefix, slope_prefix):
+    """``S(j, l, c)``: the exact sum_i (a_i - c b_i)^2 of the stored prefix
+    sums of y (b) and y*t (a) over the 1-based points j..l and a double c,
+    as a Fraction, summed over integers on common power-of-two scales."""
+    def ints(p):
+        values = [[Fraction(x) for x in row] for row in p.tolist()]
+        den = max(x.denominator for row in values for x in row)
+        return [[int(x * den) for x in row] for row in values], den
+
+    (y, dy), (ty, dt) = ints(prefix[1]), ints(slope_prefix[3].T)
+
+    def s(j, l, c):
+        c = Fraction(c)
+        num, den = c.numerator * dt, c.denominator * dy
+        total = sum(((a[l] - a[j - 1]) * den - num * (b[l] - b[j - 1])) ** 2
+                    for a, b in zip(ty, y))
+        return Fraction(total, (den * dt) ** 2)
+
+    return s
+
+
+@pytest.mark.parametrize("name, n, m", [
+    ("neardup", 3, 60), ("neardup", 124, 40), ("offset", 4, 50),
+    ("offset", 124, 40), ("constant", 4, 40), ("lines", 3, 60),
+    ("lines", 124, 30), ("tiny", 4, 40), ("large", 4, 40),
+    ("curves", 4, 300), ("curves", 124, 64),
+])
+def test_linear_screen_rows_are_lower_bounds_within_the_written_bound(name, n, m):
+    # Lo <= max(Q_sse - delta - S/Ctt^, 0) against exact arithmetic, with S
+    # the exact slope sum of the build's c and Ctt^ its Ctt: the build's own
+    # sum of squares is within the written first-order bound of S; Lo is not
+    # vacuous; and in floats Lo <= Q^ everywhere, with Lo = 0 at lengths 1
+    # and 2
+    grid, values = _linear_case(name, n, m)
+    ds = _dataset(values, grid=grid)
+    prefix, slope_prefix = costs._data_prefix(ds), costs._linear_prefix(ds)
+    lo = costs._screen_rows(ds, prefix, linear=True)(0, m, np.empty((m, m)))
+    table = build_linear_table(ds).values
+    upper = np.triu(np.ones((m, m), dtype=bool))
+    assert (lo[upper] <= table[upper]).all()
+    assert (lo[~upper] == np.inf).all()
+    assert (np.diag(lo) == 0.0).all() and (np.diag(lo, 1) == 0.0).all()
+    q, s = _exact_sse(prefix[0]), _exact_slope(prefix, slope_prefix)
+    delta = Fraction(costs._sse_error_bound(ds))
+    _, p1, _ = prefix
+    t, pt, ptt, pty = slope_prefix
+    d = np.einsum("ia,ia->a", p1, p1)
+    ry, rt = np.sqrt(d), np.sqrt(np.einsum("ai,ai->a", pty, pty))
+    u = Fraction(1, 2 ** 53)
+    widen = Fraction(6 * n + 26, 2 ** 53)
+    kappa = 2 * (9 * n + 42) * u
+    eta = Fraction(5 * n + 8) * (1 + Fraction(float(np.abs(t).max()))) ** 2 / 2 ** 1074
+    rng = np.random.default_rng(m)
+    if m * m * n <= 120_000:
+        pairs = [(j, l) for j in range(1, m + 1) for l in range(j + 2, m + 1)]
+    else:
+        pairs = [(1, m), (1, 3), (m - 2, m)]
+        pairs += [(j, j + 2) for j in range(1, m - 1, max(1, m // 40))]
+        pairs += [(j, l) for j, l in (sorted(p) for p in
+                                      rng.integers(1, m + 1, (500, 2)).tolist())
+                  if l >= j + 2]
+    branches = set()
+    for j, l in pairs:
+        length = l - j + 1
+        st = pt[l] - pt[j - 1]  # the build's bits, elementwise as it makes them
+        ctt = (ptt[l] - ptt[j - 1]) - st * st / length
+        c = st / length
+        exact = q(j, l)
+        slope = s(j, l, c)
+        z = Fraction(float(rt[l] + rt[j - 1] + abs(c) * (ry[l] + ry[j - 1])))
+        # the build's sum of squares of its Cty^, in one order of many
+        cty = (pty[l] - pty[j - 1]) - (p1[:, l] - p1[:, j - 1]) * c
+        assert Fraction(float(cty @ cty)) <= slope + (n + 6) * u * z * z + eta, (j, l)
+        if ctt > 0.0:
+            branches.add("ctt > 0")
+            exact -= slope / Fraction(ctt)
+            width = (kappa * z * z + eta) / Fraction(ctt)
+        else:
+            branches.add("ctt <= 0")
+            width = 0
+        low = Fraction(lo[j - 1, l - 1])
+        assert low <= max(exact - delta, 0), (j, l)
+        eps = 2 * delta + widen * Fraction(float(d[l] + d[j - 1])) / length + width
+        assert exact - low <= 2 * eps, (j, l)
+    if name == "neardup":  # both branches of the build's Ctt are covered
+        assert branches == {"ctt > 0", "ctt <= 0"}
+
+
+@pytest.mark.parametrize("scale", [1.5e152, 1e150])
+def test_linear_screen_falls_back_to_the_rows_where_its_sums_could_overflow(scale):
+    # a grid of +-7.5e151 keeps every linear entry finite, but the screen's
+    # bound on it would overflow: the screen is then the built rows
+    ds = _dataset(0.0226 * np.arange(100.0), grid=scale * np.linspace(0.0, 1.0, 100))
+    rows = costs._screen_rows(ds, costs._data_prefix(ds), linear=True)
+    lo = rows(0, 100, np.empty((100, 100)))
+    table = build_linear_table(ds).values
+    assert (lo <= table).all()
+    assert np.array_equal(lo, table) == (scale > 1e151)

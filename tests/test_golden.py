@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from segbasis import fill_dp, generate, main
+from segbasis import CostKind, fill_dp, generate, main
 from segbasis.cli import parse_synth_config
 from segbasis.solver import _slabs
 
@@ -150,7 +150,8 @@ def test_slabs_fits_cut_their_upper_slabs(tmp_path, loo):
     m = dataset.m
     assert len(_slabs(m)) > 1
     whole = sum((e - s) * (m - s) for s, e in _slabs(m))
-    assert fill_dp(dataset, 24, loo=loo).slab_cells < whole
+    cost = CostKind.LOO if loo else CostKind.SSE
+    assert fill_dp(dataset, 24, cost).slab_cells < whole
 
 
 if __name__ == "__main__":

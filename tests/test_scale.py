@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segbasis import (
+    CostKind,
     InfeasiblePartitionError,
     SelectionStrategy,
     build_linear_table,
@@ -49,17 +50,18 @@ def test_power_of_two_scale_moves_no_optimum(pair):
         assert np.array_equal(big.values, base.values * factor), build.__name__
         tables[build] = base, big
     (sse, sse_scaled), (lin, lin_scaled) = tables.values()
-    for base, big, loo in ((sse, sse_scaled, False), (sse, sse_scaled, True),
-                           (lin, lin_scaled, False)):
+    for base, big, cost in ((sse, sse_scaled, CostKind.SSE),
+                            (sse, sse_scaled, CostKind.LOO),
+                            (lin, lin_scaled, CostKind.LINEAR)):
         for k in range(1, m + 1):
             try:
-                seg, total, _ = solve(base, k, loo=loo)
+                seg, total, _ = solve(base, k, cost)
             except InfeasiblePartitionError:
                 with pytest.raises(InfeasiblePartitionError):
-                    solve(big, k, loo=loo)
+                    solve(big, k, cost)
                 continue
-            seg_scaled, total_scaled, _ = solve(big, k, loo=loo)
-            assert seg_scaled == seg, (base.kind, loo, k)
+            seg_scaled, total_scaled, _ = solve(big, k, cost)
+            assert seg_scaled == seg, (cost, k)
             assert total_scaled == total * factor, (base.kind, loo, k)
     for strategy in SelectionStrategy:
         report, report_scaled = select_k(ds, strategy, m), select_k(scaled, strategy, m)

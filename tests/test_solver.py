@@ -27,6 +27,10 @@ from segbasis import costs, solver
 from segbasis.solver import _slabs, backtrack
 
 
+def _cost(loo):
+    return CostKind.LOO if loo else CostKind.SSE
+
+
 def _dataset(rows):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     return new_dataset(np.arange(rows.shape[1], dtype=float), rows)
@@ -92,9 +96,9 @@ def test_random_instances_match_brute_force():
                 bseg, bcost = brute_force(table, k)
                 if not np.isfinite(bcost):
                     with pytest.raises(InfeasiblePartitionError):
-                        solve(table, k)
+                        solve(table, k, table.kind)
                     continue
-                seg, cost, _ = solve(table, k)
+                seg, cost, _ = solve(table, k, table.kind)
                 assert seg.ends == bseg.ends
                 assert abs(cost - bcost) <= 1e-9
 
@@ -112,8 +116,8 @@ def test_sse_costs_non_increasing_and_zero_at_m():
 def test_loo_infeasible_when_k_exceeds_half():
     table = loo_table(build_sse_table(_dataset([[0.0, 0.0, 1.0, 1.0]])))
     with pytest.raises(InfeasiblePartitionError, match="3 segments"):
-        solve(table, 3)
-    results = solve_all(table, 4)
+        solve(table, 3, CostKind.LOO)
+    results = solve_all(table, 4, CostKind.LOO)
     assert results[2].segmentation is None and not results[2].feasible
     assert results[3].segmentation is None
     assert results[1].feasible
@@ -124,7 +128,7 @@ def test_loo_feasible_solutions_have_no_singletons():
     for _ in range(20):
         n, m = int(rng.integers(1, 4)), int(rng.integers(4, 13))
         table = loo_table(build_sse_table(_dataset(rng.uniform(-1, 1, (n, m)))))
-        for res in solve_all(table, m // 2 + 1):
+        for res in solve_all(table, m // 2 + 1, CostKind.LOO):
             if res.segmentation is not None:
                 assert min(res.segmentation.lengths) >= 2
 
@@ -227,7 +231,7 @@ def test_fill_dp_equals_full_scan_across_slabs(m, name, monkeypatch):
             # leftmost optimal splits are not monotone in j here
             assert (np.diff(ref_splits[2, :m - 2]) < 0).any()
         for k in (1, 2, int(rng.integers(3, m)), m):
-            dp = fill_dp(table, k)
+            dp = fill_dp(table, k, table.kind)
             assert np.array_equal(dp.costs, ref_costs[:k]), (table.kind, k)
             assert np.array_equal(dp.splits, ref_splits[:k]), (table.kind, k)
 
@@ -247,10 +251,10 @@ def test_fills_do_not_depend_on_slab_budget(name, monkeypatch):
                             (8 * m * m, {m})):
         monkeypatch.setattr(solver, "_SLAB_BYTES", budget)
         assert heights in (None, {e - s for s, e in _slabs(m)})
-        sources = ((sse, False), (sse, True), (linear, False), (ds, False),
-                   (ds, True))
-        for (table, loo), (ref_costs, ref_splits) in zip(sources, refs + refs[:2]):
-            for dp in (fill_dp(table, k, loo=loo), fill_dp(table, m, loo=loo)):
+        sources = ((sse, CostKind.SSE), (sse, CostKind.LOO), (linear, CostKind.LINEAR),
+                   (ds, CostKind.SSE), (ds, CostKind.LOO), (ds, CostKind.LINEAR))
+        for (table, cost), (ref_costs, ref_splits) in zip(sources, refs + refs):
+            for dp in (fill_dp(table, k, cost), fill_dp(table, m, cost)):
                 assert np.array_equal(dp.costs, ref_costs[:dp.k_max]), budget
                 assert np.array_equal(dp.splits, ref_splits[:dp.k_max]), budget
 
@@ -268,9 +272,9 @@ def test_loo_fill_equals_fill_of_loo_table(m, name):
     ks = range(1, m + 1) if m < 10 else (1, 2, int(rng.integers(3, m // 2)),
                                          m // 2, m // 2 + 1, m)
     for k in ks:
-        ref = fill_dp(loo, k)
-        for dp, want in ((fill_dp(sse, k, loo=True), ref),
-                         (fill_dp(ds, k, loo=True), ref),
+        ref = fill_dp(loo, k, CostKind.LOO)
+        for dp, want in ((fill_dp(sse, k, CostKind.LOO), ref),
+                         (fill_dp(ds, k, CostKind.LOO), ref),
                          (fill_dp(ds, k), fill_dp(sse, k))):
             assert np.array_equal(dp.costs, want.costs), k
             assert np.array_equal(dp.splits, want.splits), k
@@ -289,7 +293,7 @@ def test_dataset_fills_do_not_depend_on_block_budget(n, offset, monkeypatch):
     ds = _dataset(np.random.default_rng(n).normal(size=(n, m)) + offset)
     sse = build_sse_table(ds)
     k = m // 2 + 1  # the leave-one-out fill's last count is infeasible
-    refs = [fill_dp(sse, k, loo=loo) for loo in (False, True)]
+    refs = [fill_dp(sse, k, _cost(loo)) for loo in (False, True)]
     blocks = []
 
     def counted(*args):
@@ -302,7 +306,7 @@ def test_dataset_fills_do_not_depend_on_block_budget(n, offset, monkeypatch):
         monkeypatch.setattr(costs, "_BLOCK_BYTES", budget)
         for loo, ref in zip((False, True), refs):
             blocks.clear()
-            dp = fill_dp(ds, k, loo=loo)
+            dp = fill_dp(ds, k, _cost(loo))
             assert np.array_equal(dp.costs, ref.costs), (budget, loo)
             assert np.array_equal(dp.splits, ref.splits), (budget, loo)
             if budget < default or n == 124:
@@ -321,7 +325,7 @@ def test_loo_costs_ignore_the_lower_triangle():
     assert (loo.values[np.tril_indices(9)] == np.inf).all()
     assert np.array_equal(np.triu(loo.values, 1), np.triu(loo_table(built).values, 1))
     for k in range(1, 10):
-        dp, ref = fill_dp(sse, k, loo=True), fill_dp(built, k, loo=True)
+        dp, ref = fill_dp(sse, k, CostKind.LOO), fill_dp(built, k, CostKind.LOO)
         assert np.array_equal(dp.costs, ref.costs), k
         assert np.array_equal(dp.splits, ref.splits), k
 
@@ -344,10 +348,15 @@ def test_costs_ignore_the_lower_triangle():
 
 
 def test_loo_fill_needs_an_sse_table():
-    sse = build_sse_table(SAW)
-    for table in (loo_table(sse), build_linear_table(SAW)):
+    # a table serves the cost it holds, and an SSE table leave-one-out too
+    sse, linear = build_sse_table(SAW), build_linear_table(SAW)
+    for table, cost in ((linear, CostKind.LOO), (linear, CostKind.SSE),
+                        (loo_table(sse), CostKind.SSE)):
         with pytest.raises(ValueError, match="expected an SSE table"):
-            fill_dp(table, 2, loo=True)
+            fill_dp(table, 2, cost)
+    for table in (sse, loo_table(sse)):
+        with pytest.raises(ValueError, match="expected a linear table"):
+            fill_dp(table, 2, CostKind.LINEAR)
 
 
 def test_fill_dp_rejects_nan_table():
@@ -406,13 +415,15 @@ def test_fill_dp_keeps_its_sentinel_column_inside(m):
     ds = _dataset(_slab_case("uniform", m, np.random.default_rng(m)))
     sse = build_sse_table(ds)
     j = np.arange(1, m + 1)
-    for table, loo in ((sse, False), (sse, True), (build_linear_table(ds), False)):
-        dp = fill_dp(table, m, loo=loo)
+    for table, cost in ((sse, CostKind.SSE), (sse, CostKind.LOO),
+                        (build_linear_table(ds), CostKind.LINEAR),
+                        (ds, CostKind.LINEAR)):
+        dp = fill_dp(table, m, cost)
         assert dp.costs.shape == dp.splits.shape == (m, m)
         assert not dp.costs.flags.writeable and not dp.splits.flags.writeable
         for p in range(1, m + 1):
             empty = (dp.costs[p - 1] == np.inf) & (dp.splits[p - 1] == 0)
-            assert np.array_equal(empty, j > m - p + 1), (table.kind, loo, p)
+            assert np.array_equal(empty, j > m - p + 1), (cost, p)
 
 
 @st.composite
@@ -439,7 +450,7 @@ def test_fill_dp_equals_brute_force_on_tied_tables(table):
     for budget in (8, solver._SLAB_BYTES, 8 * m * m):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_SLAB_BYTES", budget)
-            fills = (fill_dp(table, m), fill_dp(table, m, loo=True))
+            fills = (fill_dp(table, m), fill_dp(table, m, CostKind.LOO))
         for dp, best in zip(fills, optima):
             for k, (bseg, bcost) in enumerate(best, start=1):
                 assert dp.costs[k - 1, 0] == bcost, (budget, k)
@@ -464,8 +475,8 @@ def test_backtracks_equal_reference_walks(m, name):
     ds = _dataset(_slab_case(name, m, np.random.default_rng(m)))
     sse = build_sse_table(ds)
     for table in (sse, loo_table(sse), build_linear_table(ds)):
-        dp = fill_dp(table, m)
-        results = solve_all(table, m)
+        dp = fill_dp(table, m, table.kind)
+        results = solve_all(table, m, table.kind)
         for k in range(1, m + 1):
             ref = _reference_walk(dp.splits, k)
             assert backtrack(dp, k).ends == ref, (table.kind, k)
@@ -485,13 +496,13 @@ def test_sweep_never_backtracks_infeasible_counts(monkeypatch):
     # k reads it, and it would fail there
     table = loo_table(build_sse_table(_dataset(
         np.random.default_rng(5).normal(size=(2, 9)))))
-    expected = solve_all(table, 9)
-    dp = fill_dp(table, 9)
+    expected = solve_all(table, 9, CostKind.LOO)
+    dp = fill_dp(table, 9, CostKind.LOO)
     splits = dp.splits.copy()
     splits[~np.isfinite(dp.costs[:, 0]), 0] = 0
     blanked = replace(dp, splits=splits)
-    monkeypatch.setattr(solver, "fill_dp", lambda table, k_max, loo: blanked)
-    assert solve_all(table, 9) == expected
+    monkeypatch.setattr(solver, "fill_dp", lambda table, k_max, cost: blanked)
+    assert solve_all(table, 9, CostKind.LOO) == expected
     with pytest.raises(ValueError, match="no 9-partition recorded at index 1"):
         backtrack(blanked, 9)
 
@@ -508,9 +519,9 @@ def test_one_slab_fills_count_the_full_scan(m):
     assert len(_slabs(m)) == 1
     for source, loo in ((build_sse_table(ds), False), (ds, True)):
         for k in {1, min(m, 3), m}:
-            dp = fill_dp(source, k, loo=loo)
+            dp = fill_dp(source, k, _cost(loo))
             assert dp.candidates == _full_scan_count(m, k)
-            assert dp.candidates == full_scan_fill_dp(source, k, loo=loo).candidates
+            assert dp.candidates == full_scan_fill_dp(source, k, _cost(loo)).candidates
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -519,7 +530,7 @@ def test_fine_grid_fill_evaluates_at_most_half_the_full_scan(seed):
     ds = add_noise(generate(SynthSpec(n=4, m=2048), seed), 0.04, seed + 1)
     full = _full_scan_count(2048, 64)
     for loo in (False, True):
-        assert fill_dp(ds, 64, loo=loo).candidates <= full // 2, loo
+        assert fill_dp(ds, 64, _cost(loo)).candidates <= full // 2, loo
 
 
 def _untrimmed(m):
@@ -567,9 +578,9 @@ def test_dataset_fills_cut_their_slabs_and_equal_table_fills(
     table = build_sse_table(ds)
     for loo in (False, True):
         for k in (2, 16, 64):
-            dp = fill_dp(ds, k, loo=loo)
-            whole = fill_dp(table, k, loo=loo)
-            for ref in (whole, full_scan_fill_dp(table, k, loo=loo)):
+            dp = fill_dp(ds, k, _cost(loo))
+            whole = fill_dp(table, k, _cost(loo))
+            for ref in (whole, full_scan_fill_dp(table, k, _cost(loo))):
                 assert np.array_equal(dp.costs, ref.costs), (loo, k)
                 assert np.array_equal(dp.splits, ref.splits), (loo, k)
             assert whole.slab_cells == _untrimmed(m)
@@ -593,8 +604,8 @@ def test_slab_cuts_hold_for_short_leave_one_out_segments(seed, monkeypatch):
         monkeypatch.setattr(solver, "_SLAB_BYTES", budget)
         for k in (3, 8):
             for loo in (False, True):
-                dp = fill_dp(ds, k, loo=loo)
-                ref = fill_dp(table, k, loo=loo)
+                dp = fill_dp(ds, k, _cost(loo))
+                ref = fill_dp(table, k, _cost(loo))
                 assert np.array_equal(dp.costs, ref.costs), (budget, k, loo)
                 assert np.array_equal(dp.splits, ref.splits), (budget, k, loo)
                 cut |= dp.slab_cells < _untrimmed(m)
@@ -608,7 +619,7 @@ def test_fine_grid_fills_build_a_fifth_fewer_slab_cells():
     datasets = [add_noise(generate(SynthSpec(n=4, m=2048), seed), 0.04, seed + 1)
                 for seed in range(4)]
     for loo in (False, True):
-        cells = [fill_dp(ds, 64, loo=loo).slab_cells for ds in datasets]
+        cells = [fill_dp(ds, 64, _cost(loo)).slab_cells for ds in datasets]
         assert max(cells) < _untrimmed(2048), loo
         assert sum(cells) <= 0.8 * len(cells) * _untrimmed(2048), (loo, cells)
 
@@ -638,7 +649,7 @@ def test_fills_do_the_work_pinned_for_them(source, k_max, work):
         data = build_sse_table(generate(SynthSpec(n=32, m=int(source[-3:])), 0))
     else:
         data = add_noise(generate(SynthSpec(n=4, m=2048), 0), 0.04, 1)
-    dp = fill_dp(data, k_max, loo=source.endswith("loo"))
+    dp = fill_dp(data, k_max, _cost(source.endswith("loo")))
     assert (dp.candidates, dp.slab_cells, dp.passes) == work
     assert dp.passes == sum(min(k_max, dp.m - s) - 1 for s, _ in _slabs(dp.m))
 
@@ -673,8 +684,8 @@ def test_split_rows_written_as_slab_offsets_keep_the_full_scans_bits(
     # scans whole
     for source in (sse, ds, holed):
         for loo, candidates in ((False, 128), (True, 170)):
-            dp = fill_dp(source, 8, loo=loo)
-            ref = full_scan_fill_dp(source, 8, loo=loo)
+            dp = fill_dp(source, 8, _cost(loo))
+            ref = full_scan_fill_dp(source, 8, _cost(loo))
             assert np.array_equal(dp.costs, ref.costs), loo
             assert np.array_equal(dp.splits, ref.splits), loo
             for p in range(2, 9):  # rows j > m-p+1 admit no p-partition
@@ -692,9 +703,10 @@ def _steps(levels, ends, noise):
 
 
 def _sources(values, holes=()):
-    """The fill's sources for one value array: SSE and linear tables, the
-    dataset, their leave-one-out fills, and an SSE table with +inf at the
-    upper-triangle cells (flat indices) in ``holes``."""
+    """The fill's sources for one value array and the cost each is filled
+    under: SSE and linear tables, the dataset, their leave-one-out fills,
+    and an SSE table with +inf at the upper-triangle cells (flat indices)
+    in ``holes``."""
     ds = _dataset(values)
     sse = build_sse_table(ds)
     m = ds.m
@@ -702,8 +714,9 @@ def _sources(values, holes=()):
     cells = np.unravel_index(np.asarray(holes, dtype=np.intp), (m, m))
     holed[cells] = np.inf
     holed = CostTable(m=m, kind=CostKind.SSE, values=holed)
-    return [(sse, False), (sse, True), (ds, False), (ds, True),
-            (build_linear_table(ds), False), (holed, False), (holed, True)]
+    sse_, loo = CostKind.SSE, CostKind.LOO
+    return [(sse, sse_), (sse, loo), (ds, sse_), (ds, loo),
+            (build_linear_table(ds), CostKind.LINEAR), (holed, sse_), (holed, loo)]
 
 
 @st.composite
@@ -732,11 +745,11 @@ def test_pruned_fill_equals_full_scan(case):
     values, holes, budget, k = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_SLAB_BYTES", budget)
-        for source, loo in _sources(values, holes):
-            dp = fill_dp(source, k, loo=loo)
-            ref = full_scan_fill_dp(source, k, loo=loo)
-            assert np.array_equal(dp.costs, ref.costs), (loo, budget)
-            assert np.array_equal(dp.splits, ref.splits), (loo, budget)
+        for source, cost in _sources(values, holes):
+            dp = fill_dp(source, k, cost)
+            ref = full_scan_fill_dp(source, k, cost)
+            assert np.array_equal(dp.costs, ref.costs), (cost, budget)
+            assert np.array_equal(dp.splits, ref.splits), (cost, budget)
             assert dp.candidates <= ref.candidates
 
 
@@ -750,14 +763,14 @@ def test_pruned_fill_cuts_and_equals_full_scan(scale, offset, monkeypatch):
     rng = np.random.default_rng(m)
     values = _steps([[0.0, 5.0, 1.0, 2.0, 0.0], [1.0, 1.0, 0.0, 5.0, 2.0]],
                     [9, 20, 33, 50, m], scale * rng.uniform(-1, 1, (2, m)))
-    for source, loo in _sources(values + offset, holes=(70, 300, 2000)):
+    for source, cost in _sources(values + offset, holes=(70, 300, 2000)):
         for k in (3, 8, 16, m):
-            dp = fill_dp(source, k, loo=loo)
-            ref = full_scan_fill_dp(source, k, loo=loo)
-            assert np.array_equal(dp.costs, ref.costs), (loo, k)
-            assert np.array_equal(dp.splits, ref.splits), (loo, k)
+            dp = fill_dp(source, k, cost)
+            ref = full_scan_fill_dp(source, k, cost)
+            assert np.array_equal(dp.costs, ref.costs), (cost, k)
+            assert np.array_equal(dp.splits, ref.splits), (cost, k)
             if k == 8:
-                assert dp.candidates < ref.candidates, (source, loo)
+                assert dp.candidates < ref.candidates, (source, cost)
 
 
 def test_held_columns_shrink_and_grow_again(monkeypatch):
@@ -773,24 +786,25 @@ def test_held_columns_shrink_and_grow_again(monkeypatch):
     noise = 0.01 * np.random.default_rng(2).uniform(-1, 1, (1, m))
     values = _steps([[0.0, 2.0, 1.0, 0.0, 0.0, 5.0]], [31, 33, 34, 51, 92, m],
                     noise)
-    for source, loo in _sources(values, holes=(10167, 13881, 16271)):
+    for source, cost in _sources(values, holes=(10167, 13881, 16271)):
         for k in (16, m):
-            dp = fill_dp(source, k, loo=loo)
-            ref = full_scan_fill_dp(source, k, loo=loo)
-            assert np.array_equal(dp.costs, ref.costs), (loo, k)
-            assert np.array_equal(dp.splits, ref.splits), (loo, k)
+            dp = fill_dp(source, k, cost)
+            ref = full_scan_fill_dp(source, k, cost)
+            assert np.array_equal(dp.costs, ref.costs), (cost, k)
+            assert np.array_equal(dp.splits, ref.splits), (cost, k)
             assert dp.candidates <= ref.candidates
 
 
-def _objectives_and_priced_totals(source, k_max, loo):
-    """F(k, 1) of every feasible k of one fill, and the SSE (or, with
-    ``loo``, leave-one-out) totals ``partition_totals`` prices for the bases
-    the fill backtracks, both as raw bits."""
-    dp = fill_dp(source, k_max, loo=loo)
+def _objectives_and_priced_totals(source, k_max, cost):
+    """F(k, 1) of every feasible k of one fill under ``cost``, SSE or
+    leave-one-out, and the totals of that cost ``partition_totals`` prices
+    for the bases the fill backtracks, both as raw bits."""
+    dp = fill_dp(source, k_max, cost)
     objective = dp.costs[:, 0]
     feasible = np.isfinite(objective)
     segs = [backtrack(dp, k) for k in range(1, k_max + 1) if feasible[k - 1]]
-    priced = np.array(partition_totals(source, segs)[loo], dtype=float)
+    priced = np.array(partition_totals(source, segs)[cost is CostKind.LOO],
+                      dtype=float)
     return objective[feasible].view(np.uint64), priced.view(np.uint64)
 
 
@@ -803,11 +817,11 @@ def test_fill_objective_is_the_priced_total_of_its_basis(case):
     values, holes, budget, k_max = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_SLAB_BYTES", budget)
-        for source, loo in _sources(values, holes):
-            if getattr(source, "kind", CostKind.SSE) is not CostKind.SSE:
+        for source, cost in _sources(values, holes):
+            if cost is CostKind.LINEAR:
                 continue  # linear totals are not priced from SSE entries
-            objective, priced = _objectives_and_priced_totals(source, k_max, loo)
-            assert np.array_equal(objective, priced), (loo, budget)
+            objective, priced = _objectives_and_priced_totals(source, k_max, cost)
+            assert np.array_equal(objective, priced), (cost, budget)
 
 
 @pytest.mark.parametrize("loo", [False, True])
@@ -816,7 +830,7 @@ def test_sweep_objectives_are_the_priced_totals_of_their_bases(n, m, loo):
     # a default-size sweep in one slab, and a fine grid in several
     ds = add_noise(generate(SynthSpec(n=n, m=m), 3), 0.04, 4)
     for source in (ds, build_sse_table(ds)):
-        objective, priced = _objectives_and_priced_totals(source, 64, loo)
+        objective, priced = _objectives_and_priced_totals(source, 64, _cost(loo))
         assert objective.size == 64
         assert np.array_equal(objective, priced)
 
@@ -834,10 +848,38 @@ def test_screened_fill_equals_full_scan(case):
         mp.setattr(solver, "_SCREEN_N", 1)
         mp.setattr(solver, "_SLAB_BYTES", budget)
         for loo in (False, True):
-            dp = fill_dp(ds, k, loo=loo)
-            ref = full_scan_fill_dp(table, k, loo=loo)
+            dp = fill_dp(ds, k, _cost(loo))
+            ref = full_scan_fill_dp(table, k, _cost(loo))
             assert np.array_equal(dp.costs, ref.costs), (loo, budget)
             assert np.array_equal(dp.splits, ref.splits), (loo, budget)
+            assert dp.candidates <= ref.candidates
+
+
+@st.composite
+def _linear_cases(draw):
+    """A pruning case on an uneven grid: gaps of 1e-9 to 3, some offset by
+    1e6, so that some intervals have a tiny or a cancelled Ctt."""
+    values, _, budget, k = draw(_pruning_cases())
+    gaps = draw(st.lists(st.sampled_from([1.0, 0.5, 3.0, 1e-9]),
+                         min_size=values.shape[1], max_size=values.shape[1]))
+    return np.cumsum(gaps) + draw(st.sampled_from([0.0, 1e6])), values, budget, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(_linear_cases())
+def test_screened_linear_fill_equals_full_scan(case):
+    # linear rows screened at every n, and built, from the data, in one slab
+    # and in several, keep the full scan of the linear table's bits
+    grid, values, budget, k = case
+    ds = new_dataset(grid, values)
+    ref = full_scan_fill_dp(build_linear_table(ds), k, CostKind.LINEAR)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_SLAB_BYTES", budget)
+        for screen_n in (1, ds.n + 1):
+            mp.setattr(solver, "_SCREEN_N", screen_n)
+            dp = fill_dp(ds, k, CostKind.LINEAR)
+            assert np.array_equal(dp.costs, ref.costs), (screen_n, budget)
+            assert np.array_equal(dp.splits, ref.splits), (screen_n, budget)
             assert dp.candidates <= ref.candidates
 
 
@@ -853,8 +895,8 @@ def test_screened_fills_cut_their_slabs_and_equal_the_full_scan(name, monkeypatc
     table = build_sse_table(ds)
     for loo in (False, True):
         for k in (2, 16, 64):
-            dp = fill_dp(ds, k, loo=loo)
-            ref = full_scan_fill_dp(table, k, loo=loo)
+            dp = fill_dp(ds, k, _cost(loo))
+            ref = full_scan_fill_dp(table, k, _cost(loo))
             assert np.array_equal(dp.costs, ref.costs), (loo, k)
             assert np.array_equal(dp.splits, ref.splits), (loo, k)
             assert dp.slab_cells < _untrimmed(m), (loo, k)
@@ -863,20 +905,22 @@ def test_screened_fills_cut_their_slabs_and_equal_the_full_scan(name, monkeypatc
 @pytest.mark.parametrize("sigma", [0.0, 0.02, 1.0])
 @pytest.mark.parametrize("n, m", [(124, 256), (124, 700), (4, 256)])
 def test_fills_screen_from_the_crossover_on(n, m, sigma):
-    # the default size screens its rows and prices only the cells its
-    # passes pick; n=4 builds them, and prices no cell in one slab
+    # the default size screens its rows, linear ones too, and prices only
+    # the cells its passes pick; n=4 builds them, and prices no cell in one
+    # slab
     ds = generate(SynthSpec(n=n, m=m), 5)
     if sigma:
         ds = add_noise(ds, sigma, 6)
-    table = build_sse_table(ds)
-    for loo in (False, True):
+    sse, linear = build_sse_table(ds), build_linear_table(ds)
+    for cost in CostKind:
+        table = linear if cost is CostKind.LINEAR else sse
         for k in (8, 32, 64):
-            dp = fill_dp(ds, k, loo=loo)
-            ref = full_scan_fill_dp(table, k, loo=loo)
-            assert np.array_equal(dp.costs, ref.costs), (loo, k)
-            assert np.array_equal(dp.splits, ref.splits), (loo, k)
+            dp = fill_dp(ds, k, cost)
+            ref = full_scan_fill_dp(table, k, cost)
+            assert np.array_equal(dp.costs, ref.costs), (cost, k)
+            assert np.array_equal(dp.splits, ref.splits), (cost, k)
             if n >= solver._SCREEN_N:
-                assert m < dp.priced < dp.slab_cells // 8, (loo, k)
+                assert m < dp.priced < dp.slab_cells // 8, (cost, k)
             elif len(_slabs(m)) == 1:
                 assert dp.priced == 0
 
@@ -895,8 +939,8 @@ def test_tied_screens_price_each_cell_at_most_once(n, m, screen_n, monkeypatch):
     for budget in (solver._SLAB_BYTES, 16 * 1024):
         monkeypatch.setattr(solver, "_SLAB_BYTES", budget)
         for loo in (False, True):
-            dp = fill_dp(ds, 32, loo=loo)
-            ref = full_scan_fill_dp(table, 32, loo=loo)
+            dp = fill_dp(ds, 32, _cost(loo))
+            ref = full_scan_fill_dp(table, 32, _cost(loo))
             assert np.array_equal(dp.costs, ref.costs), (budget, loo)
             assert np.array_equal(dp.splits, ref.splits), (budget, loo)
             assert m < dp.priced <= dp.slab_cells, (budget, loo)
