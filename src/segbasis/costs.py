@@ -23,11 +23,12 @@ leave-one-out rule once, in :func:`_loo_scale`.  One row builder a cost,
 :func:`_sse_rows` or :func:`_linear_rows`, makes both the whole table and,
 through :func:`_row_slabs`, the row slabs the dynamic program reads from a
 dataset, so a table-free fill has the table's bits; :func:`_entries` and
-:func:`_linear_entries` price single entries with them too.  :func:`partition_totals` prices
-both the SSE and the leave-one-out totals of given segmentations from one
-gather of their SSE entries, with or without the SSE table.  Without it,
-the fill's rows, its pricing and the totals read one set of centred prefix
-sums a dataset (:func:`_data_prefix`).
+:func:`_linear_entries` price single entries with them too.
+:func:`partition_totals` prices both the SSE and the leave-one-out totals
+of given segmentations from one gather of their SSE entries, with or
+without the SSE table.  Without it, the fill's rows, its pricing and the
+totals read one set of centred prefix sums a dataset
+(:func:`_data_prefix`).
 
 Every computed SSE entry is within a written bound delta of the exact SSE
 of the centred values (:func:`_sse_error_bound`, after Chan, Golub &
@@ -182,15 +183,18 @@ def _prefix(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interval_sums(p: np.ndarray, s: int, e: int, out: np.ndarray) -> np.ndarray:
-    """``out[..., r, c]`` = sum of points s+r .. s+c (0-based) from prefix
-    sums ``p`` over the last axis, for as many columns c as ``out`` has.
+def _interval_sums(p: np.ndarray, s: int, e: int, out: np.ndarray,
+                   first: int | None = None) -> np.ndarray:
+    """``out[..., r, c]`` = sum of points s+r .. first+c (0-based, ``first``
+    s unless given) from prefix sums ``p`` over the last axis, for the rows
+    s..e-1 and as many columns c as ``out`` has.
 
     The end sums are copied in and the start column subtracted in place:
     the same one subtraction per entry as an ``np.subtract`` that
     broadcasts both operands, which is the slower path with numpy 2.4.
     """
-    np.copyto(out, p[..., None, s + 1:s + 1 + out.shape[-1]])
+    first = s if first is None else first
+    np.copyto(out, p[..., None, first + 1:first + 1 + out.shape[-1]])
     out -= p[..., s:e, None]
     return out
 
@@ -298,7 +302,7 @@ def _sse_prefix(dataset: FunctionalDataset):
 
 def _data_prefix(dataset: FunctionalDataset):
     """:func:`_sse_prefix` of ``dataset``, made once and kept on it, so a
-    fit's or select's fill, its slab cuts, a linear table and the pricing
+    fit's or select's fill, its slab cuts, its linear sums and the pricing
     read one set of centred prefix sums.  The dataset's arrays are
     read-only, so the sums stay its own.  The SSE table build centres
     afresh, so what ``bench`` times does not depend on what ran before it."""
@@ -512,23 +516,16 @@ def _screen_rows(dataset: FunctionalDataset, prefix, linear: bool = False):
     return rows
 
 
-def _sums(p: np.ndarray, a: slice, ends: slice, out: np.ndarray) -> np.ndarray:
-    """``out[r, c]`` = p[ends][c] - p[a][r] of the 1-d prefix sums ``p``, with
-    the one subtraction of :func:`_interval_sums`."""
-    np.copyto(out, p[ends])
-    out -= p[a, None]
-    return out
-
-
 def _slope_screen(dataset: FunctionalDataset, p1: np.ndarray, sq: np.ndarray):
     """``(slope, cells)``: ``slope(a, ends, v, wide)`` bounds the slope term
     sum_i Cty_i^2 / Ctt of :func:`build_linear_table` from above, for the
     cells of the start prefix indices ``a`` and end prefix indices ``ends``
-    (slices; ``v`` the rows' offsets in the slab), from four matrix
-    products.  ``wide`` holds the SSE screen's -2 G + d'_l + d'_(j-1) of
-    those cells.  The bound is written into one of three scratch arrays of
-    ``cells`` cells and returned.  ``slope`` is None when the bound's sums
-    could overflow; the screen is then the built rows.
+    (slices; ``v`` the rows' offsets in the slab), from three matrix
+    products beside the SSE screen's.  ``wide`` holds the SSE screen's
+    -2 G + d'_l + d'_(j-1) of those cells.  The bound is written into one
+    of three scratch arrays of ``cells`` cells and returned.  ``slope`` is
+    None when the bound's sums could overflow; the screen is then the
+    built rows.
 
     With Y = P the n x (m+1) prefix sums of :func:`_sse_prefix` (sq their
     column sums of squares d), T those of y*t and for one cell
@@ -556,7 +553,7 @@ def _slope_screen(dataset: FunctionalDataset, p1: np.ndarray, sq: np.ndarray):
     So sq^ <= S^ + (9n + 42) u Z^2, and ``slope`` returns
     (S^ + kappa Z^2 + eta) / Ctt^ with kappa twice (9n + 42) u: the second
     half covers the second-order terms and the rounding of the bound
-    itself while (9n + 44)^2 u < 1/2 (any n below 2^24).  eta =
+    itself while (9n + 44)^2 u < 1/2 (any n below 2^22).  eta =
     (5n + 8)(1 + max|t|)^2 2^-1074 covers the products that underflow:
     each adds at most 2^-1075, at most 5n + 5 of them, scaled by at most
     (1 + |c|)^2.  sqrt(kappa) and sqrt(eta)/2 are folded into rT and rY
@@ -598,7 +595,9 @@ def _slope_screen(dataset: FunctionalDataset, p1: np.ndarray, sq: np.ndarray):
         shape = wide.shape
         st, g, z = (x[:wide.size].reshape(shape) for x in scratch)
         lv = lens[v, :shape[1]]
-        c = np.divide(_sums(pt, a, ends, st), lv, out=st)  # the build's bits
+        first = ends.start - 1  # the slab's first point
+        st = _interval_sums(pt, a.start, a.stop, st, first)
+        c = np.divide(st, lv, out=st)  # the build's bits
         # B^ = (h_l - (T^T Y + Y^T T)) + h_(j-1)
         np.matmul(pty[a], p1[:, ends], out=g)
         np.matmul(p1[:, a].T, pty[ends].T, out=z)
@@ -625,10 +624,10 @@ def _slope_screen(dataset: FunctionalDataset, p1: np.ndarray, sq: np.ndarray):
         z *= z
         g += z
         # over Ctt^, made with the build's operations, so with its bits
-        _sums(pt, a, ends, st)
+        _interval_sums(pt, a.start, a.stop, st, first)
         np.multiply(st, st, out=z)
         z /= lv
-        ctt = _sums(ptt, a, ends, st)
+        ctt = _interval_sums(ptt, a.start, a.stop, st, first)
         ctt -= z
         np.copyto(ctt, np.inf, where=ctt <= 0.0)
         g /= ctt

@@ -93,8 +93,8 @@ def select_k(
     priced by :func:`costs.partition_totals` in one call; a k without a
     finite-cost basis scores +inf on both.
     """
-    results = solve_all(sse, k_max, CostKind.LOO
-                        if strategy is SelectionStrategy.FULL_LOO else CostKind.SSE)
+    cost = CostKind.LOO if strategy is SelectionStrategy.FULL_LOO else CostKind.SSE
+    results = solve_all(sse, k_max, cost)
     segs = [res.segmentation for res in results if res.feasible]
     priced = zip(*partition_totals(sse, segs))
     records = [SelectionRecord(res.k, res.segmentation,

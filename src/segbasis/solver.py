@@ -204,18 +204,18 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     when it is the bottom one or k_max exceeds the points below it (row e
     has no split for some p), or when F(p, e) is +inf for some p, and every
     linear slab is built whole: the cut rests on the SSE bound delta.
-    Fills from a table copy whole rows.  ``slab_cells``
-    counts the entries written into slabs, b x c a slab: on n=4, m=2048,
-    k=64 data about 75-80% of whole slabs.
+    Fills from a table copy whole rows.  ``slab_cells`` counts the entries
+    written into slabs, b x c a slab: on n=4, m=2048, k=64 data about
+    75-80% of whole slabs.
 
     A fill from a dataset of at least ``_SCREEN_N`` functions screens its
     rows instead of building them, for every cost: each slab holds lower
     bounds Lo <= Q^ of its entries from :func:`costs._screen_rows`, one
     matrix product a slab (four for linear costs), and a cache of the same
     shape holds the exact entries priced so far, NaN until then, and 0 at
-    the lengths whose entries are pinned.  A pass scans Lo + F(p-1, l+1) as it would scan the
-    entries and takes each row's leftmost argmin l~.  It prices Q^(j..l~)
-    with the build's bits (:func:`costs._entries` or
+    the lengths whose entries are pinned.  A pass scans Lo + F(p-1, l+1) as
+    it would scan the entries and takes each row's leftmost argmin l~.  It
+    prices Q^(j..l~) with the build's bits (:func:`costs._entries` or
     :func:`costs._linear_entries`) unless cached, so U =
     Q^(j..l~) + F(p-1, l~+1) is the full scan's sum at l~.  Rounding is
     monotone, so no column's sum is below its screened sum: a column whose
@@ -226,9 +226,10 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     from Lo, still a lower bound, and ``q`` holds the exact entry at each
     split, so the cuts of passes and slabs hold unchanged; F(1, .) is
     priced for every row, as in a cut fill.  ``priced`` counts the exact
-    entries priced: F(1, .), and each slab's cells at most once.  On noisy data a pass prices only argmins not priced before; on
-    constant curves, where every candidate ties, a pass prices every
-    column it scans, and the fill at most its ``slab_cells``.  Below the
+    entries priced: F(1, .), and each slab's cells at most once.  On noisy
+    data a pass prices only argmins not priced before; on constant curves,
+    where every candidate ties, a pass prices every column it scans, and
+    the fill at most its ``slab_cells``.  Below the
     crossover, which ``BENCH_26.json`` measures, the exact rows are built.
 
     ``candidates`` counts the sums the fill evaluated.  Costs are >= 0 and
