@@ -441,7 +441,8 @@ def _screen_rows(dataset: FunctionalDataset, prefix, linear: bool = False):
     s..c-1 into the (e-s) x (c-s) array ``out``, from matrix products (a
     screen for the dynamic program).  The linear screen is the SSE screen
     less the bound of :func:`_slope_screen` on the slope term, pinned to 0
-    at lengths 1 and 2 like the entries, and made a few rows at a time.
+    at lengths 1 and 2 like the entries, and made in blocks of at most
+    ``_BLOCK_BYTES / 64`` cells, 64 rows at m=256.
 
     With P the n x (m+1) prefix sums of :func:`_sse_prefix`, d_a the sum of
     P_ia^2 and G = P^T P, sum_i S1_i(j..l)^2 = d_l + d_(j-1) - 2 G[j-1, l].
@@ -588,7 +589,7 @@ def _slope_screen(dataset: FunctionalDataset, p1: np.ndarray, sq: np.ndarray):
     rt, ry = rt * root_kappa + half_eta, ry * root_kappa
     rel = np.arange(1.0 - m, m + 1.0)
     lens = sliding_window_view(np.where(rel >= 1, rel, np.inf), m)[m::-1]
-    cells = max(m, _BLOCK_BYTES // 128)
+    cells = max(m, _BLOCK_BYTES // 64)
     scratch = np.empty((3, cells))
 
     def slope(a: slice, ends: slice, v: slice, wide: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ _SLAB_BYTES = 512 * 1024
 
 # The fewest functions at which a fill from a dataset screens its rows
 # instead of building them, for every cost (see fill_dp); measured in
-# BENCH_26.json.
+# BENCH_26.json and BENCH_28.json.
 _SCREEN_N = 48
 
 
@@ -211,29 +211,36 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     A fill from a dataset of at least ``_SCREEN_N`` functions screens its
     rows instead of building them, for every cost: each slab holds lower
     bounds Lo <= Q^ of its entries from :func:`costs._screen_rows`, one
-    matrix product a slab (four for linear costs), and a cache of the same
-    shape holds the exact entries priced so far, NaN until then, and 0 at
-    the lengths whose entries are pinned.  A pass scans Lo + F(p-1, l+1) as
-    it would scan the entries and takes each row's leftmost argmin l~.  It
-    prices Q^(j..l~) with the build's bits (:func:`costs._entries` or
-    :func:`costs._linear_entries`) unless cached, so U =
-    Q^(j..l~) + F(p-1, l~+1) is the full scan's sum at l~.  Rounding is
-    monotone, so no column's sum is below its screened sum: a column whose
-    screened sum exceeds U neither wins nor ties.  A second argmin, with
-    l~ masked, finds each row's least other screened sum; where it is at
-    most U, every such column is priced and the leftmost least sum wins.
-    So F and the splits keep the full scan's bits.  ``colmin`` is made
-    from Lo, still a lower bound, and ``q`` holds the exact entry at each
-    split, so the cuts of passes and slabs hold unchanged; F(1, .) is
-    priced for every row, as in a cut fill.  ``priced`` counts the exact
-    entries priced: F(1, .), and each slab's cells at most once.  On noisy
-    data a pass prices only argmins not priced before; on constant curves,
-    where every candidate ties, a pass prices every column it scans, and
-    the fill at most its ``slab_cells``.  Below the
-    crossover, which ``BENCH_26.json`` measures, the exact rows are built.
+    matrix product a slab (four for linear costs), and a mask of the same
+    shape marks the cells that hold their exact entry: from the start
+    those left of the diagonal, at length 1 and, for linear costs, at
+    length 2, where the screen equals the entry, then each cell priced.  A
+    pass scans Lo + F(p-1, l+1) as a built pass scans the entries and takes
+    each row's leftmost argmin l*.  The rows whose cell at l* is not exact
+    have it priced with the build's bits, in one call of
+    :func:`costs._entries` or :func:`costs._linear_entries`; each entry is
+    written into the slab and the held copy, its sum Q^(j..l*) +
+    F(p-1, l*+1) into the block, and the block is scanned again, until
+    every row's argmin is exact.  This is lazy evaluation
+    (Minoux 1978): every scanned sum is at most its exact sum, as Lo <= Q^
+    and fl(F + x) is monotone in x.  So with U the exact sum at the leftmost
+    argmin l*, every column left of l* has an exact sum above U and every
+    column right of it one of at least U: l* is the full scan's leftmost
+    argmin and U has its bits.  Each round prices a new cell in every row
+    it scans again, so the rounds end, and the pass ends as a built pass
+    does, gathering F(p, j) from the block and ``q`` from ``cols``.
+    ``colmin`` is made from Lo, still a lower bound, so the cuts of passes
+    and slabs hold unchanged; F(1, .) is priced for every row, as in a cut
+    fill.  ``priced`` counts the exact entries priced: F(1, .), and each
+    slab cell at most once, so at most ``slab_cells``.  On constant curves,
+    where every candidate ties, a row's leftmost argmin is its exact
+    length-1 cell, and an SSE or linear fill prices only F(1, .).  Below the
+    crossover, which ``BENCH_26.json`` and ``BENCH_28.json`` measure, the
+    exact rows are built.
 
-    ``candidates`` counts the sums the fill evaluated.  Costs are >= 0 and
-    never NaN, so every sum is finite or +inf.
+    ``candidates`` counts the sums the fill evaluated, one scan a pass: a
+    screened pass's rescans are not counted.  Costs are >= 0 and never NaN,
+    so every sum is finite or +inf.
     """
     m = table.m
     if not (1 <= k_max <= m):
@@ -269,29 +276,12 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
         slack = 2.0 * _sse_error_bound(table)
         prior = np.arange(k_max - 1)  # p - 2 for p = 2..k_max
     if screen:
-        # each slab's exact entries, NaN until priced; known ones are +inf
-        # left of the diagonal and, at length 1, 0 (SSE) or +inf (LOO), and
-        # linear ones 0 at lengths 1 and 2
-        cache_buf = np.empty(size)
-        u_buf, second_buf = np.empty(rows.size), np.empty(rows.size)
-        cflat_buf, next_buf = np.empty_like(flat_buf), np.empty_like(flat_buf)
-        rel = np.arange(1 - m, m + 1)
-        known = np.where(rel > (2 if linear else 1), np.nan, np.where(
-            rel < 1, np.inf, np.inf if loo else 0.0))
+        # the slab's cells whose entry is exact: from the start those left
+        # of the diagonal (+inf), at length 1 (0 or, for leave-one-out,
+        # +inf) and for linear costs at length 2 (0); then each cell priced
+        mask_buf = np.empty(size, dtype=bool)
+        known = np.arange(1 - m, m + 1) <= (2 if linear else 1)
         known = sliding_window_view(known, m)[m::-1]
-
-        def exact(cells: np.ndarray, j: np.ndarray, l: np.ndarray) -> np.ndarray:
-            """The slab's exact entries at the flat offsets ``cells``, of
-            rows ``j`` and columns ``l`` from its first, priced where the
-            cache holds none yet."""
-            nonlocal priced
-            qv = cache.take(cells)
-            miss = np.flatnonzero(np.isnan(qv))
-            if miss.size:
-                qv[miss] = price(s + 1 + j[miss], s + 1 + l[miss])
-                cache.put(cells[miss], qv[miss])
-                priced += miss.size
-            return qv
     candidates = slab_cells = passes = 0
     row = None
     for s, e in slabs:
@@ -316,8 +306,8 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
         if not (trim or screen):
             F[0, s:e] = slab[:, -1]
         if screen:
-            cache = cache_buf[:b * c].reshape(b, c)
-            np.copyto(cache, known[:b, :c])
+            mask = mask_buf[:b * c].reshape(b, c)
+            np.copyto(mask, known[:b, :c])
             cstarts = rows[:b] * c
         slab_cells += b * c
         bound = b < c
@@ -340,9 +330,6 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
                 r = rows_p
                 f_r, splits_r = f_rows[:, :r], splits[:, :r]
                 flat, q = flat_buf[:r], q_buf[:r]
-                if screen:
-                    cflat, cstarts_r, nxt = cflat_buf[:r], cstarts[:r], next_buf[:r]
-                    u, second, rows_r = u_buf[:r], second_buf[:r], rows[:r]
                 block = None
             if bound and p >= 3:
                 # the candidates at the splits for p-1, summed as the scan
@@ -363,34 +350,28 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
             np.copyto(block, f_held[p - 2])
             block += cols_r
             split = block.argmin(axis=1, out=splits_r[p - 1])  # leftmost minimum
-            np.add(split, starts_r, out=flat)  # flat offsets in block
             candidates += r * held
-            if not screen:
-                buf.take(flat, out=f_r[p - 1], mode="clip")
-                if bound:  # Q(j..split): block and cols share offsets
-                    cols.take(flat, out=q, mode="clip")
-                continue
-            # the exact entry and sum at each row's screened argmin
-            q = exact(np.add(split, cstarts_r, out=cflat), rows_r, split)
-            f_prev, total = f_next[p - 2], f_r[p - 1]
-            np.add(q, f_prev.take(split, out=u, mode="clip"), out=total)
-            # another column whose screened sum is <= U may tie or win: a
-            # second argmin, with the first masked, finds each row's least
-            buf.put(flat, np.inf)
-            np.add(block.argmin(axis=1, out=nxt), starts_r, out=nxt)
-            buf.take(nxt, out=second, mode="clip")
-            tied = np.flatnonzero((second <= total) & (second < np.inf))
-            if tied.size:
-                # price them all; with the argmin, the leftmost least sum wins
-                ri, li = np.nonzero(block[tied] <= total[tied, None])
-                ri = np.concatenate((tied[ri], tied))
-                li = np.concatenate((li, split[tied]))
-                qv = exact(ri * c + li, ri, li)
-                sums = qv + f_prev.take(li)
-                order = np.lexsort((li, sums, ri))
-                first = order[np.r_[True, np.diff(ri[order]) != 0]]
-                won = ri[first]
-                split[won], total[won], q[won] = li[first], sums[first], qv[first]
+            while screen:
+                # the rows whose argmin is still a bound: price it, write it
+                # into the slab, the held copy and the block, and rescan
+                cells = split + cstarts[:r]
+                miss = np.flatnonzero(~mask.take(cells))
+                if not miss.size:
+                    break
+                l, cells = split[miss], cells[miss]
+                qv = price(s + 1 + miss, s + 1 + l)
+                priced += miss.size
+                mask.put(cells, True)
+                slab.put(cells, qv)
+                at = l + starts_r[miss]  # the same cells' offsets in the block
+                if cols is not slab:
+                    cols.put(at, qv)
+                buf.put(at, qv + f_next[p - 2].take(l))
+                block.argmin(axis=1, out=split)  # unchanged rows keep theirs
+            np.add(split, starts_r, out=flat)  # flat offsets in block
+            buf.take(flat, out=f_r[p - 1], mode="clip")
+            if bound:  # Q(j..split): block and cols share offsets
+                cols.take(flat, out=q, mode="clip")
         splits[1:] += s + 1
         passes += kk - 1
     F = F[:, :m]

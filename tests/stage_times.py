@@ -11,7 +11,8 @@ plus the north star's large size (n=124, m=1024) and n=32, m=256 next to
 the fewest functions at which a fill screens its rows
 (``solver._SCREEN_N``), timed both as the library runs it and screened,
 for SSE and linear costs.  ``fit-default`` times SSE, leave-one-out and
-linear solves from the data, and ``build_linear_table`` for reference.
+linear solves from the data at k=8, 16 and 32, its nine job kinds, and
+``build_linear_table`` for reference.
 A stage that sets the crossover runs as the library runs it in a checkout
 that has none.  The inputs come from the
 library's own synthetic generator with noise, so nothing is read from disk
@@ -134,6 +135,8 @@ def _shapes(sb, raw: dict[str, object]):
     return {
         "fit-default": {
             "read_csv": lambda: sb.io.read_csv(path, has_grid_row=True),
+            "solve sse k=8": solve(fit, 8, "sse"),
+            "solve loo k=8": solve(fit, 8, "loo"),
             "solve sse k=16": solve(fit, 16, "sse"),
             "solve loo k=16": solve(fit, 16, "loo"),
             "solve sse k=32": solve(fit, 32, "sse"),

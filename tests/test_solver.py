@@ -927,20 +927,24 @@ def test_fills_screen_from_the_crossover_on(n, m, sigma):
 
 @pytest.mark.parametrize("n, m, screen_n", [(4, 250, 1), (124, 64, None)])
 def test_tied_screens_price_each_cell_at_most_once(n, m, screen_n, monkeypatch):
-    # constant curves: every entry is 0 and every candidate ties, the
-    # screen's worst case, in which a pass prices every column it scans.
-    # Each slab prices a cell at most once, so a fill prices at most its
-    # slab cells, F(1, .) included
+    # constant curves: every entry is 0 and every candidate ties.  A row's
+    # leftmost argmin is then its length-1 cell, exact from the start, so
+    # SSE and linear fills price only F(1, .); a leave-one-out row's is at
+    # length 2.  A slab prices a cell at most once, so a fill prices at
+    # most its slab cells, F(1, .) included
     if screen_n is not None:
         monkeypatch.setattr(solver, "_SCREEN_N", screen_n)
     levels = np.resize([3.7, 1e8 + 0.1, -2.5e-3, 7.0], (n, 1))
     ds = _dataset(np.repeat(levels, m, axis=1))
-    table = build_sse_table(ds)
+    sse, linear = build_sse_table(ds), build_linear_table(ds)
     for budget in (solver._SLAB_BYTES, 16 * 1024):
         monkeypatch.setattr(solver, "_SLAB_BYTES", budget)
-        for loo in (False, True):
-            dp = fill_dp(ds, 32, _cost(loo))
-            ref = full_scan_fill_dp(table, 32, _cost(loo))
-            assert np.array_equal(dp.costs, ref.costs), (budget, loo)
-            assert np.array_equal(dp.splits, ref.splits), (budget, loo)
-            assert m < dp.priced <= dp.slab_cells, (budget, loo)
+        for cost in CostKind:
+            dp = fill_dp(ds, 32, cost)
+            ref = full_scan_fill_dp(linear if cost is CostKind.LINEAR else sse,
+                                    32, cost)
+            assert np.array_equal(dp.costs, ref.costs), (budget, cost)
+            assert np.array_equal(dp.splits, ref.splits), (budget, cost)
+            assert dp.priced <= dp.slab_cells, (budget, cost)
+            if cost is not CostKind.LOO:
+                assert dp.priced == m, (budget, cost)
