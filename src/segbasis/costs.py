@@ -18,12 +18,14 @@ summed over all functions.  Three kinds of cost are supported:
 
 Both table builds are O(n m^2) arithmetic done a block of start rows at a
 time: one ``einsum`` sums an n x b x m tensor of interval sums over
-functions.  The SSE rule is written once, in :func:`_sse_kernel`, and the
-leave-one-out rule once, in :func:`_loo_scale`.  One row builder a cost,
+functions.  Each cost rule is written once: the SSE rule in
+:func:`_sse_kernel`, the slope term of the linear rule in
+:func:`_linear_kernel`, the leave-one-out rule in :func:`_loo_scale` and
+the lengths each cost fits exactly in ``_PINNED``.  One row builder a cost,
 :func:`_sse_rows` or :func:`_linear_rows`, makes both the whole table and,
 through :func:`_row_slabs`, the row slabs the dynamic program reads from a
-dataset, so a table-free fill has the table's bits; :func:`_entries` and
-:func:`_linear_entries` price single entries with them too.
+dataset, so a table-free fill has the table's bits; :func:`_entries`, the
+one pricer of single entries, prices every cost with them too.
 :func:`partition_totals` prices both the SSE and the leave-one-out totals
 of given segmentations from one gather of their SSE entries, with or
 without the SSE table.  Without it, the fill's rows, its pricing and the
@@ -48,7 +50,7 @@ so linear fills screen too, and no fill holds an m x m table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 from itertools import chain
 from typing import Sequence
 
@@ -69,6 +71,10 @@ _BLOCK_BYTES = 1 << 20
 # faulted in afresh, which made a call of 256 entries at n=124 take twice as
 # long as three calls below the budget.
 _GATHER_BYTES = 120 * 1024
+
+# The longest intervals each cost fits exactly, a mean one point and a line
+# two: their entries are pinned to 0, or +inf for a leave-one-out singleton.
+_PINNED = {CostKind.SSE: 1, CostKind.LOO: 1, CostKind.LINEAR: 2}
 
 
 @dataclass(frozen=True)
@@ -148,14 +154,16 @@ def partition_totals(sse: CostTable | FunctionalDataset,
     """SSE and leave-one-out totals of segmentations from the SSE entries of
     their segments: the library's one pricing rule.
 
-    ``sse`` is an SSE table, or the dataset when no table is built: the
-    entries are then priced by the table's own kernel in one pass, clamped
-    and pinned like the table (:func:`_sse_entries`), with the same bits.
-    The entries are gathered once; the leave-one-out entries are scaled
-    from them by :func:`_loo_scale`, with the bits the leave-one-out
-    dynamic program reads.  Each total is summed from the last segment to
-    the first, starting from 0.0, as the dynamic program sums, so the total
-    of a basis the program found has the bits of its objective.
+    ``sse`` is an SSE table, or the dataset when no table is built: each
+    distinct interval is then priced once by :func:`_entries`, with the
+    table's bits (the optimal bases of a sweep share most of their
+    segments: 195-260 distinct of 2080 on the default synthetic data,
+    n=124, m=256, k=1..64).  The entries are gathered once; the
+    leave-one-out entries are scaled from them by :func:`_loo_scale`, with
+    the bits the leave-one-out dynamic program reads.  Each total is summed
+    from the last segment to the first, starting from 0.0, as the dynamic
+    program sums, so the total of a basis the program found has the bits of
+    its objective.
     """
     table = isinstance(sse, CostTable)
     if table and sse.kind is not CostKind.SSE:
@@ -170,7 +178,11 @@ def partition_totals(sse: CostTable | FunctionalDataset,
     s = 1 + np.fromiter(chain.from_iterable((0,) + seg.ends[:-1] for seg in segs),
                         dtype=np.intp)
     e = np.fromiter(chain.from_iterable(seg.ends for seg in segs), dtype=np.intp)
-    costs = sse.values[s - 1, e - 1] if table else _sse_entries(sse, s, e)
+    if table:
+        costs = sse.values[s - 1, e - 1]
+    else:
+        key, inverse = np.unique(s * (sse.m + 1) + e, return_inverse=True)
+        costs = _entries(sse, *np.divmod(key, sse.m + 1))[inverse]
     counts = [seg.k for seg in segs]
     return (_right_sums(costs, counts),
             _right_sums(_loo_scale(e - s + 1.0, costs), counts))
@@ -300,16 +312,29 @@ def _sse_prefix(dataset: FunctionalDataset):
     return y, p1, p2
 
 
+def _kept(make):
+    """``make(dataset)``, made once a dataset and kept on it under
+    ``make``'s name.  The dataset's arrays are read-only, so what is made
+    from them stays its own."""
+    name = make.__name__
+
+    @wraps(make)
+    def kept(dataset: FunctionalDataset):
+        held = vars(dataset)
+        if name not in held:
+            held[name] = make(dataset)
+        return held[name]
+
+    return kept
+
+
+@_kept
 def _data_prefix(dataset: FunctionalDataset):
-    """:func:`_sse_prefix` of ``dataset``, made once and kept on it, so a
-    fit's or select's fill, its slab cuts, its linear sums and the pricing
-    read one set of centred prefix sums.  The dataset's arrays are
-    read-only, so the sums stay its own.  The SSE table build centres
-    afresh, so what ``bench`` times does not depend on what ran before it."""
-    kept = vars(dataset)
-    if "_sse_prefix" not in kept:
-        kept["_sse_prefix"] = _sse_prefix(dataset)
-    return kept["_sse_prefix"]
+    """:func:`_sse_prefix` of ``dataset``, kept on it, so a fit's or
+    select's fill, its slab cuts, its linear sums and the pricing read one
+    set of centred prefix sums.  The SSE table build centres afresh, so
+    what ``bench`` times does not depend on what ran before it."""
+    return _sse_prefix(dataset)
 
 
 def _sse_error_bound(dataset: FunctionalDataset) -> float:
@@ -358,47 +383,62 @@ def _sse_error_bound(dataset: FunctionalDataset) -> float:
     return float(rel * 2.0 ** -53 * p2[-1] + 2 * (n * m + n + 2) * 2.0 ** -1074)
 
 
-def _entries(dataset: FunctionalDataset, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """SSE entries Q(s..e) of 1-based intervals (``s`` and ``e`` of one
-    length) from the dataset's :func:`_data_prefix` sums.
+def _entries(dataset: FunctionalDataset, s: np.ndarray, e: np.ndarray,
+             cost: CostKind = CostKind.SSE) -> np.ndarray:
+    """Entries of ``cost`` for the 1-based intervals s..e (``s`` and ``e``
+    of one length) from the dataset's kept prefix sums: the one way an
+    entry is priced with a table's bits outside a row build.
 
-    The interval sums are gathered as one row of entries, with the same one
-    subtraction each as the table's, and priced by the table's own
-    :func:`_sse_kernel`.  So each entry has the bits of
-    ``build_sse_table(dataset)``, clamped at 0 and pinned to 0 at length 1
-    like it.  The sums are gathered as whole rows of a transposed copy of
-    the prefix sums, kept on the dataset beside them, and transposed to the
-    C order the kernel needs, at most ``_GATHER_BYTES`` of them at once: the
-    kernel's order does not depend on how many entries are priced together.
+    The interval sums of each function are gathered as one row of entries,
+    with the same one subtraction each as the tables', and priced by the
+    tables' own kernels, :func:`_sse_kernel` and for linear costs
+    :func:`_linear_kernel`.  Only their sums over the functions depend on
+    the layout of the interval sums, and :func:`_square_sums` takes each
+    over a C-ordered n x 1 x N array; every other step, the clamp and the
+    pins of ``_PINNED`` included, is elementwise.  So each entry has the
+    bits of ``build_sse_table(dataset)`` or ``build_linear_table(dataset)``,
+    and a leave-one-out entry is the SSE entry scaled by :func:`_loo_scale`,
+    with the bits the leave-one-out fill reads.  The sums are gathered as
+    whole rows of transposed prefix sums, kept on the dataset, and
+    transposed to the C order the kernels need, at most ``_GATHER_BYTES``
+    of them at once: the kernels' order does not depend on how many entries
+    are priced together.
     """
     step = max(1, _GATHER_BYTES // (8 * dataset.n))
     if s.size > step:
-        return np.concatenate([_entries(dataset, s[a:a + step], e[a:a + step])
+        return np.concatenate([_entries(dataset, s[a:a + step],
+                                        e[a:a + step], cost)
                                for a in range(0, s.size, step)])
-    _, p1, p2 = _data_prefix(dataset)
-    d = _interval_columns(_prefix_rows(dataset, p1), s, e)
-    q = p2[e] - p2[s - 1]
-    _sse_kernel(d[:, None], e - s + 1.0, np.empty((1, q.size)), q[None])
+    _, _, p2 = _data_prefix(dataset)
+    j = s - 1  # the prefix index before each interval
+    size = e - j
+    lens = size.astype(float)
+    d = _interval_columns(_prefix_rows(dataset), j, e)
+    q = p2[e] - p2[j]
+    sq = np.empty((1, q.size))
+    _sse_kernel(d[:, None], lens, sq, q[None])
+    if cost is CostKind.LINEAR:
+        _, pt, ptt, pty = _linear_prefix(dataset)
+        _linear_kernel(d[:, None], _interval_columns(pty, j, e)[:, None],
+                       pt[e] - pt[j], ptt[e] - ptt[j], lens, sq, q[None])
     np.maximum(q, 0.0, out=q)
-    q[e == s] = 0.0
-    return q
+    q[size <= _PINNED[cost]] = 0.0
+    return _loo_scale(lens, q) if cost is CostKind.LOO else q
 
 
-def _prefix_rows(dataset: FunctionalDataset, p1: np.ndarray) -> np.ndarray:
-    """A transposed copy of the prefix sums ``p1``, one row a prefix index,
-    made once and kept on the dataset beside them."""
-    kept = vars(dataset)
-    if "_prefix_rows" not in kept:
-        kept["_prefix_rows"] = np.ascontiguousarray(p1.T)
-    return kept["_prefix_rows"]
+@_kept
+def _prefix_rows(dataset: FunctionalDataset) -> np.ndarray:
+    """The prefix sums of :func:`_data_prefix` transposed, one row a prefix
+    index."""
+    return np.ascontiguousarray(_data_prefix(dataset)[1].T)
 
 
-def _interval_columns(rows: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The interval sums p[:, e] - p[:, s-1] of prefix sums p, given as
+def _interval_columns(rows: np.ndarray, j: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The interval sums p[:, e] - p[:, j] of prefix sums p, given as
     ``rows`` = p.T, as a C-ordered n x N array, each with one subtraction
     as the tables' builds make it: gathered as whole rows of ``rows``."""
     d = rows.take(e, axis=0)
-    d -= rows.take(s - 1, axis=0)
+    d -= rows.take(j, axis=0)
     return np.ascontiguousarray(d.T)
 
 
@@ -414,25 +454,14 @@ def _sse_row(prefix, j: int) -> np.ndarray:
     return q
 
 
-def _sse_entries(dataset: FunctionalDataset, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """SSE entries Q(s..e) of 1-based intervals, without the table, with
-    the table's bits (:func:`_entries`).  Each distinct interval is priced
-    once: the optimal bases of a sweep share most of their segments
-    (195-260 distinct of 2080 on the default synthetic data, n=124, m=256,
-    k=1..64).
-    """
-    key, inverse = np.unique(s * (dataset.m + 1) + e, return_inverse=True)
-    s, e = np.divmod(key, dataset.m + 1)
-    return _entries(dataset, s, e)[inverse]
-
-
 def _sse_rows(dataset: FunctionalDataset, prefix):
     """The SSE row builder of ``dataset`` from its :func:`_sse_prefix`
     (see :func:`_blocked_rows`): the one path by which both the table and
     the dynamic program's row slabs are made, so a slab has the bits of
     the table's rows."""
     _, p1, p2 = prefix
-    return _blocked_rows(dataset.n, dataset.m, 1, 1, partial(_sse_block, p1, p2))
+    return _blocked_rows(dataset.n, dataset.m, 1, _PINNED[CostKind.SSE],
+                         partial(_sse_block, p1, p2))
 
 
 def _screen_rows(dataset: FunctionalDataset, prefix, linear: bool = False):
@@ -441,7 +470,7 @@ def _screen_rows(dataset: FunctionalDataset, prefix, linear: bool = False):
     s..c-1 into the (e-s) x (c-s) array ``out``, from matrix products (a
     screen for the dynamic program).  The linear screen is the SSE screen
     less the bound of :func:`_slope_screen` on the slope term, pinned to 0
-    at lengths 1 and 2 like the entries, and made in blocks of at most
+    where ``_PINNED`` pins the entries, and made in blocks of at most
     ``_BLOCK_BYTES / 64`` cells, 64 rows at m=256.
 
     With P the n x (m+1) prefix sums of :func:`_sse_prefix`, d_a the sum of
@@ -484,9 +513,10 @@ def _screen_rows(dataset: FunctionalDataset, prefix, linear: bool = False):
     d = sq * (1.0 + (6 * n + 26) * 2.0 ** -53)
     shift = p2 + 2.0 * _sse_error_bound(dataset)
     rel = np.arange(1.0 - m, m + 1.0)  # interval lengths, as in _blocked_rows
+    pin = _PINNED[CostKind.LINEAR]
     inv, floor, short = (sliding_window_view(row, m)[m::-1] for row in (
         np.divide(1.0, rel, out=np.zeros_like(rel), where=rel >= 1),
-        np.where(rel >= 1, 0.0, np.inf), (rel >= 1) & (rel <= 2)))
+        np.where(rel >= 1, 0.0, np.inf), (rel >= 1) & (rel <= pin)))
     slope, cells = _slope_screen(dataset, p1, sq) if linear else (None, 0)
     if linear and slope is None:  # the bound's sums could overflow
         return _linear_rows(dataset, prefix)
@@ -510,8 +540,8 @@ def _screen_rows(dataset: FunctionalDataset, prefix, linear: bool = False):
             if linear:
                 o -= bound
             np.maximum(o, floor[v, :c], out=o)
-        if linear:  # lengths 1 and 2 are pinned to 0
-            np.copyto(out[:, :b + 2], 0.0, where=short[:b, :min(c, b + 2)])
+        if linear:  # the pinned lengths are 0
+            np.copyto(out[:, :b + pin], 0.0, where=short[:b, :min(c, b + pin)])
         return out
 
     return rows
@@ -714,47 +744,53 @@ def _row_slabs(source: CostTable | FunctionalDataset,
     return lambda s, e, out: np.copyto(out, values[s:e, s:])
 
 
+@_kept
 def _linear_prefix(dataset: FunctionalDataset):
     """The centred grid t and the prefix sums of t, t^2 and each function's
-    y*t (y centred, from :func:`_data_prefix`), made once and kept on the
-    dataset like the centred sums.  The sums of y*t are kept transposed,
-    one row of n a prefix index, as the screen's matrix products and the
-    pricing's gathers read them.  Raises if a linear cell could
-    overflow."""
-    kept = vars(dataset)
-    if "_linear_prefix" not in kept:
-        y, py, _ = _data_prefix(dataset)
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = dataset.grid - dataset.grid.mean()
-            pt, ptt = _prefix(t), _prefix(t * t)
-            pty = np.zeros((dataset.m + 1, dataset.n))
-            np.cumsum((y * t).T, axis=0, out=pty[1:])
-            # as in _sse_prefix, |St| <= ptp(pt), also in the empty cells
-            # left of the diagonal; there the lengths read +inf and St/len
-            # is 0, and elsewhere St/len is a mean of t, so |Cty_i| <=
-            # ptp(pty_i) + max|t| ptp(py_i)
-            st, ty, y1 = np.ptp(pt), np.ptp(pty, axis=0), np.ptp(py, axis=-1)
-            _require_finite(st * st, ptt[-1],
-                            ((ty + np.abs(t).max() * y1) ** 2).sum())
-        kept["_linear_prefix"] = t, pt, ptt, pty
-    return kept["_linear_prefix"]
+    y*t (y centred, from :func:`_data_prefix`), kept on the dataset like
+    the centred sums.  The sums of y*t are kept transposed, one row of n a
+    prefix index, as the screen's matrix products and the pricing's gathers
+    read them.  Raises if a linear cell could overflow."""
+    y, py, _ = _data_prefix(dataset)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = dataset.grid - dataset.grid.mean()
+        pt, ptt = _prefix(t), _prefix(t * t)
+        pty = np.zeros((dataset.m + 1, dataset.n))
+        np.cumsum((y * t).T, axis=0, out=pty[1:])
+        # as in _sse_prefix, |St| <= ptp(pt), also in the empty cells left
+        # of the diagonal; there the lengths read +inf and St/len is 0, and
+        # elsewhere St/len is a mean of t, so |Cty_i| <= ptp(pty_i) +
+        # max|t| ptp(py_i)
+        st, ty, y1 = np.ptp(pt), np.ptp(pty, axis=0), np.ptp(py, axis=-1)
+        _require_finite(st * st, ptt[-1],
+                        ((ty + np.abs(t).max() * y1) ** 2).sum())
+    return t, pt, ptt, pty
 
 
-def _linear_block(p1, p2, pt, ptt, pty, s, e, lens, tensors, sq, q) -> None:
-    """Block fill of linear costs (see :func:`build_linear_table`) from the
-    prefix sums of :func:`_sse_prefix` and :func:`_linear_prefix`;
-    ``tensors`` keep Sy and Cty.  Every step but the two sums over the
-    functions is elementwise."""
-    _sse_block(p1, p2, s, e, lens, tensors, sq, q)
-    dy, dty = tensors
-    st = _interval_sums(pt, s, e, np.empty(sq.shape))
-    ctt = _interval_sums(ptt, s, e, np.empty(sq.shape)) - st * st / lens
+def _linear_kernel(dy, dty, st, ctt, lens, sq, q) -> None:
+    """The SSE entries in ``q`` less the slope term sum_i Cty_i^2 / Ctt of
+    :func:`build_linear_table`, in place, from the n x b x w interval sums
+    ``dy`` of each function and ``dty`` of each y*t (C-ordered, see
+    :func:`_square_sums`) and the b x w sums ``st`` of t and ``ctt`` of
+    t^2; ``dy``, ``dty`` and ``ctt`` are overwritten, ``sq`` is b x w
+    scratch.  Every step but the sum over the functions is elementwise."""
+    ctt -= st * st / lens
     np.copyto(ctt, np.inf, where=ctt <= 0.0)  # no slope to fit
     dy *= st / lens
-    _interval_sums(pty, s, e, dty)
     dty -= dy
     _square_sums(dty, sq)
     q -= sq / ctt
+
+
+def _linear_block(p1, p2, pt, ptt, pty, s, e, lens, tensors, sq, q) -> None:
+    """Block fill of :func:`_linear_kernel` from the prefix sums of
+    :func:`_sse_prefix` and :func:`_linear_prefix`; ``tensors`` keep Sy
+    and Sty."""
+    _sse_block(p1, p2, s, e, lens, tensors, sq, q)
+    dy, dty = tensors
+    _linear_kernel(dy, _interval_sums(pty, s, e, dty),
+                   _interval_sums(pt, s, e, np.empty(sq.shape)),
+                   _interval_sums(ptt, s, e, np.empty(sq.shape)), lens, sq, q)
 
 
 def _linear_rows(dataset: FunctionalDataset, prefix):
@@ -764,45 +800,8 @@ def _linear_rows(dataset: FunctionalDataset, prefix):
     are made, so a slab has the bits of the table's rows."""
     _, p1, p2 = prefix
     _, pt, ptt, pty = _linear_prefix(dataset)
-    return _blocked_rows(dataset.n, dataset.m, 2, 2,
+    return _blocked_rows(dataset.n, dataset.m, 2, _PINNED[CostKind.LINEAR],
                          partial(_linear_block, p1, p2, pt, ptt, pty.T))
-
-
-def _linear_entries(dataset: FunctionalDataset, s: np.ndarray,
-                    e: np.ndarray) -> np.ndarray:
-    """Linear entries of 1-based intervals with the bits of
-    ``build_linear_table(dataset)``, as :func:`_entries` prices SSE entries.
-
-    Only the two sums over the functions depend on the layout of the
-    interval sums, and both are taken by :func:`_square_sums` over a
-    C-ordered n x 1 x N array, with the lone-cell pairing.  Every other
-    step, St, Ctt, St/len, the +inf of Ctt <= 0, the clamp and the pins at
-    lengths 1 and 2, is elementwise, so repeating it cell by cell gives the
-    table's bits.
-    """
-    step = max(1, _GATHER_BYTES // (8 * dataset.n))
-    if s.size > step:
-        return np.concatenate([_linear_entries(dataset, s[a:a + step],
-                                               e[a:a + step])
-                               for a in range(0, s.size, step)])
-    _, p1, p2 = _data_prefix(dataset)
-    _, pt, ptt, pty = _linear_prefix(dataset)
-    lens = e - s + 1.0
-    dy = _interval_columns(_prefix_rows(dataset, p1), s, e)
-    q = p2[e] - p2[s - 1]
-    sq = np.empty((1, q.size))
-    _sse_kernel(dy[:, None], lens, sq, q[None])
-    st = pt[e] - pt[s - 1]
-    ctt = (ptt[e] - ptt[s - 1]) - st * st / lens
-    ctt[ctt <= 0.0] = np.inf
-    dy *= st / lens
-    dty = _interval_columns(pty, s, e)
-    dty -= dy
-    _square_sums(dty[:, None], sq)
-    q -= sq[0] / ctt
-    np.maximum(q, 0.0, out=q)
-    q[lens <= 2.0] = 0.0
-    return q
 
 
 def build_linear_table(dataset: FunctionalDataset) -> CostTable:

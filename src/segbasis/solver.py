@@ -24,8 +24,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import CostKind, FunctionalDataset, Segmentation, _readonly
-from .costs import (CostTable, _data_prefix, _entries, _linear_entries,
-                    _loo_scale, _row_slabs, _sse_error_bound, _sse_row)
+from .costs import (_PINNED, CostTable, _data_prefix, _entries, _loo_scale,
+                    _row_slabs, _sse_error_bound, _sse_row)
 
 # Byte budget of the fill's contiguous row slab (and of its candidate
 # buffer): the slab is reused for every segment count while it stays in cache.
@@ -97,9 +97,7 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     every p = 2..k_max before the next one starts.  Row j's candidates read
     F(p-1, l+1) only for l >= j: rows below the slab, done for every p, or
     the slab itself at p-1.  So the slab's rows stay in cache for all k_max
-    passes instead of the whole table streaming k_max times.  The 512 KiB
-    budget was kept after a sweep of 256 KiB to 1 MiB on a host with 2 MiB
-    of L2 a core (``BENCH_10.json``).
+    passes instead of the whole table streaming k_max times.
 
     ``cost`` is what the fill minimizes, and ``table`` a cost table of it
     (an SSE table also serves leave-one-out costs) or the dataset itself.
@@ -110,16 +108,14 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     and never holds an m x m table.  Leave-one-out rows are SSE rows scaled
     by :func:`costs._loo_rows`, so the fill minimizes leave-one-out costs
     without a leave-one-out table, from an SSE table or the dataset.
-    Building the rows in the fill is faster than building the table first
-    at n=4, m=2048, k=64: it spares the first touch of a 32 MiB table and a
-    second pass over each of its rows (``BENCH_12.json``).
+    Building the rows in the fill spares the first touch of an m x m table
+    and a second pass over each of its rows.
 
     F carries one trailing +inf column, F(p, m+1) (no points left), so
     columns past the last feasible split add +inf and the leftmost argmin
     never picks them.  A pass copies F(p-1, l+1) over its columns into each
     row of a candidate buffer and adds the slab's leading part to it in
-    place: with numpy 2.4 on x86-64 a broadcast add costs nearly twice as
-    much a cell (``BENCH_10.json``), and a full-width pass adds two
+    place: a broadcast add costs more a cell, and a full-width pass adds two
     contiguous arrays, which numpy runs as one flat loop.
 
     A pass at p >= 3 need scan its rows only up to where no later column can
@@ -213,30 +209,29 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     bounds Lo <= Q^ of its entries from :func:`costs._screen_rows`, one
     matrix product a slab (four for linear costs), and a mask of the same
     shape marks the cells that hold their exact entry: from the start
-    those left of the diagonal, at length 1 and, for linear costs, at
-    length 2, where the screen equals the entry, then each cell priced.  A
-    pass scans Lo + F(p-1, l+1) as a built pass scans the entries and takes
-    each row's leftmost argmin l*.  The rows whose cell at l* is not exact
-    have it priced with the build's bits, in one call of
-    :func:`costs._entries` or :func:`costs._linear_entries`; each entry is
-    written into the slab and the held copy, its sum Q^(j..l*) +
-    F(p-1, l*+1) into the block, and the block is scanned again, until
-    every row's argmin is exact.  This is lazy evaluation
-    (Minoux 1978): every scanned sum is at most its exact sum, as Lo <= Q^
-    and fl(F + x) is monotone in x.  So with U the exact sum at the leftmost
-    argmin l*, every column left of l* has an exact sum above U and every
-    column right of it one of at least U: l* is the full scan's leftmost
-    argmin and U has its bits.  Each round prices a new cell in every row
-    it scans again, so the rounds end, and the pass ends as a built pass
-    does, gathering F(p, j) from the block and ``q`` from ``cols``.
+    those left of the diagonal and at the lengths ``costs._PINNED`` pins,
+    where the screen equals the entry, then each cell priced.  A pass scans
+    Lo + F(p-1, l+1) as a built pass scans the entries and takes each
+    row's leftmost argmin l*.  The rows whose cell at l* is not exact have
+    it priced with the build's bits, in one call of :func:`costs._entries`,
+    the one pricer of every cost; each entry is written into the slab and
+    the held copy, its sum Q^(j..l*) + F(p-1, l*+1) into the block, and the
+    block is scanned again, until every row's argmin is exact.  This is
+    lazy evaluation (Minoux 1978): every scanned sum is at most its exact
+    sum, as Lo <= Q^ and fl(F + x) is monotone in x.  So with U the exact
+    sum at the leftmost argmin l*, every column left of l* has an exact sum
+    above U and every column right of it one of at least U: l* is the full
+    scan's leftmost argmin and U has its bits.  Each round prices a new
+    cell in every row it scans again, so the rounds end, and the pass ends
+    as a built pass does, gathering F(p, j) from the block and ``q`` from
+    ``cols``.
     ``colmin`` is made from Lo, still a lower bound, so the cuts of passes
     and slabs hold unchanged; F(1, .) is priced for every row, as in a cut
     fill.  ``priced`` counts the exact entries priced: F(1, .), and each
     slab cell at most once, so at most ``slab_cells``.  On constant curves,
     where every candidate ties, a row's leftmost argmin is its exact
     length-1 cell, and an SSE or linear fill prices only F(1, .).  Below the
-    crossover, which ``BENCH_26.json`` and ``BENCH_28.json`` measure, the
-    exact rows are built.
+    crossover the exact rows are built.
 
     ``candidates`` counts the sums the fill evaluated, one scan a pass: a
     screened pass's rescans are not counted.  Costs are >= 0 and never NaN,
@@ -262,14 +257,9 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     trim = data and not linear and len(slabs) > 1 and k_max > 1
     priced = 0
     if trim or screen:
-        def price(j: np.ndarray, l: np.ndarray) -> np.ndarray:
-            """Q(j..l) of 1-based intervals with the build's bits."""
-            q = (_linear_entries if linear else _entries)(table, j, l)
-            return _loo_scale(l - j + 1.0, q) if loo else q
-
         # F(1, j) = Q(j..m), as a cut slab holds no column m, nor a screen
         # an exact entry
-        F[0, :m] = price(np.arange(1, m + 1), np.full(m, m))
+        F[0, :m] = _entries(table, np.arange(1, m + 1), np.full(m, m), cost)
         priced = m
     if trim:
         prefix = _data_prefix(table)
@@ -277,10 +267,10 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
         prior = np.arange(k_max - 1)  # p - 2 for p = 2..k_max
     if screen:
         # the slab's cells whose entry is exact: from the start those left
-        # of the diagonal (+inf), at length 1 (0 or, for leave-one-out,
-        # +inf) and for linear costs at length 2 (0); then each cell priced
+        # of the diagonal (+inf) and at the pinned lengths; then each cell
+        # priced
         mask_buf = np.empty(size, dtype=bool)
-        known = np.arange(1 - m, m + 1) <= (2 if linear else 1)
+        known = np.arange(1 - m, m + 1) <= _PINNED[cost]
         known = sliding_window_view(known, m)[m::-1]
     candidates = slab_cells = passes = 0
     row = None
@@ -359,7 +349,7 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
                 if not miss.size:
                     break
                 l, cells = split[miss], cells[miss]
-                qv = price(s + 1 + miss, s + 1 + l)
+                qv = _entries(table, s + 1 + miss, s + 1 + l, cost)
                 priced += miss.size
                 mask.put(cells, True)
                 slab.put(cells, qv)

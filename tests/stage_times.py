@@ -11,10 +11,13 @@ plus the north star's large size (n=124, m=1024) and n=32, m=256 next to
 the fewest functions at which a fill screens its rows
 (``solver._SCREEN_N``), timed both as the library runs it and screened,
 for SSE and linear costs.  ``fit-default`` times SSE, leave-one-out and
-linear solves from the data at k=8, 16 and 32, its nine job kinds, and
-``build_linear_table`` for reference.
+linear solves from the data at k=8, 16 and 32, its nine job kinds,
+``build_linear_table`` for reference, and the exact pricing of 56 cells
+(``costs._entries``) under each cost, the call a screened pass makes.
 A stage that sets the crossover runs as the library runs it in a checkout
-that has none.  The inputs come from the
+that has none, and in a checkout whose pricer takes no cost, linear cells
+are priced by ``_linear_entries`` and leave-one-out cells scaled from SSE
+cells by ``_loo_scale``.  The inputs come from the
 library's own synthetic generator with noise, so nothing is read from disk
 outside the ``read_csv`` stage.  A ``fit-default`` stage runs on a fresh
 copy of its dataset each call, so it centres the data as a fit job does.
@@ -51,6 +54,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 import segbasis
 
@@ -114,6 +119,19 @@ def _screened(sb, call):
     return run
 
 
+def _price(sb, dataset, s, e, cost: str):
+    """A call pricing the cells s..e of ``dataset`` under ``cost`` as the
+    fill of ``sb`` prices them (see the module docstring)."""
+    costs = sb.costs
+    if "cost" in inspect.signature(costs._entries).parameters:
+        return lambda: costs._entries(dataset, s, e, sb.CostKind(cost))
+    if cost == "linear":
+        return lambda: costs._linear_entries(dataset, s, e)
+    if cost == "loo":
+        return lambda: costs._loo_scale(e - s + 1.0, costs._entries(dataset, s, e))
+    return lambda: costs._entries(dataset, s, e)
+
+
 def _shapes(sb, raw: dict[str, object]):
     """Each shape's stages for the package ``sb``: name -> zero-argument
     call, and the fills whose slab cells and passes are reported."""
@@ -127,6 +145,7 @@ def _shapes(sb, raw: dict[str, object]):
     def solve(dataset, k, cost):
         return lambda: _cost_call(sb, "solve", fresh(dataset), k, cost)
     fit_doc = {"command": "fit", "coefficients": sb.fit_model(fit, seg).coefficients}
+    cells = np.sort(np.random.default_rng(56).integers(1, fit.m + 1, (2, 56)), axis=0)
 
     noisy_table = sb.build_sse_table(noisy)
     std, loo = sb.SelectionStrategy.STANDARD_THEN_LOO, sb.SelectionStrategy.FULL_LOO
@@ -146,6 +165,8 @@ def _shapes(sb, raw: dict[str, object]):
             "solve linear k=32": solve(fit, 32, "linear"),
             "build_linear_table": lambda: sb.build_linear_table(fresh(fit)),
             "render k=32 coefficients": lambda: sb.io.render_result(fit_doc),
+            **{f"price {cost} 56 cells": _price(sb, fit, *cells, cost)
+               for cost in ("sse", "loo", "linear")},
         },
         "select-fine": {
             "fill_dp sse": lambda: sb.fill_dp(fine, 64),

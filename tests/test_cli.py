@@ -494,9 +494,10 @@ def test_select_holds_no_cost_table(tmp_path, argv):
 @pytest.mark.parametrize("cost", ["sse", "loo", "linear"])
 def test_a_screened_fit_peaks_no_higher_than_a_linear_fit(tmp_path, cost):
     # at the default size, n=124 and m=256, a fit of every cost screens its
-    # rows: the screen's matrices, its scratch and the exact-entry cache
-    # keep its traced peak at or below 3.59 MiB, the peak of a k=32 linear
-    # fit that built its 0.5 MiB table
+    # rows: the screen's matrices, its scratch, the 1-byte mask of exact
+    # cells and the priced entries, written into the slab itself, keep its
+    # traced peak at or below 3.59 MiB, the peak of a k=32 linear fit that
+    # built its 0.5 MiB table
     path = tmp_path / "default.csv"
     np.savetxt(path, np.random.default_rng(124).normal(size=(124, 256)),
                delimiter=",")

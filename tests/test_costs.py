@@ -503,20 +503,6 @@ def test_sse_entries_are_within_the_written_bound(name, n, m):
         assert 0 < delta < 1e-9 * prefix[2][-1]
 
 
-def test_entries_priced_alone_have_the_tables_bits():
-    # every interval of an n=124, m=64 dataset priced on its own: alone,
-    # einsum would sum a cell's functions in another order than a block's,
-    # and the last bit of about half of them would differ from the table's
-    m = 64
-    ds = _dataset(np.random.default_rng(124).normal(size=(124, m)) + 3.0)
-    table = build_sse_table(ds).values
-    alone = np.full((m, m), np.inf)
-    for j in range(1, m + 1):
-        for l in range(j, m + 1):
-            alone[j - 1, l - 1] = costs._entries(ds, np.array([j]), np.array([l]))[0]
-    assert np.array_equal(alone.view(np.uint64), table.view(np.uint64))
-
-
 @pytest.mark.parametrize("name, n, m", [
     ("offset", 1, 48), ("offset", 4, 300), ("offset", 124, 64),
     ("large", 4, 200), ("constant", 4, 300), ("constant", 124, 40),
@@ -556,22 +542,29 @@ def test_screen_rows_are_lower_bounds_within_the_written_bound(name, n, m):
         assert exact - low <= 2 * eps, (j, l)
 
 
-def test_linear_entries_priced_alone_and_in_batches_have_the_tables_bits():
+@pytest.mark.parametrize("cost", ["sse", "loo", "linear"])
+def test_entries_priced_alone_and_in_batches_have_the_tables_bits(cost):
     # every interval of an n=124, m=64 dataset on an uneven grid, priced on
-    # its own and in batches of every size class, against the linear table
+    # its own and in batches of every size class, against the table the
+    # fill would otherwise read: alone, einsum would sum a cell's functions
+    # in another order than a block's, and the last bit of about half of
+    # them would differ from the table's
     m = 64
     rng = np.random.default_rng(64)
     ds = _dataset(rng.normal(size=(124, m)) + 3.0,
                   grid=np.cumsum(rng.uniform(0.1, 2.0, m)))
-    table = build_linear_table(ds).values
+    table = {"sse": build_sse_table,
+             "loo": lambda ds: loo_table(build_sse_table(ds)),
+             "linear": build_linear_table}[cost](ds).values
+    cost = CostKind(cost)
     j, l = np.triu_indices(m)
     want = table[j, l].view(np.uint64)
-    alone = [costs._linear_entries(ds, np.array([a + 1]), np.array([b + 1]))[0]
+    alone = [costs._entries(ds, np.array([a + 1]), np.array([b + 1]), cost)[0]
              for a, b in zip(j, l)]
     assert np.array_equal(np.array(alone).view(np.uint64), want)
     for size in (2, 7, 120, j.size):
-        got = np.concatenate([costs._linear_entries(ds, j[a:a + size] + 1,
-                                                    l[a:a + size] + 1)
+        got = np.concatenate([costs._entries(ds, j[a:a + size] + 1,
+                                             l[a:a + size] + 1, cost)
                               for a in range(0, j.size, size)])
         assert np.array_equal(got.view(np.uint64), want), size
 
