@@ -125,7 +125,9 @@ def new_dataset(grid, values) -> FunctionalDataset:
     m = g.size
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite entry in grid")
-    if np.any(np.diff(g) <= 0):
+    # compare neighbours, not their difference: finite grids near the float
+    # range would overflow np.diff to -inf and warn
+    if np.any(g[1:] <= g[:-1]):
         raise ValueError("grid not strictly increasing")
     if v.shape[1] != m:
         raise ValueError(

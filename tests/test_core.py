@@ -53,6 +53,15 @@ def test_new_dataset_rejects(grid, values, message):
         new_dataset(grid, values)
 
 
+def test_new_dataset_orders_grids_spanning_the_float_range():
+    # the neighbours' difference overflows; their order does not
+    big = np.finfo(np.float64).max
+    with pytest.raises(ValueError, match="grid not strictly increasing"):
+        new_dataset([0.0, 1e292, -big], [[0.0, 0.0, 0.0]])
+    ds = new_dataset([-big, big], [[1.0, 2.0]])
+    assert ds.grid.tolist() == [-big, big]
+
+
 def test_segmentation_properties():
     seg = segmentation_from_ends([2, 4, 7], 7)
     assert seg.k == 3
