@@ -16,14 +16,17 @@ summed over all functions.  Three kinds of cost are supported:
 * ``LINEAR`` -- residual sum of squares of the per-segment least-squares line
   against the grid, from prefix sums of t, t^2, y, t*y and y^2 alike.
 
-Both table builds are O(n m^2) arithmetic done a block of start rows at a
-time: one ``einsum`` sums an n x b x m tensor of interval sums over
-functions.  Each cost rule is written once: the SSE rule in
-:func:`_sse_kernel`, the slope term of the linear rule in
-:func:`_linear_kernel`, the leave-one-out rule in :func:`_loo_scale` and
-the lengths each cost fits exactly in ``_PINNED``.  One row builder a cost,
-:func:`_sse_rows` or :func:`_linear_rows`, makes both the whole table and,
-through :func:`_row_slabs`, the row slabs the dynamic program reads from a
+Each cost rule is written once: the SSE rule in :func:`_sse_kernel`, the
+slope term of the linear rule in :func:`_linear_kernel`, the leave-one-out
+rule in :func:`_loo_scale` and the lengths each cost fits exactly in
+``_PINNED``.  One row builder, :func:`_blocked_rows`, makes every table,
+built slab and screen a block of start rows at a time, and is the one place
+that clamps rows at 0, sets them +inf left of the diagonal and pins the
+lengths of ``_PINNED``; each kind of row is a block kernel of it.  The
+built rows, :func:`_sse_rows` and :func:`_linear_rows`, are O(n m^2)
+arithmetic, one ``einsum`` summing an n x b x m tensor of interval sums
+over functions.  They make both the whole table and, through
+:func:`_row_slabs`, the row slabs the dynamic program reads from a
 dataset, so a table-free fill has the table's bits; :func:`_entries`, the
 one pricer of single entries, prices every cost with them too.
 :func:`partition_totals` prices both the SSE and the leave-one-out totals
@@ -52,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial, wraps
 from itertools import chain
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -195,48 +199,47 @@ def _prefix(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interval_sums(p: np.ndarray, s: int, e: int, out: np.ndarray,
-                   first: int | None = None) -> np.ndarray:
-    """``out[..., r, c]`` = sum of points s+r .. first+c (0-based, ``first``
-    s unless given) from prefix sums ``p`` over the last axis, for the rows
-    s..e-1 and as many columns c as ``out`` has.
+def _interval_sums(p: np.ndarray, s: int, e: int, out: np.ndarray) -> np.ndarray:
+    """``out[..., r, c]`` = sum of points s+r .. s+c (0-based) from prefix
+    sums ``p`` over the last axis, for the rows s..e-1 and as many columns
+    c as ``out`` has.
 
     The end sums are copied in and the start column subtracted in place:
     the same one subtraction per entry as an ``np.subtract`` that
     broadcasts both operands, which is the slower path with numpy 2.4.
     """
-    first = s if first is None else first
-    np.copyto(out, p[..., None, first + 1:first + 1 + out.shape[-1]])
+    np.copyto(out, p[..., None, s + 1:s + 1 + out.shape[-1]])
     out -= p[..., s:e, None]
     return out
 
 
-def _blocked_rows(n: int, m: int, n_tensors: int, pinned: int, fill):
-    """Row builder of an m x m cost table: ``rows(s0, e0, out)`` writes the
-    rows s0..e0-1 over the columns s0..c-1 into the (e0-s0) x (c-s0) array
-    ``out`` and returns it, c <= m.  A whole table is ``rows(0, m, out)``.
+def _blocked_rows(m: int, cells: int, pinned: int, fill, *leads: tuple[int, ...]):
+    """The one row builder: tables, built slabs and screens.
+    ``rows(s0, e0, out)`` writes the rows s0..e0-1 of an m x m cost table
+    over the columns s0..c-1 into the (e0-s0) x (c-s0) array ``out`` and
+    returns it, c <= m.  A whole table is ``rows(0, m, out)``.
 
-    The rows are built a block of start rows s..e-1 at a time, b rows a
-    block for the budget ``_BLOCK_BYTES`` at the width c - s0.
-    ``fill(s, e, lens, tensors, scratch, q)`` writes the costs of intervals
-    ending at columns s..c-1 into the view ``q``, given the interval lengths
-    (+inf where empty, so that a sum divided by a length is 0 there) and
-    buffers: ``n_tensors`` of n x b x w and one of b x w, w = c - s.  Then
-    noise below 0 is clamped, lengths 1..``pinned`` are set to exactly 0
-    and the columns left of the diagonal to +inf.  The buffers are
-    allocated once and reused by every call, and the lengths and masks are
-    Toeplitz views of one row each: row r of a block starts r entries
+    The rows are built a block of start rows s..e-1 at a time, each block
+    at most ``cells`` cells (and at least one row) at the width c - s0.
+    Each block starts on its own diagonal: ``fill(s, e, lens, q, *buffers)``
+    writes the costs of intervals ending at columns s..c-1 into the view
+    ``q``, given the interval lengths (+inf where empty, so that a sum
+    divided by a length is 0 there) and one buffer of lead x b x w for
+    each shape ``lead`` of ``leads``, w = c - s.  Then one ``np.maximum``
+    raises the block to a floor, 0 on and above the diagonal and +inf left
+    of it, which clamps noise below 0 and fills the empty cells; lengths
+    1..``pinned`` are set to exactly 0 one diagonal at a time, O(b) a
+    block, and the columns left of the block to +inf.  The buffers are
+    allocated once and reused by every call, and the lengths and the floor
+    are Toeplitz views of one row each: row r of a block starts r entries
     further left in it, so entry (r, c) is of interval length c - r + 1.
     """
-    cells = _BLOCK_BYTES // (8 * max(n, 1))  # the b x w cells a block may hold
     top = max(1, min(m, cells))  # the most rows a block has
     rel = np.arange(1 - top, m + 1)  # interval lengths 1-top .. m
-    lens, empty, short = (
-        sliding_window_view(row, m)[top::-1]
-        for row in (np.where(rel >= 1, rel, np.inf), rel < 1,
-                    (rel >= 1) & (rel <= pinned)))
-    tensors = [np.empty(max(n * m, _BLOCK_BYTES // 8)) for _ in range(n_tensors)]
-    scratch = np.empty(max(m, cells))
+    lens, floor = (sliding_window_view(np.where(rel >= 1, x, np.inf), m)[top::-1]
+                   for x in (rel, 0.0))
+    size = max(m, cells)  # the most cells a block has
+    buffers = [(lead, np.empty(prod(lead) * size)) for lead in leads]
 
     def rows(s0: int, e0: int, out: np.ndarray) -> np.ndarray:
         stop = s0 + out.shape[1]  # the first column not built
@@ -245,13 +248,12 @@ def _blocked_rows(n: int, m: int, n_tensors: int, pinned: int, fill):
             e = min(s + b, e0)
             bb, w = e - s, stop - s
             q = out[s - s0:e - s0, s - s0:]
-            fill(s, e, lens[:bb, :w],
-                 [t[:n * bb * w].reshape(n, bb, w) for t in tensors],
-                 scratch[:bb * w].reshape(bb, w), q)
-            np.maximum(q, 0.0, out=q)
-            c = min(w, bb + pinned)  # no later column is empty or short
-            np.copyto(q[:, :c], np.inf, where=empty[:bb, :c])
-            np.copyto(q[:, :c], 0.0, where=short[:bb, :c])
+            fill(s, e, lens[:bb, :w], q,
+                 *(x[:prod(lead) * bb * w].reshape(*lead, bb, w)
+                   for lead, x in buffers))
+            np.maximum(q, floor[:bb, :w], out=q)
+            for k in range(pinned):
+                np.fill_diagonal(q[:, k:], 0.0)
             out[s - s0:e - s0, :s - s0] = np.inf
         return out
 
@@ -285,11 +287,11 @@ def _sse_kernel(d, lens, sq, q) -> None:
     q -= sq
 
 
-def _sse_block(p1, p2, s, e, lens, tensors, sq, q) -> None:
+def _sse_block(p1, p2, s, e, lens, q, d, sq) -> None:
     """Block fill of :func:`_sse_kernel` from the prefix sums ``p1`` of each
-    function and ``p2`` of the squares; ``tensors[0]`` keeps S1."""
-    d = _interval_sums(p1, s, e, tensors[0])
-    _sse_kernel(d, lens, sq, _interval_sums(p2, s, e, q))
+    function and ``p2`` of the squares; ``d`` keeps S1."""
+    _sse_kernel(_interval_sums(p1, s, e, d), lens, sq,
+                _interval_sums(p2, s, e, q))
 
 
 def _require_finite(*bounds) -> None:
@@ -460,31 +462,35 @@ def _sse_rows(dataset: FunctionalDataset, prefix):
     the dynamic program's row slabs are made, so a slab has the bits of
     the table's rows."""
     _, p1, p2 = prefix
-    return _blocked_rows(dataset.n, dataset.m, 1, _PINNED[CostKind.SSE],
-                         partial(_sse_block, p1, p2))
+    n = dataset.n
+    return _blocked_rows(dataset.m, _BLOCK_BYTES // (8 * max(n, 1)),
+                         _PINNED[CostKind.SSE], partial(_sse_block, p1, p2),
+                         (n,), ())
 
 
 def _screen_rows(dataset: FunctionalDataset, prefix, linear: bool = False):
-    """``rows(s, e, out)``: lower bounds Lo <= Q^ of the SSE entries, or with
-    ``linear`` of the linear entries, of the rows s..e-1 over the columns
-    s..c-1 into the (e-s) x (c-s) array ``out``, from matrix products (a
-    screen for the dynamic program).  The linear screen is the SSE screen
-    less the bound of :func:`_slope_screen` on the slope term, pinned to 0
-    where ``_PINNED`` pins the entries, and made in blocks of at most
-    ``_BLOCK_BYTES / 64`` cells, 64 rows at m=256.
+    """The row builder (see :func:`_blocked_rows`) of lower bounds Lo <= Q^
+    of the SSE entries, or with ``linear`` of the linear entries, from
+    matrix products: a screen for the dynamic program.  Its block kernel
+    writes Lo before the builder's clamp, +inf and pins, so the screen is
+    0 at the lengths ``_PINNED`` pins, where it equals the entry.  An SSE
+    block holds at most ``_BLOCK_BYTES / 8`` cells, more than a fill's
+    slab, so a slab is one matrix product; a linear block holds at most
+    ``_BLOCK_BYTES / 64`` cells, 64 rows at m=256, and subtracts the bound
+    of :func:`_slope_screen` on the slope term.
 
     With P the n x (m+1) prefix sums of :func:`_sse_prefix`, d_a the sum of
     P_ia^2 and G = P^T P, sum_i S1_i(j..l)^2 = d_l + d_(j-1) - 2 G[j-1, l].
     A block of rows is one GEMM of two views of P, G[j-1, l]; -2 G + d'_l +
-    d'_(j-1) is multiplied by 1/len to V, and Lo = (p2[l] - V) - (p2[j-1] +
-    2 delta), clamped at 0 and +inf left of the diagonal.  d' is d times
-    w = 1 + (6n + 26) u: the screen sits (w - 1)(d_l + d_(j-1))/len + 2 delta
-    below the Gram form, delta the bound of :func:`_sse_error_bound`.
+    d'_(j-1) is divided by len to V, and Lo = (p2[l] - V) - (p2[j-1] +
+    2 delta).  d' is d times w = 1 + (6n + 26) u: the screen sits
+    (w - 1)(d_l + d_(j-1))/len + 2 delta below the Gram form, delta the
+    bound of :func:`_sse_error_bound`.
 
     Lo <= max(Q - delta, 0) <= Q^, with Q the exact SSE and u = 2^-53, to
     first order (Higham 2002, ch. 3: every bound holds in any order of
-    summation, so BLAS blocking and threads cannot break it).  Let
-    D = d_l + d_(j-1), D' = d'_l + d'_(j-1) and W the exact
+    summation and any blocking, so BLAS blocking and threads cannot break
+    it).  Let D = d_l + d_(j-1), D' = d'_l + d'_(j-1) and W the exact
     sum_i (P_il - P_i(j-1))^2 of the stored sums:
 
     * the computed d is within n u d of the exact one, so D' exceeds D by
@@ -492,8 +498,8 @@ def _screen_rows(dataset: FunctionalDataset, prefix, linear: bool = False):
     * G's n terms sum in absolute value to at most D/2 (Cauchy-Schwarz),
       so with the two additions the computed -2 G + D' is within
       (n + 5) u D' <= 2 (n + 2) u D' of D' - 2 G = W + (D' - D);
-    * the reciprocal and the product with it add 2 u, the three
-      subtractions u (T + |V|) each, T the total of squares, |V| <= 2 D'/len;
+    * the division adds u, the three subtractions u (T + |V|) each, T the
+      total of squares, |V| <= 2 D'/len;
     * the stored sums put sum_i S1_i^2 / len and S2 within
       (4m sqrt(m) + 2n + 2m) u T of their exact values, as in
       :func:`_sse_error_bound`.
@@ -512,51 +518,43 @@ def _screen_rows(dataset: FunctionalDataset, prefix, linear: bool = False):
     sq = np.einsum("ia,ia->a", p1, p1)
     d = sq * (1.0 + (6 * n + 26) * 2.0 ** -53)
     shift = p2 + 2.0 * _sse_error_bound(dataset)
-    rel = np.arange(1.0 - m, m + 1.0)  # interval lengths, as in _blocked_rows
-    pin = _PINNED[CostKind.LINEAR]
-    inv, floor, short = (sliding_window_view(row, m)[m::-1] for row in (
-        np.divide(1.0, rel, out=np.zeros_like(rel), where=rel >= 1),
-        np.where(rel >= 1, 0.0, np.inf), (rel >= 1) & (rel <= pin)))
-    slope, cells = _slope_screen(dataset, p1, sq) if linear else (None, 0)
+    slope = _slope_screen(dataset, p1, sq) if linear else None
     if linear and slope is None:  # the bound's sums could overflow
         return _linear_rows(dataset, prefix)
 
-    def rows(s: int, e: int, out: np.ndarray) -> np.ndarray:
-        b, c = out.shape
-        ends = slice(s + 1, s + 1 + c)
-        h = max(1, cells // c) if linear else b
-        for r in range(0, b, h):
-            o = out[r:r + h]
-            a, v = slice(s + r, s + r + o.shape[0]), slice(r, r + o.shape[0])
-            np.matmul(p1[:, a].T, p1[:, ends], out=o)
-            o *= -2.0
-            o += d[ends]
-            o += d[a, None]
-            if linear:
-                bound = slope(a, ends, v, o)
-            o *= inv[v, :c]
-            np.subtract(p2[ends], o, out=o)
-            o -= shift[a, None]
-            if linear:
-                o -= bound
-            np.maximum(o, floor[v, :c], out=o)
-        if linear:  # the pinned lengths are 0
-            np.copyto(out[:, :b + pin], 0.0, where=short[:b, :min(c, b + pin)])
-        return out
+    def fill(s: int, e: int, lens: np.ndarray, q: np.ndarray, *scratch) -> None:
+        # a linear block is made in contiguous scratch and written into q
+        # once: a block right of the slab's first column is a strided view,
+        # on which each elementwise pass took about three times as long
+        o = scratch[0] if linear else q
+        ends = slice(s + 1, s + 1 + q.shape[1])
+        np.matmul(p1[:, s:e].T, p1[:, ends], out=o)
+        o *= -2.0
+        o += d[ends]
+        o += d[s:e, None]
+        if linear:
+            bound = slope(s, e, lens, o, *scratch[1:])
+        o /= lens
+        np.subtract(p2[ends], o, out=o)
+        o -= shift[s:e, None]
+        if linear:
+            np.subtract(o, bound, out=q)
 
-    return rows
+    if linear:
+        return _blocked_rows(m, _BLOCK_BYTES // 64, _PINNED[CostKind.LINEAR],
+                             fill, (), (), (), ())
+    return _blocked_rows(m, _BLOCK_BYTES // 8, _PINNED[CostKind.SSE], fill)
 
 
 def _slope_screen(dataset: FunctionalDataset, p1: np.ndarray, sq: np.ndarray):
-    """``(slope, cells)``: ``slope(a, ends, v, wide)`` bounds the slope term
+    """``slope(s, e, lens, wide, st, g, z)`` bounds the slope term
     sum_i Cty_i^2 / Ctt of :func:`build_linear_table` from above, for the
-    cells of the start prefix indices ``a`` and end prefix indices ``ends``
-    (slices; ``v`` the rows' offsets in the slab), from three matrix
-    products beside the SSE screen's.  ``wide`` holds the SSE screen's
-    -2 G + d'_l + d'_(j-1) of those cells.  The bound is written into one
-    of three scratch arrays of ``cells`` cells and returned.  ``slope`` is
-    None when the bound's sums could overflow; the screen is then the
-    built rows.
+    rows s..e-1 of a block of :func:`_screen_rows` (``lens`` its interval
+    lengths), from three matrix products beside the SSE screen's.  ``wide``
+    holds the SSE screen's -2 G + d'_l + d'_(j-1) of those cells; the bound
+    is written into the scratch ``g`` and returned, and ``st`` and ``z``
+    are scratch of the same shape.  None when the bound's sums could
+    overflow; the screen is then the built rows.
 
     With Y = P the n x (m+1) prefix sums of :func:`_sse_prefix` (sq their
     column sums of squares d), T those of y*t and for one cell
@@ -606,29 +604,23 @@ def _slope_screen(dataset: FunctionalDataset, p1: np.ndarray, sq: np.ndarray):
     is not finite, ``slope`` is None.
     """
     t, pt, ptt, pty = _linear_prefix(dataset)
-    n, m = p1.shape[0], p1.shape[1] - 1
+    n = p1.shape[0]
     c_max = float(np.abs(t).max())
     dt = np.einsum("ai,ai->a", pty, pty)
     rt, ry = np.sqrt(dt), np.sqrt(sq)
     with np.errstate(over="ignore"):
         if not np.isfinite(8.0 * (rt.max() + c_max * ry.max()) ** 2):
-            return None, 0
+            return None
     h = np.einsum("ai,ia->a", pty, p1)
     root_kappa = (2.0 * (9 * n + 42) * 2.0 ** -53) ** 0.5
     half_eta = 0.5 * ((5 * n + 8) * 2.0 ** -1074) ** 0.5 * (1.0 + c_max)
     rt, ry = rt * root_kappa + half_eta, ry * root_kappa
-    rel = np.arange(1.0 - m, m + 1.0)
-    lens = sliding_window_view(np.where(rel >= 1, rel, np.inf), m)[m::-1]
-    cells = max(m, _BLOCK_BYTES // 64)
-    scratch = np.empty((3, cells))
 
-    def slope(a: slice, ends: slice, v: slice, wide: np.ndarray) -> np.ndarray:
-        shape = wide.shape
-        st, g, z = (x[:wide.size].reshape(shape) for x in scratch)
-        lv = lens[v, :shape[1]]
-        first = ends.start - 1  # the slab's first point
-        st = _interval_sums(pt, a.start, a.stop, st, first)
-        c = np.divide(st, lv, out=st)  # the build's bits
+    def slope(s: int, e: int, lens: np.ndarray, wide: np.ndarray,
+              st: np.ndarray, g: np.ndarray, z: np.ndarray) -> np.ndarray:
+        a, ends = slice(s, e), slice(s + 1, s + 1 + wide.shape[1])
+        # c = St/len with the build's bits
+        c = np.divide(_interval_sums(pt, s, e, st), lens, out=st)
         # B^ = (h_l - (T^T Y + Y^T T)) + h_(j-1)
         np.matmul(pty[a], p1[:, ends], out=g)
         np.matmul(p1[:, a].T, pty[ends].T, out=z)
@@ -655,16 +647,16 @@ def _slope_screen(dataset: FunctionalDataset, p1: np.ndarray, sq: np.ndarray):
         z *= z
         g += z
         # over Ctt^, made with the build's operations, so with its bits
-        _interval_sums(pt, a.start, a.stop, st, first)
+        _interval_sums(pt, s, e, st)
         np.multiply(st, st, out=z)
-        z /= lv
-        ctt = _interval_sums(ptt, a.start, a.stop, st, first)
+        z /= lens
+        ctt = _interval_sums(ptt, s, e, st)
         ctt -= z
         np.copyto(ctt, np.inf, where=ctt <= 0.0)
         g /= ctt
         return g
 
-    return slope, cells
+    return slope
 
 
 def build_sse_table(dataset: FunctionalDataset) -> CostTable:
@@ -782,12 +774,11 @@ def _linear_kernel(dy, dty, st, ctt, lens, sq, q) -> None:
     q -= sq / ctt
 
 
-def _linear_block(p1, p2, pt, ptt, pty, s, e, lens, tensors, sq, q) -> None:
+def _linear_block(p1, p2, pt, ptt, pty, s, e, lens, q, dy, dty, sq) -> None:
     """Block fill of :func:`_linear_kernel` from the prefix sums of
-    :func:`_sse_prefix` and :func:`_linear_prefix`; ``tensors`` keep Sy
-    and Sty."""
-    _sse_block(p1, p2, s, e, lens, tensors, sq, q)
-    dy, dty = tensors
+    :func:`_sse_prefix` and :func:`_linear_prefix`; ``dy`` and ``dty`` keep
+    Sy and Sty."""
+    _sse_block(p1, p2, s, e, lens, q, dy, sq)
     _linear_kernel(dy, _interval_sums(pty, s, e, dty),
                    _interval_sums(pt, s, e, np.empty(sq.shape)),
                    _interval_sums(ptt, s, e, np.empty(sq.shape)), lens, sq, q)
@@ -800,8 +791,11 @@ def _linear_rows(dataset: FunctionalDataset, prefix):
     are made, so a slab has the bits of the table's rows."""
     _, p1, p2 = prefix
     _, pt, ptt, pty = _linear_prefix(dataset)
-    return _blocked_rows(dataset.n, dataset.m, 2, _PINNED[CostKind.LINEAR],
-                         partial(_linear_block, p1, p2, pt, ptt, pty.T))
+    n = dataset.n
+    return _blocked_rows(dataset.m, _BLOCK_BYTES // (8 * max(n, 1)),
+                         _PINNED[CostKind.LINEAR],
+                         partial(_linear_block, p1, p2, pt, ptt, pty.T),
+                         (n,), (n,), ())
 
 
 def build_linear_table(dataset: FunctionalDataset) -> CostTable:

@@ -207,10 +207,10 @@ def fill_dp(table: CostTable | FunctionalDataset, k_max: int,
     A fill from a dataset of at least ``_SCREEN_N`` functions screens its
     rows instead of building them, for every cost: each slab holds lower
     bounds Lo <= Q^ of its entries from :func:`costs._screen_rows`, one
-    matrix product a slab (four for linear costs), and a mask of the same
-    shape marks the cells that hold their exact entry: from the start
-    those left of the diagonal and at the lengths ``costs._PINNED`` pins,
-    where the screen equals the entry, then each cell priced.  A pass scans
+    matrix product a slab (four a block for linear costs), and a mask of
+    the same shape marks the cells that hold their exact entry: from the
+    start those left of the diagonal and at the lengths ``costs._PINNED``
+    pins, where the screen equals the entry, then each cell priced.  A pass scans
     Lo + F(p-1, l+1) as a built pass scans the entries and takes each
     row's leftmost argmin l*.  The rows whose cell at l* is not exact have
     it priced with the build's bits, in one call of :func:`costs._entries`,

@@ -12,8 +12,12 @@ the fewest functions at which a fill screens its rows
 (``solver._SCREEN_N``), timed both as the library runs it and screened,
 for SSE and linear costs.  ``fit-default`` times SSE, leave-one-out and
 linear solves from the data at k=8, 16 and 32, its nine job kinds,
-``build_linear_table`` for reference, and the exact pricing of 56 cells
-(``costs._entries``) under each cost, the call a screened pass makes.
+``build_linear_table`` for reference, the SSE and linear screens of one
+whole slab (``costs._row_slabs`` with ``screen``), and the exact pricing of
+56 cells (``costs._entries``) under each cost, the call a screened pass
+makes.  A pricing stage times one back-to-back batch of ``_BATCH`` calls
+and reports it per call: a lone call of a few tens of µs would measure the
+cache and allocator state the stage before it left.
 A stage that sets the crossover runs as the library runs it in a checkout
 that has none, and in a checkout whose pricer takes no cost, linear cells
 are priced by ``_linear_entries`` and leave-one-out cells scaled from SSE
@@ -119,17 +123,41 @@ def _screened(sb, call):
     return run
 
 
+# Calls a pricing stage makes back to back, its time reported per call.
+_BATCH = 50
+
+
+def _batched(call):
+    """``call`` made ``_BATCH`` times back to back; ``main`` divides the
+    batch's time by its ``calls``."""
+    def run():
+        for _ in range(_BATCH):
+            call()
+    run.calls = _BATCH
+    return run
+
+
 def _price(sb, dataset, s, e, cost: str):
-    """A call pricing the cells s..e of ``dataset`` under ``cost`` as the
-    fill of ``sb`` prices them (see the module docstring)."""
+    """A batch of calls pricing the cells s..e of ``dataset`` under ``cost``
+    as the fill of ``sb`` prices them (see the module docstring)."""
     costs = sb.costs
     if "cost" in inspect.signature(costs._entries).parameters:
-        return lambda: costs._entries(dataset, s, e, sb.CostKind(cost))
-    if cost == "linear":
-        return lambda: costs._linear_entries(dataset, s, e)
-    if cost == "loo":
-        return lambda: costs._loo_scale(e - s + 1.0, costs._entries(dataset, s, e))
-    return lambda: costs._entries(dataset, s, e)
+        call = lambda: costs._entries(dataset, s, e, sb.CostKind(cost))
+    elif cost == "linear":
+        call = lambda: costs._linear_entries(dataset, s, e)
+    elif cost == "loo":
+        call = lambda: costs._loo_scale(e - s + 1.0, costs._entries(dataset, s, e))
+    else:
+        call = lambda: costs._entries(dataset, s, e)
+    return _batched(call)
+
+
+def _screen(sb, dataset, cost: str):
+    """A call writing the screen of ``cost`` over every row of ``dataset``,
+    one slab at m=256, as a screened fill makes it."""
+    out = np.empty((dataset.m, dataset.m))
+    return lambda: sb.costs._row_slabs(dataset, sb.CostKind(cost), True)(
+        0, dataset.m, out)
 
 
 def _shapes(sb, raw: dict[str, object]):
@@ -167,6 +195,8 @@ def _shapes(sb, raw: dict[str, object]):
             "render k=32 coefficients": lambda: sb.io.render_result(fit_doc),
             **{f"price {cost} 56 cells": _price(sb, fit, *cells, cost)
                for cost in ("sse", "loo", "linear")},
+            "screen sse": _screen(sb, fit, "sse"),
+            "screen linear": _screen(sb, fit, "linear"),
         },
         "select-fine": {
             "fill_dp sse": lambda: sb.fill_dp(fine, 64),
@@ -253,9 +283,11 @@ def main(argv: list[str]) -> int:
             for _ in range(repeats):
                 for name in stages[""]:
                     for label in order:
+                        call = stages[label][name]
                         t0 = time.perf_counter()
-                        stages[label][name]()
-                        times[label][name].append((time.perf_counter() - t0) * 1e3)
+                        call()
+                        times[label][name].append(
+                            (time.perf_counter() - t0) * 1e3 / getattr(call, "calls", 1))
                 order.reverse()
             report[shape] = {}
             for name, ms in times[""].items():

@@ -503,26 +503,46 @@ def test_sse_entries_are_within_the_written_bound(name, n, m):
         assert 0 < delta < 1e-9 * prefix[2][-1]
 
 
+def _screens(ds, linear, monkeypatch, block_starts):
+    """Every row of the screen of ``ds`` (``linear`` or SSE), at the default
+    block budget and at one so small that each block is one row, which the
+    row builder's blocks confirm."""
+    m, prefix = ds.m, costs._data_prefix(ds)
+    screens = [costs._screen_rows(ds, prefix, linear)(0, m, np.empty((m, m)))]
+    block_starts.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(costs, "_BLOCK_BYTES", 8)
+        screens.append(costs._screen_rows(ds, prefix, linear)(0, m, np.empty((m, m))))
+    assert block_starts == list(range(m))
+    return screens
+
+
 @pytest.mark.parametrize("name, n, m", [
     ("offset", 1, 48), ("offset", 4, 300), ("offset", 124, 64),
     ("large", 4, 200), ("constant", 4, 300), ("constant", 124, 40),
     ("tiny", 1, 60), ("tiny", 4, 300), ("curves", 4, 2048),
     ("curves", 124, 256),
 ])
-def test_screen_rows_are_lower_bounds_within_the_written_bound(name, n, m):
+def test_screen_rows_are_lower_bounds_within_the_written_bound(name, n, m,
+                                                               monkeypatch,
+                                                               block_starts):
     # Lo <= max(Q - delta, 0) <= Q^ against the exact SSE of the centred values,
     # so no candidate the screen drops can win or tie; Q - Lo <= 2 eps with
     # eps = 2 delta + (w - 1)(d_l + d_(j-1))/len, so the screen is not
-    # vacuous; and the leave-one-out screen stays at or below the
-    # leave-one-out entries
+    # vacuous; the leave-one-out screen stays at or below the leave-one-out
+    # entries; Lo is +inf left of the diagonal and exactly 0 at length 1;
+    # all of it in blocks of the default size and of one row
     ds = _dataset(_adversarial(name, n, m))
     delta = costs._sse_error_bound(ds)
     prefix = costs._data_prefix(ds)
-    lo = costs._screen_rows(ds, prefix)(0, m, np.empty((m, m)))
+    screens = _screens(ds, False, monkeypatch, block_starts)
     table = build_sse_table(ds)
-    assert (lo <= table.values).all()
-    loo = costs._loo_rows(lo, np.empty((m, m)))
-    assert (loo <= loo_table(table).values).all()
+    left = np.tril(np.ones((m, m), dtype=bool), -1)
+    for lo in screens:
+        assert (lo <= table.values).all()
+        assert (lo[left] == np.inf).all() and (np.diag(lo) == 0.0).all()
+        loo = costs._loo_rows(lo, np.empty((m, m)))
+        assert (loo <= loo_table(table).values).all()
     q = _exact_sse(prefix[0])
     p1 = prefix[1]
     d = [Fraction(x) for x in np.einsum("ia,ia->a", p1, p1).tolist()]
@@ -536,10 +556,12 @@ def test_screen_rows_are_lower_bounds_within_the_written_bound(name, n, m):
         pairs += [tuple(sorted(p)) for p in rng.integers(1, m + 1, (1500, 2)).tolist()]
     delta = Fraction(delta)
     for j, l in pairs:
-        exact, low = q(j, l), Fraction(lo[j - 1, l - 1])
-        assert low <= max(exact - delta, 0), (j, l)
+        exact = q(j, l)
         eps = 2 * delta + widen * (d[l] + d[j - 1]) / (l - j + 1)
-        assert exact - low <= 2 * eps, (j, l)
+        for lo in screens:
+            low = Fraction(lo[j - 1, l - 1])
+            assert low <= max(exact - delta, 0), (j, l)
+            assert exact - low <= 2 * eps, (j, l)
 
 
 @pytest.mark.parametrize("cost", ["sse", "loo", "linear"])
@@ -625,21 +647,23 @@ def _exact_slope(prefix, slope_prefix):
     ("lines", 124, 30), ("tiny", 4, 40), ("large", 4, 40),
     ("curves", 4, 300), ("curves", 124, 64),
 ])
-def test_linear_screen_rows_are_lower_bounds_within_the_written_bound(name, n, m):
+def test_linear_screen_rows_are_lower_bounds_within_the_written_bound(
+        name, n, m, monkeypatch, block_starts):
     # Lo <= max(Q_sse - delta - S/Ctt^, 0) against exact arithmetic, with S
     # the exact slope sum of the build's c and Ctt^ its Ctt: the build's own
     # sum of squares is within the written first-order bound of S; Lo is not
     # vacuous; and in floats Lo <= Q^ everywhere, with Lo = 0 at lengths 1
-    # and 2
+    # and 2; all of it in blocks of the default size and of one row
     grid, values = _linear_case(name, n, m)
     ds = _dataset(values, grid=grid)
     prefix, slope_prefix = costs._data_prefix(ds), costs._linear_prefix(ds)
-    lo = costs._screen_rows(ds, prefix, linear=True)(0, m, np.empty((m, m)))
+    screens = _screens(ds, True, monkeypatch, block_starts)
     table = build_linear_table(ds).values
     upper = np.triu(np.ones((m, m), dtype=bool))
-    assert (lo[upper] <= table[upper]).all()
-    assert (lo[~upper] == np.inf).all()
-    assert (np.diag(lo) == 0.0).all() and (np.diag(lo, 1) == 0.0).all()
+    for lo in screens:
+        assert (lo[upper] <= table[upper]).all()
+        assert (lo[~upper] == np.inf).all()
+        assert (np.diag(lo) == 0.0).all() and (np.diag(lo, 1) == 0.0).all()
     q, s = _exact_sse(prefix[0]), _exact_slope(prefix, slope_prefix)
     delta = Fraction(costs._sse_error_bound(ds))
     _, p1, _ = prefix
@@ -678,10 +702,11 @@ def test_linear_screen_rows_are_lower_bounds_within_the_written_bound(name, n, m
         else:
             branches.add("ctt <= 0")
             width = 0
-        low = Fraction(lo[j - 1, l - 1])
-        assert low <= max(exact - delta, 0), (j, l)
         eps = 2 * delta + widen * Fraction(float(d[l] + d[j - 1])) / length + width
-        assert exact - low <= 2 * eps, (j, l)
+        for lo in screens:
+            low = Fraction(lo[j - 1, l - 1])
+            assert low <= max(exact - delta, 0), (j, l)
+            assert exact - low <= 2 * eps, (j, l)
     if name == "neardup":  # both branches of the build's Ctt are covered
         assert branches == {"ctt > 0", "ctt <= 0"}
 

@@ -283,34 +283,37 @@ def test_loo_fill_equals_fill_of_loo_table(m, name):
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 @pytest.mark.parametrize("n", [1, 4, 124])
-def test_dataset_fills_do_not_depend_on_block_budget(n, offset, monkeypatch):
+def test_dataset_fills_do_not_depend_on_block_budget(n, offset, monkeypatch,
+                                                     block_starts):
     # budgets of one and of three full-width rows of n functions build each
-    # slab of the dataset's SSE rows in several blocks; the default budget
-    # is the last.  A fill of n >= _SCREEN_N functions screens its rows
-    # instead of building them, so the crossover is set above n here
-    monkeypatch.setattr(solver, "_SCREEN_N", n + 1)
+    # slab of the dataset's rows in several blocks; the default budget is
+    # the last.  Every cost is filled with its rows built (the screen
+    # crossover above n) and screened (at n): costs and splits equal the
+    # table fill's bit for bit, and no fill prices more entries than its
+    # slabs hold.  Blocks are counted through the one row builder
     m = 300
     ds = _dataset(np.random.default_rng(n).normal(size=(n, m)) + offset)
     sse = build_sse_table(ds)
     k = m // 2 + 1  # the leave-one-out fill's last count is infeasible
-    refs = [fill_dp(sse, k, _cost(loo)) for loo in (False, True)]
-    blocks = []
-
-    def counted(*args):
-        blocks.append(args[2])  # the block's first row
-        return sse_block(*args)
-
-    sse_block, default = costs._sse_block, costs._BLOCK_BYTES
-    monkeypatch.setattr(costs, "_sse_block", counted)
-    for budget in (8 * n * m, 3 * 8 * n * m, default):
-        monkeypatch.setattr(costs, "_BLOCK_BYTES", budget)
-        for loo, ref in zip((False, True), refs):
-            blocks.clear()
-            dp = fill_dp(ds, k, _cost(loo))
-            assert np.array_equal(dp.costs, ref.costs), (budget, loo)
-            assert np.array_equal(dp.splits, ref.splits), (budget, loo)
-            if budget < default or n == 124:
-                assert len(blocks) >= 2 * len(_slabs(m)), budget
+    refs = {cost: fill_dp(table, k, cost) for cost, table in (
+        (CostKind.SSE, sse), (CostKind.LOO, sse),
+        (CostKind.LINEAR, build_linear_table(ds)))}
+    default = costs._BLOCK_BYTES
+    for screen_n in (n + 1, n):
+        monkeypatch.setattr(solver, "_SCREEN_N", screen_n)
+        for budget in (8 * n * m, 3 * 8 * n * m, default):
+            monkeypatch.setattr(costs, "_BLOCK_BYTES", budget)
+            for cost, ref in refs.items():
+                block_starts.clear()
+                dp = fill_dp(ds, k, cost)
+                assert np.array_equal(dp.costs, ref.costs), (screen_n, budget, cost)
+                assert np.array_equal(dp.splits, ref.splits), (screen_n, budget, cost)
+                assert dp.priced <= dp.slab_cells, (screen_n, budget, cost)
+                blocks = len(block_starts)
+                if screen_n == n:  # the smallest budget splits a screened slab
+                    assert budget > 8 * n * m or blocks > len(_slabs(m)), cost
+                elif budget < default or n == 124:
+                    assert blocks >= 2 * len(_slabs(m)), (budget, cost)
 
 
 def test_loo_costs_ignore_the_lower_triangle():
